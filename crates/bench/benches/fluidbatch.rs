@@ -1,8 +1,8 @@
 //! Benchmarks of the batched SoA fluid integrator against the scalar
-//! engine — the numbers behind `BENCH_sweep.json` (see `figures
-//! bench-sweep` for the machine-readable emitter).
+//! engine. The end-to-end numbers live in the repository benchmark
+//! (`perfbench/`, declared in `BENCHMARK.json`).
 //!
-//! Both grids are the pinned perf-trajectory definitions of
+//! Both grids are the pinned benchmark definitions of
 //! [`bbr_experiments::sweep::bench_grid`]:
 //!
 //! * `fluid_scalar_24_cells` / `fluid_batch_24_cells` — mixed-topology

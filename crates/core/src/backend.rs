@@ -69,7 +69,7 @@ impl SimBackend for FluidBackend {
             Simulator::with_activity(net, self.cfg.clone(), agents, &spec.churn)
         }
         .expect("validated spec must build");
-        let metrics = sim.run(spec.duration).metrics;
+        let metrics = sim.run(spec.duration);
         outcome_from_metrics(spec, &metrics)
     }
 }
@@ -292,7 +292,7 @@ mod tests {
             .rtt_range(0.030, 0.040)
             .config(ModelConfig::coarse());
         let mut sim = scenario.build(&spec.ccas).unwrap();
-        let m = sim.run(1.5).metrics;
+        let m = sim.run(1.5);
         assert_eq!(out.utilization_percent, m.utilization_percent);
         assert_eq!(out.jain, m.jain);
         assert_eq!(out.flows.len(), 2);

@@ -18,8 +18,8 @@
 //! let scenario = Scenario::dumbbell(1, 100.0, 0.010, 1.0, QdiscKind::DropTail)
 //!     .access_delays(vec![0.0056]);
 //! let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
-//! let report = sim.run(2.0);
-//! assert!(report.metrics.utilization_percent > 80.0);
+//! let metrics = sim.run(2.0);
+//! assert!(metrics.utilization_percent > 80.0);
 //! ```
 //!
 //! Units throughout: rates in Mbit/s, data volumes in Mbit, times in
@@ -36,7 +36,6 @@ pub mod queue;
 pub mod scenario;
 pub mod sim;
 pub mod topology;
-pub mod trace;
 
 /// Convenient re-exports of the items needed by typical simulations.
 pub mod prelude {
@@ -45,9 +44,8 @@ pub mod prelude {
     pub use crate::config::ModelConfig;
     pub use crate::metrics::{jain_fairness, AggregateMetrics};
     pub use crate::scenario::Scenario;
-    pub use crate::sim::{RunReport, Simulator};
+    pub use crate::sim::Simulator;
     pub use crate::topology::{LinkId, LinkSpec, Network, PathSpec, QdiscKind};
-    pub use crate::trace::Trace;
     pub use crate::MSS_MBIT;
     pub use bbr_scenario::{FlowMetrics, RunOutcome, ScenarioSpec, SimBackend, Topology};
 }

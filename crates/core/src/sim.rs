@@ -3,6 +3,7 @@
 //! the method of steps at a fixed step size (§4.1.1).
 
 use bbr_scenario::FlowWindow;
+use bbr_trace::{Recorder, TraceEvent};
 
 use crate::cca::{AgentInputs, FluidCca};
 use crate::config::ModelConfig;
@@ -10,16 +11,6 @@ use crate::history::History;
 use crate::metrics::{AggregateMetrics, MetricsAccumulator};
 use crate::queue::{loss_probability, service_rate, step_queue};
 use crate::topology::Network;
-use crate::trace::Trace;
-
-/// Result of a [`Simulator::run`].
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Aggregate metrics over the (non-discarded) run.
-    pub metrics: AggregateMetrics,
-    /// Recorded trace, if tracing was enabled.
-    pub trace: Option<Trace>,
-}
 
 /// The link whose occupancy/utilization become a run's headline metrics:
 /// the minimum-capacity link of the network. Shared by [`Simulator`] and
@@ -129,8 +120,9 @@ pub struct Simulator {
     /// historical code path.
     activity: Vec<ActivitySchedule>,
     metrics: MetricsAccumulator,
-    trace: Option<Trace>,
-    trace_stride: usize,
+    /// Flight recorder and its sample grid in steps (see [`Self::record`]).
+    recorder: Option<Recorder>,
+    trace_stride: u64,
     step_count: u64,
     // Scratch buffers reused across steps.
     scratch_y: Vec<f64>,
@@ -258,7 +250,7 @@ impl Simulator {
             jitter_interval(&cfg, n, net.links[observed_link].capacity),
         );
 
-        Ok(Self {
+        let mut sim = Self {
             q: vec![0.0; m],
             x_hist,
             tau_hist,
@@ -273,7 +265,7 @@ impl Simulator {
             bneck_pos,
             activity,
             metrics,
-            trace: None,
+            recorder: None,
             trace_stride: 1,
             step_count: 0,
             scratch_y: vec![0.0; m],
@@ -286,13 +278,22 @@ impl Simulator {
             net,
             cfg,
             agents,
-        })
+        };
+        if let Some(rec) = bbr_trace::installed() {
+            sim.record(rec);
+        }
+        Ok(sim)
     }
 
-    /// Enable trace recording, sampling every `stride` steps.
-    pub fn enable_trace(&mut self, stride: usize) {
-        self.trace = Some(Trace::new(self.agents.len(), self.net.links.len()));
-        self.trace_stride = stride.max(1);
+    /// Attach a flight recorder, replacing the one installed process-wide
+    /// (if any) when the simulator was built. Every `rec.stride(dt)`
+    /// steps it records each flow's rate, window, and RTT, each link's
+    /// queue, utilization, and loss, and — with `TraceConfig::cca` —
+    /// each flow's `x_dlv`, `loss`, and [`FluidCca::telemetry`] values
+    /// as `CcaSignal`s. Advisory: recording never changes a result.
+    pub fn record(&mut self, rec: Recorder) {
+        self.trace_stride = rec.stride(self.cfg.dt);
+        self.recorder = Some(rec);
     }
 
     /// Current simulation time (s).
@@ -320,19 +321,16 @@ impl Simulator {
         &self.net
     }
 
-    /// Advance the simulation by `duration` seconds and return the report
-    /// over everything accumulated since construction (or the last
-    /// [`Self::reset_metrics`]).
-    pub fn run(&mut self, duration: f64) -> RunReport {
+    /// Advance the simulation by `duration` seconds and return the
+    /// metrics over everything accumulated since construction (or the
+    /// last [`Self::reset_metrics`]).
+    pub fn run(&mut self, duration: f64) -> AggregateMetrics {
         let steps = (duration / self.cfg.dt).round() as u64;
         for _ in 0..steps {
             self.step_once();
         }
         let caps: Vec<f64> = self.net.links.iter().map(|l| l.capacity).collect();
-        RunReport {
-            metrics: self.metrics.finalize(&caps),
-            trace: self.trace.clone(),
-        }
+        self.metrics.finalize(&caps)
     }
 
     /// Delivery-rate estimate of agent `i` per Eq. (17), evaluated at
@@ -360,6 +358,17 @@ impl Simulator {
         } else {
             x_num
         }
+    }
+
+    /// Path loss feedback of agent `i`: the link loss probabilities
+    /// along its path, each delayed by its feedback delay, summed and
+    /// clamped to a probability (Eq. (7)).
+    fn loss_feedback(&self, i: usize) -> f64 {
+        let mut loss = 0.0;
+        for (pos, link_id) in self.net.paths[i].links.iter().enumerate() {
+            loss += self.p_hist[link_id.0].at_delay(self.bwd[i][pos]);
+        }
+        loss.clamp(0.0, 1.0)
     }
 
     /// Whether agent `i` is inside one of its activity windows at the
@@ -413,7 +422,7 @@ impl Simulator {
             };
         }
 
-        // 5. Metrics and trace.
+        // 5. Metrics and flight-recorder samples.
         self.metrics.record(
             self.t,
             dt,
@@ -424,11 +433,8 @@ impl Simulator {
             &self.scratch_rel_q,
             &self.scratch_service,
         );
-        if self.trace.is_some() && self.step_count.is_multiple_of(self.trace_stride as u64) {
-            self.record_trace_sample();
-        }
-        if bbr_trace::enabled() {
-            self.record_flight_recorder();
+        if self.recorder.is_some() && self.step_count.is_multiple_of(self.trace_stride) {
+            self.record_sample();
         }
 
         // 6. Assemble delayed feedback and step the agents (inactive
@@ -441,12 +447,7 @@ impl Simulator {
             let d_p = self.prop_rtt[i];
             let tau_fb = self.tau_hist[i].at_delay(d_p);
             let x_fb = self.x_hist[i].at_delay(d_p);
-            let mut loss_fb = 0.0;
-            for (pos, _link_id) in self.net.paths[i].links.iter().enumerate() {
-                let l = self.net.paths[i].links[pos].0;
-                loss_fb += self.p_hist[l].at_delay(self.bwd[i][pos]);
-            }
-            let loss_fb = loss_fb.clamp(0.0, 1.0);
+            let loss_fb = self.loss_feedback(i);
             // Delivery rate, Eq. (17), measured at the bottleneck link.
             let x_dlv = self.delivery_rate(i);
             let inputs = AgentInputs {
@@ -489,79 +490,58 @@ impl Simulator {
         self.step_count += 1;
     }
 
-    /// Advisory flight-recorder samples (`bbr-trace`) on the recorder's
-    /// grid. Pure reads of this step's already-computed scratch state:
-    /// installing a recorder cannot change any run result.
-    fn record_flight_recorder(&self) {
-        let stride = (bbr_trace::interval() / self.cfg.dt).round().max(1.0) as u64;
-        if !self.step_count.is_multiple_of(stride) {
+    /// Advisory flight-recorder samples on the recorder's grid. Pure
+    /// reads of this step's already-computed scratch state and of the
+    /// same delayed feedback stage 6 is about to consume: recording
+    /// cannot change any run result.
+    fn record_sample(&mut self) {
+        let Some(rec) = &self.recorder else {
             return;
-        }
+        };
+        let cfg = rec.config();
         let t = self.t;
-        if bbr_trace::flows_enabled() {
+        if cfg.flows {
             for i in 0..self.agents.len() {
-                let rate_mbps = self.scratch_x[i];
-                let inflight_pkts = self.agents[i].cwnd() / self.cfg.mss;
-                let rtt_s = self.scratch_tau[i];
-                bbr_trace::emit(|| bbr_trace::TraceEvent::FlowSample {
+                rec.record(&TraceEvent::FlowSample {
                     lane: 0,
                     flow: i,
                     t,
-                    rate_mbps,
-                    inflight_pkts,
-                    rtt_s,
+                    rate_mbps: self.scratch_x[i],
+                    inflight_pkts: self.agents[i].cwnd() / self.cfg.mss,
+                    rtt_s: self.scratch_tau[i],
                 });
             }
         }
-        if bbr_trace::links_enabled() {
+        if cfg.links {
             for l in 0..self.net.links.len() {
-                let queue_frac = self.scratch_rel_q[l];
-                let util_frac = self.scratch_y[l] / self.net.links[l].capacity;
-                let loss_frac = self.scratch_p[l];
-                bbr_trace::emit(|| bbr_trace::TraceEvent::LinkSample {
+                rec.record(&TraceEvent::LinkSample {
                     lane: 0,
                     link: l,
                     t,
-                    queue_frac,
-                    util_frac,
-                    loss_frac,
+                    queue_frac: self.scratch_rel_q[l],
+                    util_frac: self.scratch_y[l] / self.net.links[l].capacity,
+                    loss_frac: self.scratch_p[l],
                 });
             }
         }
-    }
-
-    fn record_trace_sample(&mut self) {
-        // Compute the delayed loss feedback per agent for the trace.
-        let n = self.agents.len();
-        let mut losses = vec![0.0; n];
-        let mut dlvs = vec![0.0; n];
-        for i in 0..n {
-            let mut loss = 0.0;
-            for (pos, link_id) in self.net.paths[i].links.iter().enumerate() {
-                loss += self.p_hist[link_id.0].at_delay(self.bwd[i][pos]);
+        if cfg.cca {
+            let mut signals = std::mem::take(&mut self.scratch_telemetry);
+            for i in 0..self.agents.len() {
+                signals.clear();
+                signals.push(("x_dlv", self.delivery_rate(i)));
+                signals.push(("loss", self.loss_feedback(i)));
+                self.agents[i].telemetry(&mut signals);
+                for &(signal, value) in signals.iter().filter(|(_, v)| v.is_finite()) {
+                    rec.record(&TraceEvent::CcaSignal {
+                        lane: 0,
+                        flow: i,
+                        t,
+                        signal,
+                        value,
+                    });
+                }
             }
-            losses[i] = loss.clamp(0.0, 1.0);
-            dlvs[i] = self.delivery_rate(i);
-        }
-        let trace = self.trace.as_mut().unwrap();
-        trace.t.push(self.t);
-        for i in 0..n {
-            let at = &mut trace.agents[i];
-            at.x.push(self.scratch_x[i]);
-            at.tau.push(self.scratch_tau[i]);
-            at.cwnd.push(self.agents[i].cwnd());
-            at.loss.push(losses[i]);
-            at.x_dlv.push(dlvs[i]);
-            self.scratch_telemetry.clear();
-            self.agents[i].telemetry(&mut self.scratch_telemetry);
-            for (name, value) in &self.scratch_telemetry {
-                at.extra.entry(name).or_default().push(*value);
-            }
-        }
-        for l in 0..self.net.links.len() {
-            trace.links[l].q.push(self.q[l]);
-            trace.links[l].p.push(self.scratch_p[l]);
-            trace.links[l].y.push(self.scratch_y[l]);
+            self.scratch_telemetry = signals;
         }
     }
 }
@@ -571,6 +551,22 @@ mod tests {
     use super::*;
     use crate::cca::{build, CcaKind, ScenarioHint};
     use crate::topology::{dumbbell, QdiscKind};
+    use bbr_trace::{MemorySink, TraceConfig};
+    use std::sync::Arc;
+
+    /// Attach an in-memory recorder sampling every `stride` steps.
+    fn record_every(sim: &mut Simulator, stride: usize) -> Arc<MemorySink> {
+        let sink = Arc::new(MemorySink::new());
+        let interval = stride as f64 * sim.cfg.dt;
+        sim.record(Recorder::new(
+            TraceConfig {
+                interval,
+                ..TraceConfig::default()
+            },
+            sink.clone(),
+        ));
+        sink
+    }
 
     fn make_sim(kind: CcaKind, buffer_bdp: f64, qdisc: QdiscKind) -> Simulator {
         let net = dumbbell(1, 100.0, 0.010, buffer_bdp, qdisc, &[0.0056]);
@@ -589,28 +585,28 @@ mod tests {
     #[test]
     fn single_reno_fills_the_link() {
         let mut sim = make_sim(CcaKind::Reno, 1.0, QdiscKind::DropTail);
-        let report = sim.run(20.0);
+        let metrics = sim.run(20.0);
         assert!(
-            report.metrics.utilization_percent > 70.0,
+            metrics.utilization_percent > 70.0,
             "util = {}",
-            report.metrics.utilization_percent
+            metrics.utilization_percent
         );
         // Reno under drop-tail: low loss.
         assert!(
-            report.metrics.loss_percent < 2.0,
+            metrics.loss_percent < 2.0,
             "loss = {}",
-            report.metrics.loss_percent
+            metrics.loss_percent
         );
     }
 
     #[test]
     fn single_bbrv1_full_utilization() {
         let mut sim = make_sim(CcaKind::BbrV1, 1.0, QdiscKind::DropTail);
-        let report = sim.run(5.0);
+        let metrics = sim.run(5.0);
         assert!(
-            report.metrics.utilization_percent > 90.0,
+            metrics.utilization_percent > 90.0,
             "util = {}",
-            report.metrics.utilization_percent
+            metrics.utilization_percent
         );
     }
 
@@ -623,15 +619,24 @@ mod tests {
             CcaKind::BbrV2,
         ] {
             let mut sim = make_sim(kind, 2.0, QdiscKind::DropTail);
-            sim.enable_trace(50);
-            let report = sim.run(3.0);
-            let trace = report.trace.unwrap();
-            for &x in &trace.agents[0].x {
-                assert!(x.is_finite() && x >= 0.0, "{kind}: rate {x}");
+            let sink = record_every(&mut sim, 50);
+            sim.run(3.0);
+            let (mut flows, mut links) = (0, 0);
+            for event in sink.take() {
+                match event {
+                    TraceEvent::FlowSample { rate_mbps: x, .. } => {
+                        assert!(x.is_finite() && x >= 0.0, "{kind}: rate {x}");
+                        flows += 1;
+                    }
+                    // The queue as a fraction of the buffer: within [0, B].
+                    TraceEvent::LinkSample { queue_frac: q, .. } => {
+                        assert!((0.0..=1.0 + 1e-9).contains(&q), "{kind}: queue {q}");
+                        links += 1;
+                    }
+                    _ => {}
+                }
             }
-            for &q in &trace.links[0].q {
-                assert!(q >= 0.0 && q <= sim.network().links[0].buffer + 1e-9);
-            }
+            assert!(flows > 0 && links > 0, "{kind}: nothing recorded");
         }
     }
 
@@ -650,19 +655,40 @@ mod tests {
         let mut sim = make_sim(CcaKind::Reno, 1.0, QdiscKind::DropTail);
         sim.run(2.0);
         sim.reset_metrics();
-        let report = sim.run(1.0);
-        assert!((report.metrics.duration - 1.0).abs() < 1e-6);
+        let metrics = sim.run(1.0);
+        assert!((metrics.duration - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn trace_is_recorded_with_stride() {
         let mut sim = make_sim(CcaKind::BbrV2, 1.0, QdiscKind::DropTail);
-        sim.enable_trace(100);
-        let report = sim.run(1.0);
-        let trace = report.trace.unwrap();
+        let sink = record_every(&mut sim, 100);
+        sim.run(1.0);
+        let events = sink.take();
+        let samples = events.iter().filter(|e| e.kind() == "flow").count();
         // 1 s at dt = 1e-4 with stride 100 → ≈ 100 samples.
-        assert!((95..=105).contains(&trace.len()), "{} samples", trace.len());
-        assert!(trace.agents[0].extra.contains_key("x_btl"));
+        assert!((95..=105).contains(&samples), "{samples} samples");
+        // Every sample carries the model internals as signals.
+        for name in ["x_btl", "x_dlv", "loss"] {
+            let n = events
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::CcaSignal { signal, .. } if *signal == name))
+                .count();
+            assert_eq!(n, samples, "{name} signals");
+        }
+    }
+
+    #[test]
+    fn attaching_a_recorder_replaces_the_previous_one() {
+        let mut sim = make_sim(CcaKind::Reno, 1.0, QdiscKind::DropTail);
+        let first = record_every(&mut sim, 10);
+        sim.run(0.05);
+        assert!(!first.is_empty());
+        first.take();
+        let second = record_every(&mut sim, 10);
+        sim.run(0.05);
+        assert!(first.is_empty(), "the replaced recorder must go quiet");
+        assert!(!second.is_empty());
     }
 
     #[test]

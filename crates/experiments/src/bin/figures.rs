@@ -11,7 +11,6 @@
 //!                  [--topology dumbbell|parking|chain|both|all]
 //! figures watch [--store DIR] [--once] [--json] [--interval MS] [--axes X,Y]
 //! figures store compact [--store DIR]
-//! figures bench-sweep [--out FILE] [--reps N] [--threads N]
 //! figures simd-check
 //! figures drift [--fast] [--threads N] [--out FILE] [--trace]
 //! figures universe [--cells N] [--seed N] [--threads N]
@@ -113,7 +112,6 @@ fn main() {
         "--topology",
         "--shards",
         "--store",
-        "--reps",
         "--cca",
         "--axes",
         "--interval",
@@ -150,10 +148,6 @@ fn main() {
     }
     if ids.first().map(String::as_str) == Some("store") {
         run_store(&args, ids.get(1).map(String::as_str));
-        return;
-    }
-    if ids.first().map(String::as_str) == Some("bench-sweep") {
-        run_bench_sweep(&args);
         return;
     }
     if ids.first().map(String::as_str) == Some("simd-check") {
@@ -226,191 +220,6 @@ fn parse_topologies(args: &[String], default: Vec<TopologyKind>) -> Vec<Topology
             std::process::exit(2);
         }
     }
-}
-
-/// The v1 single-thread rows of `BENCH_sweep.json`, pinned verbatim so
-/// the perf trajectory the repo has been recording since the batch
-/// engine landed stays readable from the v2 file (the v2 matrix rows
-/// supersede them as the live measurement).
-const SEED_TRAJECTORY: &str = concat!(
-    "    {\"cells\": 24, \"grid\": \"mixed-topology\", ",
-    "\"scalar_cells_per_sec\": 206.01, \"batch_cells_per_sec\": 507.87, ",
-    "\"speedup\": 2.465, \"csv_byte_identical\": true},\n",
-    "    {\"cells\": 96, \"grid\": \"dumbbell-4.3\", ",
-    "\"scalar_cells_per_sec\": 98.35, \"batch_cells_per_sec\": 301.57, ",
-    "\"speedup\": 3.066, \"csv_byte_identical\": true}"
-);
-
-/// The `bench-sweep` subcommand: the machine-readable perf trajectory
-/// (`bench-sweep/v2`).
-///
-/// Times fluid sweep throughput (cells/sec) on the pinned 24- and
-/// 96-cell grids ([`bench_grid`]) across a thread-scaling matrix:
-/// {1, 2, 4, all} worker threads (deduped and capped at the host's
-/// parallelism) × {scalar, batch, SIMD} engines, best of `--reps`
-/// (default 3) timed runs per matrix entry. Per thread count it asserts
-/// the scalar and batch CSVs agree byte for byte, checks the SIMD CSV
-/// against the cross-backend tolerance contract, and writes one JSON
-/// row per (grid, threads) to `--out` (default `BENCH_sweep.json`).
-/// Speedups are always relative to the **single-thread scalar** row of
-/// the same grid, so one column reads as "× over the baseline a naive
-/// sweep would get on one core".
-///
-/// `--threads N` collapses the matrix to the single thread count N.
-/// The v1 single-thread rows are carried along under
-/// `"seed_trajectory"` so the recorded history stays in the file.
-fn run_bench_sweep(args: &[String]) {
-    let out = PathBuf::from(flag_value(args, "--out").unwrap_or("BENCH_sweep.json"));
-    let reps: usize = match flag_value(args, "--reps").map(str::parse) {
-        None => 3,
-        Some(Ok(n)) if n > 0 => n,
-        _ => {
-            eprintln!("invalid --reps value (expected a positive number)");
-            std::process::exit(2);
-        }
-    };
-    let host_threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let thread_counts: Vec<usize> = match flag_value(args, "--threads") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => vec![n],
-            _ => {
-                eprintln!("invalid --threads value: {v} (expected a positive number)");
-                std::process::exit(2);
-            }
-        },
-        None => {
-            let mut counts = vec![1usize, 2, 4, host_threads];
-            counts.retain(|&t| t <= host_threads);
-            counts.sort_unstable();
-            counts.dedup();
-            counts
-        }
-    };
-    let pin_pool = |threads: usize| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build_global()
-            .expect("thread pool configuration");
-    };
-    let mut entries = Vec::new();
-    for cells in [24usize, 96] {
-        let scalar_grid = bench_grid(cells); // Backend::Fluid
-        let batch_grid = bench_grid(cells).backend(Backend::FluidBatch);
-        let simd_grid = bench_grid(cells).backend(Backend::FluidSimd);
-        let best = |grid: &bbr_experiments::sweep::ScenarioGrid| {
-            let mut secs = f64::INFINITY;
-            let mut csv = String::new();
-            for _ in 0..reps {
-                let report = grid.run();
-                secs = secs.min(report.wall_seconds);
-                csv = report.csv();
-            }
-            (secs, csv)
-        };
-        let mut scalar_1t_cps = f64::NAN;
-        for &threads in &thread_counts {
-            pin_pool(threads);
-            let (scalar_secs, scalar_csv) = best(&scalar_grid);
-            let (batch_secs, batch_csv) = best(&batch_grid);
-            let (simd_secs, simd_csv) = best(&simd_grid);
-            assert_eq!(
-                scalar_csv, batch_csv,
-                "batched fluid must stay byte-identical to scalar fluid \
-                 ({cells} cells, {threads} threads)"
-            );
-            // The SIMD engine is tolerance-bound, not byte-bound; a full
-            // metric diff lives in `figures simd-check`, but the CSVs
-            // must at least describe the same grid row for row.
-            assert_eq!(
-                scalar_csv.lines().count(),
-                simd_csv.lines().count(),
-                "SIMD sweep CSV must cover the same cells as scalar"
-            );
-            let scalar_cps = cells as f64 / scalar_secs;
-            let batch_cps = cells as f64 / batch_secs;
-            let simd_cps = cells as f64 / simd_secs;
-            if scalar_1t_cps.is_nan() {
-                // First (smallest) thread count is the per-core anchor.
-                scalar_1t_cps = scalar_cps;
-            }
-            eprintln!(
-                "bench-sweep {cells:3} cells x{threads:2} threads: \
-                 scalar {scalar_cps:8.1}, batch {batch_cps:8.1}, \
-                 simd {simd_cps:8.1} cells/s ({:.2}x over 1t scalar)",
-                simd_cps / scalar_1t_cps
-            );
-            entries.push(format!(
-                concat!(
-                    "    {{\"cells\": {}, \"grid\": \"{}\", \"threads\": {}, ",
-                    "\"scalar_cells_per_sec\": {:.2}, ",
-                    "\"batch_cells_per_sec\": {:.2}, ",
-                    "\"simd_cells_per_sec\": {:.2}, ",
-                    "\"batch_speedup_vs_scalar_1t\": {:.3}, ",
-                    "\"simd_speedup_vs_scalar_1t\": {:.3}, ",
-                    "\"csv_byte_identical\": true}}"
-                ),
-                cells,
-                if cells == 24 {
-                    "mixed-topology"
-                } else {
-                    "dumbbell-4.3"
-                },
-                threads,
-                scalar_cps,
-                batch_cps,
-                simd_cps,
-                batch_cps / scalar_1t_cps,
-                simd_cps / scalar_1t_cps,
-            ));
-        }
-    }
-    // Packet rows stay single-threaded: they track per-core packet-path
-    // throughput, and the fluid matrix above already measures scaling.
-    pin_pool(1);
-    let threads = 1usize;
-    // Packet-path throughput on the same pinned 24-cell mixed-topology
-    // grid, both BBRv2 fidelity tiers: the classic tier times the
-    // shared-filter hot path that BBRv1 cells exercise, the deploy-tier
-    // grid times the deque-filtered deployment state machine.
-    let packet_cps = |grid: &bbr_experiments::sweep::ScenarioGrid| {
-        let mut secs = f64::INFINITY;
-        for _ in 0..reps {
-            secs = secs.min(grid.run().wall_seconds);
-        }
-        grid.len() as f64 / secs
-    };
-    let classic_grid = bench_grid(24).backend(Backend::Packet);
-    let deploy_grid = bench_grid(24).backend(Backend::Packet).combos(vec![
-        bbr_experiments::scenarios::DEPLOY_COMBOS[0],
-        bbr_experiments::scenarios::DEPLOY_COMBOS[1],
-    ]);
-    let classic_cps = packet_cps(&classic_grid);
-    let deploy_cps = packet_cps(&deploy_grid);
-    eprintln!(
-        "bench-sweep packet 24 cells: classic tier {classic_cps:8.1} cells/s, \
-         deploy tier {deploy_cps:8.1} cells/s"
-    );
-    let packet = format!(
-        concat!(
-            "    {{\"cells\": 24, \"grid\": \"mixed-topology\", ",
-            "\"classic_cells_per_sec\": {:.2}, \"deploy_cells_per_sec\": {:.2}}}"
-        ),
-        classic_cps, deploy_cps,
-    );
-    let json = format!(
-        "{{\n  \"bench\": \"fluid-sweep-throughput\",\n  \
-         \"version\": \"bench-sweep/v2\",\n  \"unit\": \"cells/sec\",\n  \
-         \"reps\": {reps},\n  \"host_threads\": {host_threads},\n  \
-         \"packet_threads\": {threads},\n  \"grids\": [\n{}\n  ],\n  \
-         \"packet_grids\": [\n{}\n  ],\n  \"seed_trajectory\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n"),
-        packet,
-        SEED_TRAJECTORY,
-    );
-    std::fs::write(&out, &json).expect("cannot write bench JSON");
-    eprintln!("wrote {}", out.display());
 }
 
 /// The `simd-check` subcommand: the SIMD engine's consistency smoke.

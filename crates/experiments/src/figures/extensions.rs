@@ -65,7 +65,7 @@ pub fn insight5(effort: Effort) -> FigureOutput {
                     Box::new(BbrV2::with_whi_init(hint, cfg, init)) as Box<dyn FluidCca>
                 })
                 .unwrap();
-            let m = sim.run(duration).metrics;
+            let m = sim.run(duration);
             row.push(table::f1(m.occupancy_percent));
         }
         rows.push(row);
@@ -201,7 +201,7 @@ pub fn startup(effort: Effort) -> FigureOutput {
             .rtt_range(0.030, 0.040)
             .config(cfg.clone());
         let mut sim = scenario.build(&[CcaKind::BbrV2]).unwrap();
-        let m = sim.run(duration).metrics;
+        let m = sim.run(duration);
         // Count agents whose inflight_hi was materialized during start-up.
         let mut telemetry = Vec::new();
         let whi_set = sim
@@ -303,7 +303,7 @@ pub fn ablation(effort: Effort) -> FigureOutput {
             .rtt_range(0.030, 0.040)
             .config(cfg);
         let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
-        let m = sim.run(duration).metrics;
+        let m = sim.run(duration);
         rows.push(vec![
             label,
             table::f1(m.utilization_percent),

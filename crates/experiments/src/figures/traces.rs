@@ -5,13 +5,17 @@
 //! The single-sender validation setting of §4.2: C = 100 Mbit/s,
 //! bottleneck delay 10 ms, access delay 5.6 ms, 1-BDP buffer.
 
+use std::sync::Arc;
+
 use bbr_fluid_core::cca::CcaKind;
 use bbr_fluid_core::prelude::*;
 use bbr_packetsim::dumbbell::{run_dumbbell, DumbbellSpec};
-use bbr_packetsim::engine::{PacketTrace, SimConfig};
+use bbr_packetsim::engine::SimConfig;
+use bbr_trace::{MemorySink, Recorder, TraceConfig};
 
 use crate::figures::FigureOutput;
 use crate::table;
+use crate::tracefmt::CellTrace;
 use crate::Effort;
 
 const CAPACITY: f64 = 100.0;
@@ -29,53 +33,59 @@ fn model_config(effort: Effort) -> ModelConfig {
     }
 }
 
-/// Run the fluid model for `kinds` and return the trace.
-fn model_trace(kinds: &[CcaKind], qdisc: QdiscKind, duration: f64, effort: Effort) -> Trace {
+/// Run `run` with an in-memory recorder sampling every `interval`
+/// seconds attached, and assemble what it recorded. The recorder is
+/// attached explicitly, so only this run's events are collected.
+fn recorded(interval: f64, run: impl FnOnce(Recorder)) -> CellTrace {
+    let sink = Arc::new(MemorySink::new());
+    let config = TraceConfig {
+        interval,
+        ..TraceConfig::default()
+    };
+    run(Recorder::new(config, sink.clone()));
+    CellTrace::from_events(&sink.take(), 0)
+}
+
+/// Run the fluid model for `kinds` and return its trace, including the
+/// model-internal signals (`x_dlv`, `loss`, `x_btl`, ...).
+fn model_trace(kinds: &[CcaKind], qdisc: QdiscKind, duration: f64, effort: Effort) -> CellTrace {
     let n = kinds.len();
+    let cfg = model_config(effort);
+    let dt = cfg.dt;
     let scenario = Scenario::dumbbell(n, CAPACITY, BOTTLENECK_DELAY, 1.0, qdisc)
         .access_delays(vec![ACCESS_DELAY; n])
-        .config(model_config(effort));
+        .config(cfg);
     let mut sim = scenario.build(kinds).unwrap();
     // ≈ 2000 samples regardless of step size.
-    let stride = ((duration / sim_dt(effort)) / 2000.0).ceil() as usize;
-    sim.enable_trace(stride.max(1));
-    sim.run(duration).trace.unwrap()
+    let stride = ((duration / dt) / 2000.0).ceil().max(1.0);
+    recorded(stride * dt, |rec| {
+        sim.record(rec);
+        sim.run(duration);
+    })
 }
 
-fn sim_dt(effort: Effort) -> f64 {
-    model_config(effort).dt
-}
-
-/// Run the packet simulator and return its binned trace.
-fn experiment_trace(kinds: &[CcaKind], qdisc: QdiscKind, duration: f64, bin: f64) -> PacketTrace {
+/// Run the packet simulator and return its trace, binned at `bin`.
+fn experiment_trace(kinds: &[CcaKind], qdisc: QdiscKind, duration: f64, bin: f64) -> CellTrace {
     let n = kinds.len();
     let spec = DumbbellSpec::new(n, CAPACITY, BOTTLENECK_DELAY, 1.0, qdisc)
         .access_delays(vec![ACCESS_DELAY; n])
         .ccas(kinds.to_vec());
-    let cfg = SimConfig {
-        duration,
-        warmup: 0.0,
-        seed: 7,
-        trace_bin: Some(bin),
-        ..Default::default()
-    };
-    run_dumbbell(&spec, &cfg).trace.unwrap()
+    recorded(bin, |rec| {
+        let cfg = SimConfig {
+            duration,
+            warmup: 0.0,
+            seed: 7,
+            recorder: Some(rec),
+            ..Default::default()
+        };
+        run_dumbbell(&spec, &cfg);
+    })
 }
 
-/// Sample a model trace at (approximately) time `t`.
-fn model_at(trace: &Trace, t: f64) -> usize {
-    match trace.t.binary_search_by(|v| v.partial_cmp(&t).unwrap()) {
-        Ok(i) => i,
-        Err(i) => i.min(trace.t.len() - 1),
-    }
-}
-
-fn experiment_at(trace: &PacketTrace, t: f64) -> usize {
-    trace
-        .t
-        .iter()
-        .position(|v| *v >= t)
-        .unwrap_or(trace.t.len() - 1)
+/// The value of a series sampled at times `ts` at (approximately) time
+/// `t`: the first sample at or after `t`, or the last one.
+fn at(ts: &[f64], values: &[f64], t: f64) -> f64 {
+    values[ts.partition_point(|v| *v < t).min(ts.len() - 1)]
 }
 
 /// Fig. 1: sending rates of one Reno and one BBRv1 flow competing in a
@@ -89,15 +99,17 @@ pub fn fig01(effort: Effort) -> FigureOutput {
     let step = if effort.is_fast() { 0.25 } else { 0.5 };
     let mut rows = Vec::new();
     let mut t = step;
+    let rate = |trace: &CellTrace, flow: usize, t: f64| {
+        let f = &trace.flows[flow];
+        at(&f.t, &f.rate_mbps, t)
+    };
     while t <= duration + 1e-9 {
-        let mi = model_at(&model, t);
-        let ei = experiment_at(&exp, t);
         rows.push(vec![
             table::f1(t),
-            table::f1(100.0 * model.agents[0].x[mi] / CAPACITY),
-            table::f1(100.0 * model.agents[1].x[mi] / CAPACITY),
-            table::f1(100.0 * exp.rate_mbps[0][ei] / CAPACITY),
-            table::f1(100.0 * exp.rate_mbps[1][ei] / CAPACITY),
+            table::f1(100.0 * rate(&model, 0, t) / CAPACITY),
+            table::f1(100.0 * rate(&model, 1, t) / CAPACITY),
+            table::f1(100.0 * rate(&exp, 0, t) / CAPACITY),
+            table::f1(100.0 * rate(&exp, 1, t) / CAPACITY),
         ]);
         t += step;
     }
@@ -130,6 +142,8 @@ pub fn fig02(effort: Effort) -> FigureOutput {
     // (a) BBRv1.
     {
         let trace = model_trace(&[CcaKind::BbrV1], QdiscKind::DropTail, 1.0, effort);
+        let f = &trace.flows[0];
+        let [x_dlv, x_btl, x_max] = ["x_dlv", "x_btl", "x_max"].map(|name| trace.signal(0, name));
         let header: Vec<String> = vec![
             "t[s]".into(),
             "x [%]".into(),
@@ -140,14 +154,12 @@ pub fn fig02(effort: Effort) -> FigureOutput {
         let mut rows = Vec::new();
         let mut t = 0.05;
         while t <= 1.0 + 1e-9 {
-            let i = model_at(&trace, t);
-            let a = &trace.agents[0];
             rows.push(vec![
                 format!("{t:.2}"),
-                table::f1(100.0 * a.x[i] / CAPACITY),
-                table::f1(100.0 * a.x_dlv[i] / CAPACITY),
-                table::f1(100.0 * a.extra["x_btl"][i] / CAPACITY),
-                table::f1(100.0 * a.extra["x_max"][i] / CAPACITY),
+                table::f1(100.0 * at(&f.t, &f.rate_mbps, t) / CAPACITY),
+                table::f1(100.0 * at(&x_dlv.t, &x_dlv.value, t) / CAPACITY),
+                table::f1(100.0 * at(&x_btl.t, &x_btl.value, t) / CAPACITY),
+                table::f1(100.0 * at(&x_max.t, &x_max.value, t) / CAPACITY),
             ]);
             t += 0.05;
         }
@@ -161,6 +173,9 @@ pub fn fig02(effort: Effort) -> FigureOutput {
     // (b) BBRv2: rate and inflight limits.
     {
         let trace = model_trace(&[CcaKind::BbrV2], QdiscKind::DropTail, 0.5, effort);
+        let f = &trace.flows[0];
+        let [x_btl, w, w_hi, v] =
+            ["x_btl", "w_bdp_est", "w_hi", "v"].map(|name| trace.signal(0, name));
         let bdp = CAPACITY * 2.0 * (ACCESS_DELAY + BOTTLENECK_DELAY);
         let header: Vec<String> = vec![
             "t[s]".into(),
@@ -173,15 +188,13 @@ pub fn fig02(effort: Effort) -> FigureOutput {
         let mut rows = Vec::new();
         let mut t = 0.025;
         while t <= 0.5 + 1e-9 {
-            let i = model_at(&trace, t);
-            let a = &trace.agents[0];
             rows.push(vec![
                 format!("{t:.3}"),
-                table::f1(100.0 * a.x[i] / CAPACITY),
-                table::f1(100.0 * a.extra["x_btl"][i] / CAPACITY),
-                table::f1(100.0 * a.extra["w_bdp_est"][i] / bdp),
-                table::f1(100.0 * a.extra["w_hi"][i] / bdp),
-                table::f1(100.0 * a.extra["v"][i] / bdp),
+                table::f1(100.0 * at(&f.t, &f.rate_mbps, t) / CAPACITY),
+                table::f1(100.0 * at(&x_btl.t, &x_btl.value, t) / CAPACITY),
+                table::f1(100.0 * at(&w.t, &w.value, t) / bdp),
+                table::f1(100.0 * at(&w_hi.t, &w_hi.value, t) / bdp),
+                table::f1(100.0 * at(&v.t, &v.value, t) / bdp),
             ]);
             t += 0.025;
         }
@@ -234,19 +247,13 @@ fn trace_validation(
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let buffer = {
-            let s = Scenario::dumbbell(1, CAPACITY, BOTTLENECK_DELAY, 1.0, qdisc)
-                .access_delays(vec![ACCESS_DELAY]);
-            s.network().links[0].buffer
-        };
+        let (mf, ml, m_loss) = (&model.flows[0], &model.links[0], model.signal(0, "loss"));
+        let (ef, el) = (&exp.flows[0], &exp.links[0]);
         let mut rows = Vec::new();
         let mut t = step;
         while t <= duration + 1e-9 {
-            let mi = model_at(&model, t);
-            let ei = experiment_at(&exp, t);
-            let a = &model.agents[0];
-            let m_rtt_excess = 100.0 * (a.tau[mi] / prop_rtt - 1.0);
-            let e_srtt = exp.srtt[0][ei];
+            let m_rtt_excess = 100.0 * (at(&mf.t, &mf.rtt_s, t) / prop_rtt - 1.0);
+            let e_srtt = at(&ef.t, &ef.rtt_s, t);
             let e_rtt_excess = if e_srtt > 0.0 {
                 100.0 * (e_srtt / prop_rtt - 1.0)
             } else {
@@ -254,13 +261,13 @@ fn trace_validation(
             };
             rows.push(vec![
                 table::f1(t),
-                table::f1(100.0 * a.x[mi] / CAPACITY),
-                table::f1(100.0 * model.links[0].q[mi] / buffer),
-                table::f1(100.0 * a.loss[mi]),
+                table::f1(100.0 * at(&mf.t, &mf.rate_mbps, t) / CAPACITY),
+                table::f1(100.0 * at(&ml.t, &ml.queue_frac, t)),
+                table::f1(100.0 * at(&m_loss.t, &m_loss.value, t)),
                 table::f1(m_rtt_excess),
-                table::f1(100.0 * exp.rate_mbps[0][ei] / CAPACITY),
-                table::f1(100.0 * exp.queue_frac[ei]),
-                table::f1(100.0 * exp.loss_frac[ei]),
+                table::f1(100.0 * at(&ef.t, &ef.rate_mbps, t) / CAPACITY),
+                table::f1(100.0 * at(&el.t, &el.queue_frac, t)),
+                table::f1(100.0 * at(&el.t, &el.loss_frac, t)),
                 table::f1(e_rtt_excess),
             ]);
             t += step;

@@ -884,10 +884,10 @@ impl ScenarioGrid {
     }
 }
 
-/// The pinned benchmark grids of the sweep-throughput perf trajectory
-/// (`figures bench-sweep`, `BENCH_sweep.json`, and the criterion bench
-/// in `crates/bench`). Fixed definitions so cells/sec numbers stay
-/// comparable across PRs:
+/// The pinned benchmark grids: the repository benchmark's `grid-simd`
+/// workload (`perfbench/`), `figures simd-check`, and the criterion
+/// benches in `crates/bench`. Fixed definitions so cells/sec numbers
+/// stay comparable across changes:
 ///
 /// * **24** — mixed-topology coverage: 2 mixes × 2 buffers × 2 qdiscs ×
 ///   {dumbbell, parking lot, chain}, 4/3/4 flows per cell. Exercises

@@ -11,7 +11,8 @@
 //!   one-`write`-per-line, swallow-own-errors contract as the telemetry
 //!   `JsonlSink` (recording never fails the run it observes);
 //! * [`CellTrace`] — per-flow/per-link series assembled from a recorded
-//!   event stream, the input to sparkline rendering, CSV export, and the
+//!   event stream, the input to sparkline rendering, CSV export, the
+//!   paper's trace figures (`crate::figures::traces`), and the
 //!   fluid-vs-packet trace differ (`crate::drift`);
 //! * [`sparkline`] — dependency-free ASCII rendering of one series.
 //!
@@ -31,8 +32,11 @@
 //! Mbit/s; `inflight_pkts` and the `inflight_hi`/`inflight_lo` signals
 //! are in packets (MSS units); `rtt_s`, `rtprop`, and `t` are in
 //! seconds; the `*_frac` link fields are fractions of buffer/capacity.
-//! Non-finite signal values (filter resets to ±∞) are never emitted —
-//! consumers infer resets from the surrounding `phase` events.
+//! The scalar fluid engine's signals (`x_dlv`, `loss`, and the model
+//! telemetry such as `x_btl` or `w_hi`) are in the fluid model's units:
+//! Mbit/s, Mbit, seconds, probabilities (`docs/OBSERVABILITY.md` lists
+//! them). Non-finite signal values (filter resets to ±∞) are never
+//! emitted — consumers infer resets from the surrounding `phase` events.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -418,6 +422,15 @@ pub struct LinkSeries {
     pub loss_frac: Vec<f64>,
 }
 
+/// One named signal of one flow, in time order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SignalSeries {
+    /// Update (packet) or sample (fluid) times (s).
+    pub t: Vec<f64>,
+    /// Values, in the signal's natural unit.
+    pub value: Vec<f64>,
+}
+
 /// A recorded run of one scenario, reassembled into per-flow and
 /// per-link series plus the discrete CCA timeline.
 #[derive(Debug, Clone, Default)]
@@ -504,6 +517,19 @@ impl CellTrace {
                     out.signals[flow].push((t, signal.to_string(), value));
                 }
                 _ => {}
+            }
+        }
+        out
+    }
+
+    /// Flow `flow`'s signal `name` (e.g. `"x_dlv"`, `"btlbw"`) as a
+    /// series; empty when the signal was never recorded.
+    pub fn signal(&self, flow: usize, name: &str) -> SignalSeries {
+        let mut out = SignalSeries::default();
+        for (t, signal, value) in self.signals.get(flow).into_iter().flatten() {
+            if signal == name {
+                out.t.push(*t);
+                out.value.push(*value);
             }
         }
         out
@@ -686,6 +712,113 @@ mod tests {
         }
     }
 
+    /// One record of every kind, each number a finite float drawn from
+    /// `bits` (so subnormals, `-0.0`, and extreme exponents all occur),
+    /// the fluid engine's `x_dlv` signal among them.
+    fn records_from(bits: &[u64], lane: usize, flow: usize) -> Vec<TraceRecord> {
+        let num = |k: usize| {
+            let v = f64::from_bits(bits[k % bits.len()]);
+            if v.is_finite() {
+                v
+            } else {
+                -0.0
+            }
+        };
+        vec![
+            TraceRecord::Header {
+                spec_hash: bits[0],
+                backend: "fluid".into(),
+                seed: bits[1],
+                interval: num(2),
+                label: "dumbbell \"n=2\" \\ 1\u{2009}BDP\n".into(),
+            },
+            TraceRecord::Flow {
+                lane,
+                flow,
+                t: num(0),
+                rate_mbps: num(1),
+                inflight_pkts: num(2),
+                rtt_s: num(3),
+            },
+            TraceRecord::Link {
+                lane,
+                link: flow,
+                t: num(4),
+                queue_frac: num(5),
+                util_frac: num(6),
+                loss_frac: num(7),
+            },
+            TraceRecord::Phase {
+                lane,
+                flow,
+                t: num(3),
+                from: "ProbeBwUp".into(),
+                to: "ProbeBwDown".into(),
+            },
+            TraceRecord::Signal {
+                lane,
+                flow,
+                t: num(5),
+                signal: "x_dlv".into(),
+                value: num(6),
+            },
+            TraceRecord::Signal {
+                lane,
+                flow,
+                t: num(7),
+                signal: "inflight_hi".into(),
+                value: num(1),
+            },
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn every_record_kind_round_trips_bit_exactly(
+            bits in proptest::collection::vec(0u64..u64::MAX, 8..9),
+            lane in 0usize..1 << 20,
+            flow in 0usize..1 << 20,
+        ) {
+            for record in records_from(&bits, lane, flow) {
+                let line = record.to_line();
+                let back = TraceRecord::parse_line(&line).unwrap();
+                proptest::prop_assert_eq!(back, record);
+                // Floats are written in their shortest round-trip form,
+                // so equal lines mean equal bits (`-0.0` included).
+                proptest::prop_assert_eq!(back.to_line(), line);
+            }
+        }
+
+        #[test]
+        fn hostile_lines_give_errors_not_panics(
+            noise in proptest::collection::vec(0u16..256, 0..160),
+            bits in proptest::collection::vec(0u64..u64::MAX, 8..9),
+            at in 0usize..4096,
+            byte in 0u16..256,
+        ) {
+            // Arbitrary bytes: any outcome but a panic.
+            let noise: Vec<u8> = noise.iter().map(|&b| b as u8).collect();
+            let _ = TraceRecord::parse_line(&String::from_utf8_lossy(&noise));
+            for record in records_from(&bits, 7, 3) {
+                let line = record.to_line();
+                // Every strict prefix (a torn final line) is an error.
+                for end in (0..line.len()).filter(|&i| line.is_char_boundary(i)) {
+                    proptest::prop_assert!(
+                        TraceRecord::parse_line(&line[..end]).is_err(),
+                        "prefix {end} of {line} parsed"
+                    );
+                }
+                // One corrupted byte: any outcome but a panic.
+                let mut bytes = line.into_bytes();
+                let i = at % bytes.len();
+                bytes[i] = byte as u8;
+                let _ = TraceRecord::parse_line(&String::from_utf8_lossy(&bytes));
+            }
+        }
+    }
+
     #[test]
     fn from_event_mirrors_every_variant() {
         let e = TraceEvent::CcaPhase {
@@ -789,6 +922,12 @@ mod tests {
         assert_eq!(cell.links[0].util_frac, vec![0.9]);
         assert_eq!(cell.phases[0].len(), 1);
         assert_eq!(cell.signals[0][0].1, "btlbw");
+        // By-name lookup: the one btlbw update, nothing for other names
+        // or flows.
+        let btlbw = cell.signal(0, "btlbw");
+        assert_eq!((btlbw.t, btlbw.value), (vec![0.006], vec![48.0]));
+        assert_eq!(cell.signal(0, "x_dlv"), SignalSeries::default());
+        assert_eq!(cell.signal(5, "btlbw"), SignalSeries::default());
         // Phase lookup: Startup before the transition, Drain after.
         assert_eq!(cell.phase_at(0, 0.0), "Startup");
         assert_eq!(cell.phase_at(0, 0.01), "Drain");

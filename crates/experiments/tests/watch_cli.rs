@@ -20,6 +20,8 @@ fn figures() -> Command {
     Command::new(env!("CARGO_BIN_EXE_figures"))
 }
 
+/// A fresh temp dir for one test. Tests of one binary share a pid and
+/// run in parallel, so every caller must pass its own `tag`.
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bbr-watch-cli-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -90,9 +92,9 @@ fn append(path: &Path, line: &str) {
 /// The pinned fixture: a 2×2 grid (buffer × CCA), 3 of 4 entries done,
 /// telemetry from two worker shards mid-flight. Hand-crafted — not real
 /// sim output — so every number in the golden frame is pinned and
-/// platform-independent.
-fn golden_fixture() -> PathBuf {
-    let dir = fresh_dir("golden");
+/// platform-independent. Built under `fresh_dir(tag)`.
+fn golden_fixture(tag: &str) -> PathBuf {
+    let dir = fresh_dir(tag);
     let plan = plan_of(vec![
         spec(1.0, vec![CcaKind::BbrV1]),
         spec(4.0, vec![CcaKind::BbrV1]),
@@ -170,7 +172,7 @@ fn watch_once(dir: &Path, extra: &[&str]) -> std::process::Output {
 
 #[test]
 fn golden_frame_for_the_pinned_fixture() {
-    let dir = golden_fixture();
+    let dir = golden_fixture("golden-text");
     let out = watch_once(&dir, &[]);
     assert!(
         out.status.success(),
@@ -212,7 +214,7 @@ fn golden_frame_for_the_pinned_fixture() {
 
 #[test]
 fn json_frame_is_golden_for_the_pinned_fixture() {
-    let dir = golden_fixture();
+    let dir = golden_fixture("golden-json");
     let out = watch_once(&dir, &["--json"]);
     assert!(
         out.status.success(),
@@ -301,7 +303,7 @@ fn golden_frame_for_a_degenerate_one_cell_grid() {
 #[test]
 fn watching_never_changes_a_byte_of_the_store_or_sidecar() {
     use std::io::Write as _;
-    let dir = golden_fixture();
+    let dir = golden_fixture("golden-readonly");
     // Leave *torn tails* on both files — the hazard case: a writer mid
     // `write_all` while the watcher attaches. The watcher must neither
     // repair nor consume them.

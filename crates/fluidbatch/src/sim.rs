@@ -43,6 +43,7 @@ use bbr_fluid_core::queue::{loss_probability, service_rate, step_queue};
 use bbr_fluid_core::sim::{jitter_interval, observed_link, ActivitySchedule};
 use bbr_fluid_core::topology::{LinkId, LinkSpec};
 use bbr_scenario::ScenarioSpec;
+use bbr_trace::{Recorder, TraceEvent};
 
 /// One precomputed delayed lookup: which history region to read and how
 /// far back, resolved once from a constant delay.
@@ -183,6 +184,10 @@ pub struct BatchedFluidSim {
     /// re-evaluating at deadlines.
     next_deadline: u64,
     t: f64,
+    /// Flight recorder installed when the batch was built, and its
+    /// sample grid in steps.
+    recorder: Option<Recorder>,
+    trace_stride: u64,
 
     // ---- flat per-flow state (lane-contiguous) ----
     agents: Vec<AnyCca>,
@@ -230,6 +235,8 @@ impl BatchedFluidSim {
         // out per sweep — construction is on the hot path there.
         let flows: usize = specs.iter().map(|s| s.n_flows()).sum();
         let links = flows + 2 * specs.len();
+        let recorder = bbr_trace::installed();
+        let trace_stride = recorder.as_ref().map_or(1, |rec| rec.stride(cfg.dt));
         let mut sim = Self {
             cfg,
             lanes: Vec::with_capacity(specs.len()),
@@ -237,6 +244,8 @@ impl BatchedFluidSim {
             step_count: 0,
             next_deadline: u64::MAX,
             t: 0.0,
+            recorder,
+            trace_stride,
             agents: Vec::with_capacity(flows),
             feedback: Vec::with_capacity(flows),
             path_range: Vec::with_capacity(flows),
@@ -484,43 +493,34 @@ impl BatchedFluidSim {
                 &self.service[lr.clone()],
             );
 
-            // 5b. Advisory flight-recorder samples (`bbr-trace`) on the
-            // recorder's grid. Pure reads of this step's already-computed
-            // flat-array state; indices are lane-local so a lane's trace
-            // matches the scalar stepper's for the same spec.
-            if bbr_trace::enabled() {
-                let stride = (bbr_trace::interval() / dt).round().max(1.0) as u64;
-                if step.is_multiple_of(stride) {
+            // 5b. Advisory flight-recorder samples on the recorder's
+            // grid. Pure reads of this step's already-computed flat-array
+            // state; indices are lane-local so a lane's flow and link
+            // samples match the scalar stepper's for the same spec.
+            if let Some(rec) = &self.recorder {
+                if step.is_multiple_of(self.trace_stride) {
                     let t = self.t;
-                    if bbr_trace::flows_enabled() {
+                    if rec.config().flows {
                         for i in fr.clone() {
-                            let rate_mbps = self.x[i];
-                            let inflight_pkts = self.agents[i].cwnd() / self.cfg.mss;
-                            let rtt_s = self.tau[i];
-                            let flow = i - fr.start;
-                            bbr_trace::emit(|| bbr_trace::TraceEvent::FlowSample {
+                            rec.record(&TraceEvent::FlowSample {
                                 lane: ln,
-                                flow,
+                                flow: i - fr.start,
                                 t,
-                                rate_mbps,
-                                inflight_pkts,
-                                rtt_s,
+                                rate_mbps: self.x[i],
+                                inflight_pkts: self.agents[i].cwnd() / self.cfg.mss,
+                                rtt_s: self.tau[i],
                             });
                         }
                     }
-                    if bbr_trace::links_enabled() {
+                    if rec.config().links {
                         for l in lr.clone() {
-                            let queue_frac = self.rel_q[l];
-                            let util_frac = self.y[l] / self.link_spec[l].capacity;
-                            let loss_frac = self.p[l];
-                            let link = l - lr.start;
-                            bbr_trace::emit(|| bbr_trace::TraceEvent::LinkSample {
+                            rec.record(&TraceEvent::LinkSample {
                                 lane: ln,
-                                link,
+                                link: l - lr.start,
                                 t,
-                                queue_frac,
-                                util_frac,
-                                loss_frac,
+                                queue_frac: self.rel_q[l],
+                                util_frac: self.y[l] / self.link_spec[l].capacity,
+                                loss_frac: self.p[l],
                             });
                         }
                     }

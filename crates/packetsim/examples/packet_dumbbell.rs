@@ -1,12 +1,15 @@
 //! Inspect one packet-level dumbbell run: aggregate metrics plus a
-//! binned trace.
+//! binned trace from the flight recorder.
 //!
 //! ```text
 //! cargo run --release -p bbr-packetsim --example packet_dumbbell -- [reno|cubic|bbr1|bbr2] [dt|red] [n] [capacity_mbps]
 //! ```
 
+use std::sync::Arc;
+
 use bbr_packetsim::engine::SimConfig;
 use bbr_packetsim::prelude::*;
+use bbr_trace::{MemorySink, Recorder, TraceConfig, TraceEvent};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -23,11 +26,18 @@ fn main() {
     let n: usize = args.get(3).map(|s| s.parse().unwrap()).unwrap_or(1);
     let cap: f64 = args.get(4).map(|s| s.parse().unwrap()).unwrap_or(20.0);
     let spec = DumbbellSpec::new(n, cap, 0.010, 1.0, qdisc).ccas(vec![kind]);
+    // Record flow and bottleneck samples in 250 ms bins.
+    let sink = Arc::new(MemorySink::new());
+    let trace = TraceConfig {
+        interval: 0.25,
+        cca: false,
+        ..TraceConfig::default()
+    };
     let cfg = SimConfig {
         duration: 5.0,
         warmup: 1.0,
         seed: 1,
-        trace_bin: Some(0.25),
+        recorder: Some(Recorder::new(trace, sink.clone())),
         ..Default::default()
     };
     let r = run_dumbbell(&spec, &cfg);
@@ -43,16 +53,23 @@ fn main() {
             f.mean_rtt * 1000.0
         );
     }
-    if let Some(tr) = &r.trace {
-        for (k, t) in tr.t.iter().enumerate() {
-            print!(
-                "t={t:.2} q={:.2} loss={:.3} ",
-                tr.queue_frac[k], tr.loss_frac[k]
-            );
-            for fl in 0..n.min(3) {
-                print!("r{fl}={:.1} ", tr.rate_mbps[fl][k]);
+    // Each bin records the flows first, then the bottleneck link.
+    for event in sink.take() {
+        match event {
+            TraceEvent::FlowSample {
+                flow, t, rate_mbps, ..
+            } if flow < 3 => {
+                if flow == 0 {
+                    print!("t={t:.2} ");
+                }
+                print!("r{flow}={rate_mbps:.1} ");
             }
-            println!();
+            TraceEvent::LinkSample {
+                queue_frac,
+                loss_frac,
+                ..
+            } => println!("q={queue_frac:.2} loss={loss_frac:.3}"),
+            _ => {}
         }
     }
 }

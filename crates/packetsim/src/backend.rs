@@ -63,12 +63,11 @@ impl PacketBackend {
             warmup: spec.warmup,
             seed,
             mss: self.mss,
-            // Advisory flight recorder: with a `bbr-trace` recorder
-            // installed, drive the engine's sample grid at its interval.
+            // The engine takes the installed recorder, if any. Its
             // `Ev::Sample` dispatch only reads (and resets) trace-only
-            // accumulators, so scheduling it cannot perturb the outcome
+            // accumulators, so recording cannot perturb the outcome
             // (enforced by tests/trace_observer.rs).
-            trace_bin: bbr_trace::enabled().then(bbr_trace::interval),
+            recorder: None,
         }
     }
 

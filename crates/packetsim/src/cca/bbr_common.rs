@@ -1,6 +1,7 @@
-//! Windowed filter utilities shared by the packet-level BBR variants.
+//! Utilities shared by the packet-level BBR variants: the windowed
+//! filters and the flight-recorder hook ([`CcaTrace`]).
 //!
-//! Both are monotonic deques: `update` is amortized O(1) per sample
+//! Both filters are monotonic deques: `update` is amortized O(1) per sample
 //! (each sample enters and leaves the deque at most once), so the
 //! per-ACK hot path never rescans the sample history. The window axis
 //! is caller-defined — wall-clock seconds for the 10 s RTprop filter,
@@ -9,6 +10,58 @@
 //! loss-recovery stalls and collapse the rate estimate).
 
 use std::collections::VecDeque;
+
+use bbr_trace::{Recorder, TraceEvent};
+
+/// The recorder a BBR state machine reports its phase transitions and
+/// estimator updates to, labelled with the controller's flow index.
+/// Advisory only: no control decision ever reads it.
+#[derive(Debug, Clone, Default)]
+pub struct CcaTrace(Option<(usize, Recorder)>);
+
+impl CcaTrace {
+    /// Record to `rec` as flow `flow`.
+    pub fn attach(&mut self, flow: usize, rec: &Recorder) {
+        self.0 = Some((flow, rec.clone()));
+    }
+
+    /// Whether a recorder is attached — the gate for work that exists
+    /// only to feed the trace.
+    #[inline]
+    pub fn on(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Record a transition from state `from` to state `to`.
+    pub fn phase(&self, t: f64, from: &'static str, to: &'static str) {
+        if let Some((flow, rec)) = &self.0 {
+            rec.record(&TraceEvent::CcaPhase {
+                lane: 0,
+                flow: *flow,
+                t,
+                from,
+                to,
+            });
+        }
+    }
+
+    /// Record a bound/filter change. Non-finite values (bounds reset to
+    /// +∞) are not serializable and carry no information beyond the
+    /// phase event that caused them, so they are skipped.
+    pub fn signal(&self, t: f64, signal: &'static str, value: f64) {
+        if let Some((flow, rec)) = &self.0 {
+            if value.is_finite() {
+                rec.record(&TraceEvent::CcaSignal {
+                    lane: 0,
+                    flow: *flow,
+                    t,
+                    signal,
+                    value,
+                });
+            }
+        }
+    }
+}
 
 /// Windowed max filter over (time, value) samples, used for BBR's
 /// bottleneck-bandwidth estimate.

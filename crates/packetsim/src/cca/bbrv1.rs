@@ -4,12 +4,15 @@
 //! a windowed-max bottleneck-bandwidth filter, a 10 s windowed-min
 //! RTprop filter, and the 2×BDP congestion window. Loss-insensitive.
 
+use bbr_trace::Recorder;
+
+use crate::cca::bbr_common::CcaTrace;
 use crate::cca::{CcaKind, PacketCca, RateSample, WindowedMax};
 
-const STARTUP_GAIN: f64 = 2.885; // 2/ln 2
+pub(crate) const STARTUP_GAIN: f64 = 2.885; // 2/ln 2
 const DRAIN_GAIN: f64 = 1.0 / 2.885;
-const PROBE_RTT_DURATION: f64 = 0.2;
-const MIN_RTT_WINDOW: f64 = 10.0;
+pub(crate) const PROBE_RTT_DURATION: f64 = 0.2;
+pub(crate) const MIN_RTT_WINDOW: f64 = 10.0;
 /// Max-bandwidth filter window: 10 round trips (packet-timed, as in the
 /// reference implementation — a wall-clock window would evict the high
 /// samples during loss-recovery stalls and collapse the rate).
@@ -59,11 +62,11 @@ pub struct BbrV1Pkt {
     pacing_gain: f64,
     cwnd_gain: f64,
     last_inflight: f64,
-    /// Flow index for trace events only; no control decision reads it.
-    trace_id: usize,
+    /// Flight-recorder hook; no control decision reads it.
+    trace: CcaTrace,
 }
 
-const GAIN_CYCLE: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+pub(crate) const GAIN_CYCLE: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
 
 impl BbrV1Pkt {
     pub fn new(mss: f64, seed: u64) -> Self {
@@ -95,22 +98,14 @@ impl BbrV1Pkt {
             pacing_gain: STARTUP_GAIN,
             cwnd_gain: STARTUP_GAIN,
             last_inflight: 0.0,
-            trace_id: 0,
+            trace: CcaTrace::default(),
         }
     }
 
     /// Switch state, recording the transition as a trace phase event.
     fn enter(&mut self, state: State, now: f64) {
-        if bbr_trace::cca_enabled() && state != self.state {
-            let (from, to) = (self.state.name(), state.name());
-            let flow = self.trace_id;
-            bbr_trace::emit(|| bbr_trace::TraceEvent::CcaPhase {
-                lane: 0,
-                flow,
-                t: now,
-                from,
-                to,
-            });
+        if state != self.state {
+            self.trace.phase(now, self.state.name(), state.name());
         }
         self.state = state;
     }
@@ -181,20 +176,13 @@ impl PacketCca for BbrV1Pkt {
 
         // Bandwidth filter over the last 10 packet-timed rounds.
         if rs.delivery_rate > 0.0 {
-            let before = bbr_trace::cca_enabled().then(|| self.bw_filter.max());
+            let before = self.trace.on().then(|| self.bw_filter.max());
             self.bw_filter
                 .update(self.round_count as f64, rs.delivery_rate, BW_WINDOW_ROUNDS);
             if let Some(before) = before {
                 let after = self.bw_filter.max();
                 if after != before {
-                    let flow = self.trace_id;
-                    bbr_trace::emit(|| bbr_trace::TraceEvent::CcaSignal {
-                        lane: 0,
-                        flow,
-                        t: rs.now,
-                        signal: "btlbw",
-                        value: after * 8.0 / 1e6,
-                    });
+                    self.trace.signal(rs.now, "btlbw", after * 8.0 / 1e6);
                 }
             }
         }
@@ -204,16 +192,7 @@ impl PacketCca for BbrV1Pkt {
             if rs.rtt < self.rtprop {
                 self.rtprop = rs.rtt;
                 self.rtprop_stamp = rs.now;
-                if bbr_trace::cca_enabled() {
-                    let (flow, value) = (self.trace_id, self.rtprop);
-                    bbr_trace::emit(|| bbr_trace::TraceEvent::CcaSignal {
-                        lane: 0,
-                        flow,
-                        t: rs.now,
-                        signal: "rtprop",
-                        value,
-                    });
-                }
+                self.trace.signal(rs.now, "rtprop", self.rtprop);
             } else if rs.now - self.rtprop_stamp > MIN_RTT_WINDOW
                 && self.state != State::ProbeRtt
                 && self.state != State::Startup
@@ -291,8 +270,8 @@ impl PacketCca for BbrV1Pkt {
         CcaKind::BbrV1
     }
 
-    fn set_trace_id(&mut self, id: usize) {
-        self.trace_id = id;
+    fn set_trace_id(&mut self, id: usize, rec: &Recorder) {
+        self.trace.attach(id, rec);
     }
 }
 

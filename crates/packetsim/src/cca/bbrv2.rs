@@ -9,15 +9,18 @@
 //! `inflight_lo`, which starts from the window at the moment of loss and
 //! is β-reduced per loss event. ProbeRTT halves the window to BDP/2.
 
+use bbr_trace::Recorder;
+
+use crate::cca::bbr_common::CcaTrace;
 use crate::cca::{CcaKind, PacketCca, RateSample};
 
-const STARTUP_GAIN: f64 = 2.885;
+pub(crate) const STARTUP_GAIN: f64 = 2.885;
 const DRAIN_GAIN: f64 = 1.0 / 2.885;
 const BETA: f64 = 0.7;
 const HEADROOM: f64 = 0.85;
-const LOSS_THRESH: f64 = 0.02;
-const PROBE_RTT_DURATION: f64 = 0.2;
-const MIN_RTT_WINDOW: f64 = 10.0;
+pub(crate) const LOSS_THRESH: f64 = 0.02;
+pub(crate) const PROBE_RTT_DURATION: f64 = 0.2;
+pub(crate) const MIN_RTT_WINDOW: f64 = 10.0;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum State {
@@ -81,8 +84,8 @@ pub struct BbrV2Pkt {
     /// inflight_hi growth amount per round during Up (segments).
     up_growth: f64,
     last_inflight: f64,
-    /// Flow index for trace events only; no control decision reads it.
-    trace_id: usize,
+    /// Flight-recorder hook; no control decision reads it.
+    trace: CcaTrace,
 }
 
 impl BbrV2Pkt {
@@ -115,7 +118,7 @@ impl BbrV2Pkt {
             pacing_gain: STARTUP_GAIN,
             up_growth: 1.0,
             last_inflight: 0.0,
-            trace_id: 0,
+            trace: CcaTrace::default(),
         }
     }
 
@@ -181,34 +184,11 @@ impl BbrV2Pkt {
     }
 
     fn enter(&mut self, state: State, now: f64) {
-        if bbr_trace::cca_enabled() && state != self.state {
-            let (from, to) = (self.state.name(), state.name());
-            let flow = self.trace_id;
-            bbr_trace::emit(|| bbr_trace::TraceEvent::CcaPhase {
-                lane: 0,
-                flow,
-                t: now,
-                from,
-                to,
-            });
+        if state != self.state {
+            self.trace.phase(now, self.state.name(), state.name());
         }
         self.state = state;
         self.state_stamp = now;
-    }
-
-    /// Record a bound/filter change as a trace signal event (finite
-    /// values only — resets to +∞ are implied by the phase events).
-    fn signal(&self, now: f64, signal: &'static str, value: f64) {
-        if bbr_trace::cca_enabled() && value.is_finite() {
-            let flow = self.trace_id;
-            bbr_trace::emit(|| bbr_trace::TraceEvent::CcaSignal {
-                lane: 0,
-                flow,
-                t: now,
-                signal,
-                value,
-            });
-        }
     }
 }
 
@@ -227,12 +207,12 @@ impl PacketCca for BbrV2Pkt {
 
         // Bandwidth filter: running max within the current probing cycle.
         if rs.delivery_rate > 0.0 {
-            let before = bbr_trace::cca_enabled().then(|| self.btlbw());
+            let before = self.trace.on().then(|| self.btlbw());
             self.bw_cur = self.bw_cur.max(rs.delivery_rate);
             if let Some(before) = before {
                 let after = self.btlbw();
                 if after != before {
-                    self.signal(rs.now, "btlbw", after * 8.0 / 1e6);
+                    self.trace.signal(rs.now, "btlbw", after * 8.0 / 1e6);
                 }
             }
         }
@@ -242,7 +222,7 @@ impl PacketCca for BbrV2Pkt {
             if rs.rtt < self.rtprop {
                 self.rtprop = rs.rtt;
                 self.rtprop_stamp = rs.now;
-                self.signal(rs.now, "rtprop", self.rtprop);
+                self.trace.signal(rs.now, "rtprop", self.rtprop);
             } else if rs.now - self.rtprop_stamp > MIN_RTT_WINDOW
                 && !matches!(self.state, State::ProbeRtt | State::Startup)
             {
@@ -263,7 +243,8 @@ impl PacketCca for BbrV2Pkt {
                         // The paper's Insight 5 mechanism: startup loss
                         // materializes the initial inflight_hi.
                         self.inflight_hi = rs.inflight.max(self.bdp());
-                        self.signal(rs.now, "inflight_hi", self.inflight_hi / self.mss);
+                        self.trace
+                            .signal(rs.now, "inflight_hi", self.inflight_hi / self.mss);
                     }
                     self.enter(State::Drain, rs.now);
                 }
@@ -296,7 +277,8 @@ impl PacketCca for BbrV2Pkt {
                     }
                     self.inflight_hi +=
                         self.up_growth * self.mss * rs.newly_acked / rs.inflight.max(self.mss);
-                    self.signal(rs.now, "inflight_hi", self.inflight_hi / self.mss);
+                    self.trace
+                        .signal(rs.now, "inflight_hi", self.inflight_hi / self.mss);
                 }
                 let inflight_done = rs.inflight >= 1.25 * self.bdp();
                 let loss_done =
@@ -310,11 +292,13 @@ impl PacketCca for BbrV2Pkt {
                             rs.inflight
                         };
                         self.inflight_hi = (BETA * base).max(4.0 * self.mss);
-                        self.signal(rs.now, "inflight_hi", self.inflight_hi / self.mss);
+                        self.trace
+                            .signal(rs.now, "inflight_hi", self.inflight_hi / self.mss);
                         self.hi_cut_this_round = true;
                     } else if self.inflight_hi.is_finite() {
                         self.inflight_hi = self.inflight_hi.max(rs.inflight);
-                        self.signal(rs.now, "inflight_hi", self.inflight_hi / self.mss);
+                        self.trace
+                            .signal(rs.now, "inflight_hi", self.inflight_hi / self.mss);
                     }
                     self.enter(State::Down, rs.now);
                 }
@@ -353,7 +337,7 @@ impl PacketCca for BbrV2Pkt {
                 if rs.now >= self.probe_rtt_done {
                     if self.probe_rtt_min.is_finite() {
                         self.rtprop = self.probe_rtt_min;
-                        self.signal(rs.now, "rtprop", self.rtprop);
+                        self.trace.signal(rs.now, "rtprop", self.rtprop);
                     }
                     self.rtprop_stamp = rs.now;
                     self.enter(State::Cruise, rs.now);
@@ -383,7 +367,8 @@ impl PacketCca for BbrV2Pkt {
                 self.cwnd().min(inflight.max(4.0 * self.mss))
             };
             self.inflight_lo = (BETA * base).max(4.0 * self.mss);
-            self.signal(now, "inflight_lo", self.inflight_lo / self.mss);
+            self.trace
+                .signal(now, "inflight_lo", self.inflight_lo / self.mss);
         }
     }
 
@@ -393,7 +378,8 @@ impl PacketCca for BbrV2Pkt {
 
     fn on_rto(&mut self, now: f64) {
         self.inflight_lo = 4.0 * self.mss;
-        self.signal(now, "inflight_lo", self.inflight_lo / self.mss);
+        self.trace
+            .signal(now, "inflight_lo", self.inflight_lo / self.mss);
     }
 
     fn cwnd(&self) -> f64 {
@@ -436,8 +422,8 @@ impl PacketCca for BbrV2Pkt {
         CcaKind::BbrV2
     }
 
-    fn set_trace_id(&mut self, id: usize) {
-        self.trace_id = id;
+    fn set_trace_id(&mut self, id: usize, rec: &Recorder) {
+        self.trace.attach(id, rec);
     }
 }
 

@@ -28,27 +28,29 @@
 //! behaviour, and the `figures drift` audit quantifies where the fluid
 //! abstraction departs from each tier.
 
-use crate::cca::bbr_common::{WindowedMax, WindowedMin};
+use bbr_trace::Recorder;
+
+use crate::cca::bbr_common::{CcaTrace, WindowedMax, WindowedMin};
 use crate::cca::{CcaKind, PacketCca, RateSample};
 
-const STARTUP_GAIN: f64 = 2.885;
+pub(crate) const STARTUP_GAIN: f64 = 2.885;
 const DRAIN_GAIN: f64 = 1.0 / 2.885;
 const BETA: f64 = 0.7;
 const HEADROOM: f64 = 0.85;
-const LOSS_THRESH: f64 = 0.02;
-const PROBE_RTT_DURATION: f64 = 0.2;
-const MIN_RTT_WINDOW: f64 = 10.0;
+pub(crate) const LOSS_THRESH: f64 = 0.02;
+pub(crate) const PROBE_RTT_DURATION: f64 = 0.2;
+pub(crate) const MIN_RTT_WINDOW: f64 = 10.0;
 /// Bandwidth filter length in packet-timed rounds (deployed BBRv2 uses
 /// round-timed, not wall-timed, windows so loss-recovery stalls cannot
 /// evict the high samples).
 const BW_WINDOW_ROUNDS: f64 = 10.0;
-const BW_PROBE_UP_GAIN: f64 = 1.25;
-const BW_PROBE_DOWN_GAIN: f64 = 0.9;
+pub(crate) const BW_PROBE_UP_GAIN: f64 = 1.25;
+pub(crate) const BW_PROBE_DOWN_GAIN: f64 = 0.9;
 const PROBE_BW_CWND_GAIN: f64 = 2.0;
 const PROBE_RTT_CWND_GAIN: f64 = 0.5;
 const FULL_BW_THRESH: f64 = 1.25;
 const FULL_BW_COUNT_REQ: u32 = 3;
-const MIN_CWND_SEGMENTS: f64 = 4.0;
+pub(crate) const MIN_CWND_SEGMENTS: f64 = 4.0;
 /// ACK gap that counts as an application-limited idle period.
 const IDLE_RESTART_THRESHOLD: f64 = 1.0;
 
@@ -129,8 +131,8 @@ pub struct BbrV2DeployPkt {
     up_growth: f64,
     /// Time of the previous ACK (idle-restart detection).
     last_ack: f64,
-    /// Flow index for trace events only; no control decision reads it.
-    trace_id: usize,
+    /// Flight-recorder hook; no control decision reads it.
+    trace: CcaTrace,
 }
 
 impl BbrV2DeployPkt {
@@ -165,24 +167,7 @@ impl BbrV2DeployPkt {
             pacing_gain: STARTUP_GAIN,
             up_growth: 1.0,
             last_ack: 0.0,
-            trace_id: 0,
-        }
-    }
-
-    /// Record a bound/filter change as a trace signal event. Non-finite
-    /// values (bounds reset to +∞) are not serializable and carry no
-    /// information beyond the phase event that caused them, so they are
-    /// skipped.
-    fn signal(&self, now: f64, signal: &'static str, value: f64) {
-        if bbr_trace::cca_enabled() && value.is_finite() {
-            let flow = self.trace_id;
-            bbr_trace::emit(|| bbr_trace::TraceEvent::CcaSignal {
-                lane: 0,
-                flow,
-                t: now,
-                signal,
-                value,
-            });
+            trace: CcaTrace::default(),
         }
     }
 
@@ -259,16 +244,8 @@ impl BbrV2DeployPkt {
     }
 
     fn enter(&mut self, state: State, now: f64) {
-        if bbr_trace::cca_enabled() && state != self.state {
-            let (from, to) = (self.state.name(), state.name());
-            let flow = self.trace_id;
-            bbr_trace::emit(|| bbr_trace::TraceEvent::CcaPhase {
-                lane: 0,
-                flow,
-                t: now,
-                from,
-                to,
-            });
+        if state != self.state {
+            self.trace.phase(now, self.state.name(), state.name());
         }
         self.state = state;
         self.state_stamp = now;
@@ -314,13 +291,13 @@ impl PacketCca for BbrV2DeployPkt {
 
         // Windowed bandwidth filter over packet-timed rounds.
         if rs.delivery_rate > 0.0 {
-            let before = bbr_trace::cca_enabled().then(|| self.bw_filter.max());
+            let before = self.trace.on().then(|| self.bw_filter.max());
             self.bw_filter
                 .update(self.round_count as f64, rs.delivery_rate, BW_WINDOW_ROUNDS);
             if let Some(before) = before {
                 let after = self.bw_filter.max();
                 if after != before {
-                    self.signal(rs.now, "btlbw", after * 8.0 / 1e6);
+                    self.trace.signal(rs.now, "btlbw", after * 8.0 / 1e6);
                 }
             }
         }
@@ -333,7 +310,7 @@ impl PacketCca for BbrV2DeployPkt {
         if rs.rtt.is_finite() {
             if rs.rtt < self.rtprop_filter.min() {
                 self.rtprop_stamp = rs.now;
-                self.signal(rs.now, "rtprop", rs.rtt);
+                self.trace.signal(rs.now, "rtprop", rs.rtt);
             }
             self.rtprop_filter.update(rs.now, rs.rtt, MIN_RTT_WINDOW);
         }
@@ -353,7 +330,8 @@ impl PacketCca for BbrV2DeployPkt {
                 if self.full_bw_count >= FULL_BW_COUNT_REQ || excess_loss {
                     if excess_loss {
                         self.inflight_hi = rs.inflight.max(self.bdp());
-                        self.signal(rs.now, "inflight_hi", self.inflight_hi / self.mss);
+                        self.trace
+                            .signal(rs.now, "inflight_hi", self.inflight_hi / self.mss);
                     }
                     self.enter(State::Drain, rs.now);
                 }
@@ -399,7 +377,8 @@ impl PacketCca for BbrV2DeployPkt {
                     }
                     self.inflight_hi +=
                         self.up_growth * self.mss * rs.newly_acked / rs.inflight.max(self.mss);
-                    self.signal(rs.now, "inflight_hi", self.inflight_hi / self.mss);
+                    self.trace
+                        .signal(rs.now, "inflight_hi", self.inflight_hi / self.mss);
                 }
                 let inflight_done = rs.inflight >= BW_PROBE_UP_GAIN * self.bdp();
                 let loss_done =
@@ -414,15 +393,17 @@ impl PacketCca for BbrV2DeployPkt {
                             rs.inflight
                         };
                         self.inflight_hi = (BETA * base).max(self.min_cwnd());
-                        self.signal(rs.now, "inflight_hi", self.inflight_hi / self.mss);
+                        self.trace
+                            .signal(rs.now, "inflight_hi", self.inflight_hi / self.mss);
                         if self.bw_filter.max() > 0.0 {
                             self.bw_hi = self.bw_filter.max();
-                            self.signal(rs.now, "bw_hi", self.bw_hi * 8.0 / 1e6);
+                            self.trace.signal(rs.now, "bw_hi", self.bw_hi * 8.0 / 1e6);
                         }
                         self.hi_cut_this_round = true;
                     } else if self.inflight_hi.is_finite() {
                         self.inflight_hi = self.inflight_hi.max(rs.inflight);
-                        self.signal(rs.now, "inflight_hi", self.inflight_hi / self.mss);
+                        self.trace
+                            .signal(rs.now, "inflight_hi", self.inflight_hi / self.mss);
                         // A clean probe that filled the pipe lifts bw_hi.
                         self.bw_hi = f64::INFINITY;
                     }
@@ -455,7 +436,8 @@ impl PacketCca for BbrV2DeployPkt {
                 self.cwnd().min(inflight.max(self.min_cwnd()))
             };
             self.inflight_lo = (BETA * base).max(self.min_cwnd());
-            self.signal(now, "inflight_lo", self.inflight_lo / self.mss);
+            self.trace
+                .signal(now, "inflight_lo", self.inflight_lo / self.mss);
             let bw_base = if self.bw_lo.is_finite() {
                 self.bw_lo
             } else {
@@ -463,7 +445,7 @@ impl PacketCca for BbrV2DeployPkt {
             };
             if bw_base > 0.0 {
                 self.bw_lo = BETA * bw_base;
-                self.signal(now, "bw_lo", self.bw_lo * 8.0 / 1e6);
+                self.trace.signal(now, "bw_lo", self.bw_lo * 8.0 / 1e6);
             }
         }
     }
@@ -474,7 +456,8 @@ impl PacketCca for BbrV2DeployPkt {
 
     fn on_rto(&mut self, now: f64) {
         self.inflight_lo = self.min_cwnd();
-        self.signal(now, "inflight_lo", self.inflight_lo / self.mss);
+        self.trace
+            .signal(now, "inflight_lo", self.inflight_lo / self.mss);
     }
 
     fn cwnd(&self) -> f64 {
@@ -519,8 +502,8 @@ impl PacketCca for BbrV2DeployPkt {
         CcaKind::BbrV2Deploy
     }
 
-    fn set_trace_id(&mut self, id: usize) {
-        self.trace_id = id;
+    fn set_trace_id(&mut self, id: usize, rec: &Recorder) {
+        self.trace.attach(id, rec);
     }
 }
 

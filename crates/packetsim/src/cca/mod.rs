@@ -9,6 +9,8 @@ pub mod bbr_common;
 pub mod bbrv1;
 pub mod bbrv2;
 pub mod bbrv2_deploy;
+#[cfg(test)]
+mod conformance;
 pub mod cubic;
 pub mod reno;
 
@@ -22,6 +24,8 @@ pub use reno::RenoPkt;
 // The CCA tag is shared with the fluid model through the backend-agnostic
 // scenario layer; only the packet-level state machines live here.
 pub use bbr_scenario::CcaKind;
+
+use bbr_trace::Recorder;
 
 /// Per-ACK sample handed to the CCA.
 #[derive(Debug, Clone, Copy)]
@@ -63,10 +67,11 @@ pub trait PacketCca: Send {
     fn pacing_rate(&self) -> f64;
     /// Algorithm identifier.
     fn kind(&self) -> CcaKind;
-    /// Label this controller with its flow index for `bbr-trace` phase
-    /// and signal events. Advisory only: implementations must store the
-    /// id in a field that no control decision ever reads.
-    fn set_trace_id(&mut self, _id: usize) {}
+    /// Attach the recorder this controller reports its phase and signal
+    /// events to, labelled with its flow index `id`. Advisory only:
+    /// implementations must keep both where no control decision ever
+    /// reads them.
+    fn set_trace_id(&mut self, _id: usize, _rec: &Recorder) {}
 }
 
 /// Build a packet CCA. `mss` in bytes; `seed` individualizes randomized

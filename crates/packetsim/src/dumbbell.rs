@@ -4,7 +4,7 @@
 use bbr_scenario::jain_index;
 
 use crate::cca::CcaKind;
-use crate::engine::{Engine, PacketTrace, SimConfig};
+use crate::engine::{Engine, SimConfig};
 use crate::path::{run_path, PathFlowSpec, PathLinkSpec, PathNetwork};
 use crate::qdisc::QdiscKind;
 
@@ -126,7 +126,6 @@ pub struct PacketSimReport {
     pub per_link_loss: Vec<f64>,
     pub per_link_occupancy: Vec<f64>,
     pub per_link_utilization: Vec<f64>,
-    pub trace: Option<PacketTrace>,
 }
 
 /// Collect the per-flow and per-link statistics of a finished engine.
@@ -181,7 +180,6 @@ pub(crate) fn collect_report(
         per_link_loss,
         per_link_occupancy,
         per_link_utilization,
-        trace: engine.trace().cloned(),
         flows,
     }
 }

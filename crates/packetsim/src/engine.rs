@@ -4,6 +4,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use bbr_trace::{Recorder, TraceEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -28,9 +29,11 @@ pub struct SimConfig {
     pub seed: u64,
     /// Segment size in bytes.
     pub mss: f64,
-    /// If set, per-flow rate / queue / RTT traces are binned at this
-    /// interval (s).
-    pub trace_bin: Option<f64>,
+    /// Flight recorder for the run. Per-flow rate / queue / RTT samples
+    /// are binned at its interval, and the CCAs report their phases and
+    /// signals to it. `None` takes the process-wide recorder, if one is
+    /// installed, when the engine is built.
+    pub recorder: Option<Recorder>,
 }
 
 impl Default for SimConfig {
@@ -40,7 +43,7 @@ impl Default for SimConfig {
             warmup: 0.0,
             seed: 1,
             mss: crate::MSS_BYTES,
-            trace_bin: None,
+            recorder: None,
         }
     }
 }
@@ -155,7 +158,7 @@ pub struct Flow {
     jitter_cnt: u64,
     rtt_sum: f64,
     rtt_cnt: u64,
-    // Trace bin accumulator.
+    // Trace bin accumulator (trace-only: read and reset by `Ev::Sample`).
     bin_delivered: f64,
 }
 
@@ -225,21 +228,6 @@ impl Flow {
     }
 }
 
-/// Binned time series recorded when `SimConfig::trace_bin` is set.
-#[derive(Debug, Clone, Default)]
-pub struct PacketTrace {
-    /// Bin end times (s).
-    pub t: Vec<f64>,
-    /// Per-flow delivered rate in each bin (Mbit/s).
-    pub rate_mbps: Vec<Vec<f64>>,
-    /// Bottleneck queue fill (fraction of buffer) at bin edges.
-    pub queue_frac: Vec<f64>,
-    /// Per-flow smoothed RTT at bin edges (s).
-    pub srtt: Vec<Vec<f64>>,
-    /// Loss fraction within each bin (dropped/arrived at the bottleneck).
-    pub loss_frac: Vec<f64>,
-}
-
 /// The simulation engine.
 pub struct Engine {
     pub cfg: SimConfig,
@@ -249,29 +237,32 @@ pub struct Engine {
     now: f64,
     rng: StdRng,
     bottleneck: usize,
-    trace: Option<PacketTrace>,
+    /// Bottleneck bytes arrived / dropped / served this bin (trace-only
+    /// accumulators: read and reset by `Ev::Sample`, never by any
+    /// control path).
     bin_arrived: f64,
     bin_dropped: f64,
-    /// Bytes the bottleneck served this bin (trace-only accumulator:
-    /// read and reset by `Ev::Sample`, never by any control path).
     bin_link_delivered: f64,
 }
 
 impl Engine {
     /// Assemble an engine; `bottleneck` is the link whose occupancy and
     /// utilization become the headline metrics.
-    pub fn new(cfg: SimConfig, links: Vec<Link>, mut flows: Vec<Flow>, bottleneck: usize) -> Self {
+    pub fn new(
+        mut cfg: SimConfig,
+        links: Vec<Link>,
+        mut flows: Vec<Flow>,
+        bottleneck: usize,
+    ) -> Self {
         let rng = StdRng::seed_from_u64(cfg.seed);
-        let trace = cfg.trace_bin.map(|_| PacketTrace {
-            rate_mbps: vec![Vec::new(); flows.len()],
-            srtt: vec![Vec::new(); flows.len()],
-            ..Default::default()
-        });
-        // Label every controller with its flow index so CCA phase /
-        // signal trace events carry the right flow id. Advisory: the id
-        // feeds only `bbr-trace` emission, never a control decision.
-        for (i, f) in flows.iter_mut().enumerate() {
-            f.cca.set_trace_id(i);
+        cfg.recorder = cfg.recorder.or_else(bbr_trace::installed);
+        // Hand every controller the recorder, labelled with its flow
+        // index. Advisory: it feeds only trace events, never a control
+        // decision.
+        if let Some(rec) = cfg.recorder.as_ref().filter(|rec| rec.config().cca) {
+            for (i, f) in flows.iter_mut().enumerate() {
+                f.cca.set_trace_id(i, rec);
+            }
         }
         Self {
             cfg,
@@ -281,7 +272,6 @@ impl Engine {
             now: 0.0,
             rng,
             bottleneck,
-            trace,
             bin_arrived: 0.0,
             bin_dropped: 0.0,
             bin_link_delivered: 0.0,
@@ -294,8 +284,8 @@ impl Engine {
             let start = self.flows[f].start;
             self.events.push(start, Ev::Wake { flow: f as u32 });
         }
-        if let Some(bin) = self.cfg.trace_bin {
-            self.events.push(bin, Ev::Sample);
+        if let Some(rec) = &self.cfg.recorder {
+            self.events.push(rec.config().interval, Ev::Sample);
         }
         while let Some((t, ev)) = self.events.pop() {
             if t > self.cfg.duration {
@@ -758,73 +748,50 @@ impl Engine {
     // Sampling / traces.
     // ------------------------------------------------------------------
 
+    /// Advisory flight-recorder samples: pure reads of the bin
+    /// accumulators, which only this handler resets.
     fn on_sample(&mut self) {
-        let bin = self.cfg.trace_bin.unwrap();
+        let Some(rec) = &self.cfg.recorder else {
+            return;
+        };
+        let bin = rec.config().interval;
         let now = self.now;
-        // Advisory flight-recorder samples (`bbr-trace`): pure reads of
-        // the same bin accumulators the stored trace consumes below.
-        if bbr_trace::enabled() {
-            if bbr_trace::flows_enabled() {
-                for (i, flow) in self.flows.iter().enumerate() {
-                    let rate_mbps = flow.bin_delivered * 8.0 / 1e6 / bin;
-                    let inflight_pkts = flow.inflight_bytes / flow.mss;
-                    let rtt_s = flow.srtt;
-                    bbr_trace::emit(|| bbr_trace::TraceEvent::FlowSample {
-                        lane: 0,
-                        flow: i,
-                        t: now,
-                        rate_mbps,
-                        inflight_pkts,
-                        rtt_s,
-                    });
-                }
-            }
-            if bbr_trace::links_enabled() {
-                let link = &self.links[self.bottleneck];
-                let queue_frac = link.queued_bytes / link.buffer;
-                let util_frac = self.bin_link_delivered / (link.rate * bin);
-                let loss_frac = if self.bin_arrived > 0.0 {
-                    self.bin_dropped / self.bin_arrived
-                } else {
-                    0.0
-                };
-                let l = self.bottleneck;
-                bbr_trace::emit(|| bbr_trace::TraceEvent::LinkSample {
+        if rec.config().flows {
+            for (i, flow) in self.flows.iter().enumerate() {
+                rec.record(&TraceEvent::FlowSample {
                     lane: 0,
-                    link: l,
+                    flow: i,
                     t: now,
-                    queue_frac,
-                    util_frac,
-                    loss_frac,
+                    rate_mbps: flow.bin_delivered * 8.0 / 1e6 / bin,
+                    inflight_pkts: flow.inflight_bytes / flow.mss,
+                    rtt_s: flow.srtt,
                 });
             }
         }
-        self.bin_link_delivered = 0.0;
-        if let Some(trace) = &mut self.trace {
-            trace.t.push(now);
-            for (i, flow) in self.flows.iter_mut().enumerate() {
-                trace.rate_mbps[i].push(flow.bin_delivered * 8.0 / 1e6 / bin);
-                trace.srtt[i].push(flow.srtt);
-                flow.bin_delivered = 0.0;
-            }
+        if rec.config().links {
             let link = &self.links[self.bottleneck];
-            trace.queue_frac.push(link.queued_bytes / link.buffer);
-            trace.loss_frac.push(if self.bin_arrived > 0.0 {
-                self.bin_dropped / self.bin_arrived
-            } else {
-                0.0
+            rec.record(&TraceEvent::LinkSample {
+                lane: 0,
+                link: self.bottleneck,
+                t: now,
+                queue_frac: link.queued_bytes / link.buffer,
+                util_frac: self.bin_link_delivered / (link.rate * bin),
+                loss_frac: if self.bin_arrived > 0.0 {
+                    self.bin_dropped / self.bin_arrived
+                } else {
+                    0.0
+                },
             });
-            self.bin_arrived = 0.0;
-            self.bin_dropped = 0.0;
         }
+        for flow in &mut self.flows {
+            flow.bin_delivered = 0.0;
+        }
+        self.bin_arrived = 0.0;
+        self.bin_dropped = 0.0;
+        self.bin_link_delivered = 0.0;
         if now + bin <= self.cfg.duration {
             self.events.push(now + bin, Ev::Sample);
         }
-    }
-
-    /// Recorded trace, if enabled.
-    pub fn trace(&self) -> Option<&PacketTrace> {
-        self.trace.as_ref()
     }
 
     /// Measurement-window length (s).
@@ -874,6 +841,8 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::cca::{build, CcaKind};
+    use bbr_trace::{MemorySink, TraceConfig};
+    use std::sync::Arc;
 
     fn one_flow_engine(kind: CcaKind, rate_mbps: f64, buffer_bytes: f64) -> Engine {
         let cfg = SimConfig {
@@ -947,22 +916,36 @@ mod tests {
     }
 
     #[test]
-    fn trace_bins_cover_duration() {
-        let mut cfg = SimConfig {
+    fn recorder_bins_cover_duration() {
+        let sink = Arc::new(MemorySink::new());
+        let cfg = SimConfig {
             duration: 2.0,
             warmup: 0.0,
             seed: 1,
+            recorder: Some(Recorder::new(
+                TraceConfig {
+                    interval: 0.1,
+                    ..TraceConfig::default()
+                },
+                sink.clone(),
+            )),
             ..Default::default()
         };
-        cfg.trace_bin = Some(0.1);
         let link = Link::new(20.0 * 1e6 / 8.0, 0.010, 50_000.0, QdiscKind::DropTail);
         let cca = build(CcaKind::Reno, cfg.mss, 1);
         let flow = Flow::new(vec![0], 0.0056, 0.0156, 0.0, cca, cfg.mss);
         let mut e = Engine::new(cfg, vec![link], vec![flow], 0);
         e.run();
-        let trace = e.trace().unwrap();
-        assert!((19..=21).contains(&trace.t.len()), "{} bins", trace.t.len());
-        let peak = trace.rate_mbps[0].iter().cloned().fold(0.0, f64::max);
+        let rates: Vec<f64> = sink
+            .take()
+            .iter()
+            .filter_map(|ev| match *ev {
+                TraceEvent::FlowSample { rate_mbps, .. } => Some(rate_mbps),
+                _ => None,
+            })
+            .collect();
+        assert!((19..=21).contains(&rates.len()), "{} bins", rates.len());
+        let peak = rates.iter().cloned().fold(0.0, f64::max);
         assert!(peak > 10.0, "peak binned rate {peak}");
     }
 

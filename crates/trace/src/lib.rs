@@ -3,37 +3,43 @@
 //! The paper's methodology is comparing *trajectories* — per-flow rate,
 //! queue, and RTT time-series of the fluid model against packet
 //! simulation — but the engines normally expose only end-of-run scalar
-//! metrics. This crate is the recording half of the missing flight
-//! recorder: typed [`TraceEvent`]s, a pluggable [`TraceSink`], and a
-//! process-global hook with a no-op fast path, following the same
-//! discipline as `bbr-telemetry` (one atomic load when idle,
-//! closure-deferred event construction, strictly advisory). The JSONL
-//! encoding (`trace/v1`), sparkline rendering, and fluid-vs-packet
+//! metrics. This crate is the recording half of the flight recorder:
+//! typed [`TraceEvent`]s, a pluggable [`TraceSink`], and a cloneable
+//! [`Recorder`] handle that pairs a sink with its [`TraceConfig`]. The
+//! JSONL encoding (`trace/v1`), sparkline rendering, and fluid-vs-packet
 //! trace diffing live in `bbr-experiments` — this crate stays free of
 //! I/O and serialization so every engine crate can depend on it.
 //!
+//! # Attaching a recorder
+//!
+//! Every engine resolves its recorder exactly once, when it is built:
+//! code that drives an engine directly attaches a [`Recorder`]
+//! explicitly (`Simulator::record`, `SimConfig::recorder`), and engines
+//! built behind a backend take the process-wide recorder from
+//! [`installed`] — set by [`install`] for the lifetime of its guard.
+//! An explicit handle records only the run it is attached to, so tests
+//! sharing one process cannot collect each other's events.
+//!
 //! # The observer-effect contract
 //!
-//! Recording is **strictly advisory**: whether a sink is installed or
-//! not, every engine must produce bit-identical `RunOutcome`s, store
-//! records, and cache keys. Recorders therefore only *read* engine
-//! state (plus trace-only counters that feed nothing back), never
-//! schedule work, never touch an engine's RNG, and never fail the
-//! computation they observe. `tests/trace_observer.rs` enforces this
-//! byte-for-byte on all backends, including under flow churn.
+//! Recording is **strictly advisory**: with or without a recorder, every
+//! engine must produce bit-identical `RunOutcome`s, store records, and
+//! cache keys. Recorders therefore only *read* engine state (plus
+//! trace-only counters that feed nothing back), never schedule work,
+//! never touch an engine's RNG, and never fail the computation they
+//! observe. `tests/trace_observer.rs` enforces this byte-for-byte on all
+//! backends, including under flow churn.
 //!
 //! # Cost model
 //!
-//! Instrumented code calls [`emit`] with a closure that builds the
-//! event; with no sink installed (the default) `emit` is one atomic
-//! load and the closure never runs. Per-signal gates ([`flows_enabled`],
-//! [`links_enabled`], [`cca_enabled`]) and the sample [`interval`] are
-//! plain atomics too, so hot loops can skip whole recording blocks
-//! without taking a lock.
+//! With nothing installed, [`installed`] is one atomic load; an engine
+//! without a recorder then pays one `Option` test per sample-grid
+//! crossing and never builds an event.
 
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Wire-schema tag of the JSONL encoding (`bbr_experiments::tracefmt`).
@@ -48,16 +54,18 @@ pub const DEFAULT_INTERVAL: f64 = 0.01;
 /// samples on every grid point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
-    /// Sampling grid (s) for flow and link series. Discrete CCA events
-    /// are recorded when they happen, not on the grid.
+    /// Sampling grid (s) for flow and link series and the fluid CCA
+    /// signals. Discrete packet CCA events are recorded when they
+    /// happen, not on the grid.
     pub interval: f64,
     /// Record per-flow rate/inflight/RTT samples.
     pub flows: bool,
     /// Record per-link queue/utilization samples.
     pub links: bool,
-    /// Record CCA state-machine transitions and signal updates
-    /// (packet engines only — the fluid CCA models have no discrete
-    /// state machine to observe).
+    /// Record CCA internals: the packet CCAs' state transitions and
+    /// estimator updates, and the scalar fluid model's per-flow signals
+    /// (`x_dlv`, `loss`, and every `FluidCca::telemetry` value) on the
+    /// sample grid.
     pub cca: bool,
 }
 
@@ -129,8 +137,9 @@ pub enum TraceEvent {
         /// State being entered.
         to: &'static str,
     },
-    /// A CCA estimator/bound update (windowed-filter outputs,
-    /// `inflight_hi/lo`, `bw_hi/lo`), recorded on change.
+    /// A CCA signal: a packet CCA's estimator/bound update (windowed
+    /// filter outputs, `inflight_hi/lo`), recorded on change, or a fluid
+    /// model variable, recorded on the sample grid.
     CcaSignal {
         /// Batch lane of the scenario (0 outside batched runs).
         lane: usize,
@@ -138,7 +147,7 @@ pub enum TraceEvent {
         flow: usize,
         /// Engine time (s).
         t: f64,
-        /// Signal name (stable wire tag, e.g. `"btlbw"`, `"inflight_hi"`).
+        /// Signal name (stable wire tag, e.g. `"btlbw"`, `"x_dlv"`).
         signal: &'static str,
         /// New value, in the signal's natural unit.
         value: f64,
@@ -176,98 +185,86 @@ pub trait TraceSink: Send + Sync {
     fn record(&self, event: &TraceEvent);
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static FLOWS: AtomicBool = AtomicBool::new(false);
-static LINKS: AtomicBool = AtomicBool::new(false);
-static CCA: AtomicBool = AtomicBool::new(false);
-static INTERVAL_BITS: AtomicU64 = AtomicU64::new(0);
-static SINK: RwLock<Option<Arc<dyn TraceSink>>> = RwLock::new(None);
+/// A sink plus the [`TraceConfig`] it records under — the handle an
+/// engine holds for the whole of one run. Cloning shares the sink.
+#[derive(Clone)]
+pub struct Recorder {
+    config: TraceConfig,
+    sink: Arc<dyn TraceSink>,
+}
 
-/// Install the process-global recorder; subsequent [`emit`] calls route
+impl Recorder {
+    /// Pair `sink` with `config`. The interval is floored at 1 µs so a
+    /// zero or negative interval cannot stall an engine's sample grid.
+    pub fn new(config: TraceConfig, sink: Arc<dyn TraceSink>) -> Self {
+        let interval = config.interval.max(1e-6);
+        Self {
+            config: TraceConfig { interval, ..config },
+            sink,
+        }
+    }
+
+    /// What this recorder records, and how often.
+    pub fn config(&self) -> &TraceConfig {
+        &self.config
+    }
+
+    /// The sample grid in integration steps of size `dt` (at least 1) —
+    /// the stride of the fluid engines' flow, link, and signal samples.
+    pub fn stride(&self, dt: f64) -> u64 {
+        (self.config.interval / dt).round().max(1.0) as u64
+    }
+
+    /// Hand one observation to the sink.
+    #[inline]
+    pub fn record(&self, event: &TraceEvent) {
+        self.sink.record(event);
+    }
+}
+
+impl fmt::Debug for Recorder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Recorder")
+            .field("config", &self.config)
+            .finish_non_exhaustive()
+    }
+}
+
+static ENABLED: AtomicBool = AtomicBool::new(false);
+static INSTALLED: RwLock<Option<Recorder>> = RwLock::new(None);
+
+/// Install the process-wide recorder: engines built from now on record
 /// to `sink` under `config`. Replaces any previous recorder. Returns a
 /// guard that uninstalls it on drop, so a scoped recording (one cell,
 /// one campaign worker) cannot leak into unrelated runs later in the
-/// same process.
+/// same process. Engines already built keep the recorder they took.
 #[must_use = "dropping the guard uninstalls the recorder immediately"]
 pub fn install(config: TraceConfig, sink: Arc<dyn TraceSink>) -> TraceGuard {
-    let mut slot = SINK.write().unwrap_or_else(|e| e.into_inner());
-    *slot = Some(sink);
-    INTERVAL_BITS.store(config.interval.max(1e-6).to_bits(), Ordering::Release);
-    FLOWS.store(config.flows, Ordering::Release);
-    LINKS.store(config.links, Ordering::Release);
-    CCA.store(config.cca, Ordering::Release);
+    let mut slot = INSTALLED.write().unwrap_or_else(|e| e.into_inner());
+    *slot = Some(Recorder::new(config, sink));
     ENABLED.store(true, Ordering::Release);
     TraceGuard { _private: () }
 }
 
-/// Uninstall the global recorder (idempotent). [`emit`] returns to the
-/// no-op fast path.
+/// Uninstall the process-wide recorder (idempotent).
 pub fn clear() {
     ENABLED.store(false, Ordering::Release);
-    FLOWS.store(false, Ordering::Release);
-    LINKS.store(false, Ordering::Release);
-    CCA.store(false, Ordering::Release);
-    let mut slot = SINK.write().unwrap_or_else(|e| e.into_inner());
+    let mut slot = INSTALLED.write().unwrap_or_else(|e| e.into_inner());
     *slot = None;
 }
 
-/// Whether a recorder is installed. One atomic load — the gate for any
-/// work that exists only to feed the trace.
+/// The process-wide recorder, if one is installed — what an engine
+/// takes when it is built without an explicit recorder. One atomic load
+/// when nothing is installed.
 #[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Acquire)
-}
-
-/// Whether per-flow samples are wanted (recorder installed and the
-/// config selected flows).
-#[inline]
-pub fn flows_enabled() -> bool {
-    FLOWS.load(Ordering::Acquire)
-}
-
-/// Whether per-link samples are wanted.
-#[inline]
-pub fn links_enabled() -> bool {
-    LINKS.load(Ordering::Acquire)
-}
-
-/// Whether CCA state-machine events are wanted.
-#[inline]
-pub fn cca_enabled() -> bool {
-    CCA.load(Ordering::Acquire)
-}
-
-/// The configured sample interval (s). Meaningful only while
-/// [`enabled`] — callers derive their sampling stride from it at run
-/// start.
-#[inline]
-pub fn interval() -> f64 {
-    let bits = INTERVAL_BITS.load(Ordering::Acquire);
-    if bits == 0 {
-        DEFAULT_INTERVAL
-    } else {
-        f64::from_bits(bits)
+pub fn installed() -> Option<Recorder> {
+    if !ENABLED.load(Ordering::Acquire) {
+        return None;
     }
+    INSTALLED.read().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
-/// Emit an observation to the installed recorder, if any. The closure
-/// only runs when a recorder is installed, so building the event costs
-/// nothing on the no-op path.
-#[inline]
-pub fn emit(build: impl FnOnce() -> TraceEvent) {
-    if !enabled() {
-        return;
-    }
-    let sink = {
-        let slot = SINK.read().unwrap_or_else(|e| e.into_inner());
-        slot.clone()
-    };
-    if let Some(sink) = sink {
-        sink.record(&build());
-    }
-}
-
-/// Uninstalls the global recorder on drop; returned by [`install`].
+/// Uninstalls the process-wide recorder on drop; returned by [`install`].
 #[derive(Debug)]
 pub struct TraceGuard {
     _private: (),
@@ -280,7 +277,8 @@ impl Drop for TraceGuard {
 }
 
 /// A [`TraceSink`] collecting events into memory — the capture side of
-/// `figures trace`, the drift differ, and the tests.
+/// `figures trace`, the paper-figure traces, the drift differ, and the
+/// tests.
 #[derive(Debug, Default)]
 pub struct MemorySink {
     events: Mutex<Vec<TraceEvent>>,
@@ -321,19 +319,18 @@ impl TraceSink for MemorySink {
 mod tests {
     use super::*;
 
-    // The recorder is process-global; tests touching it serialize.
+    // The installed recorder is process-wide; tests touching it serialize.
     static SERIAL: Mutex<()> = Mutex::new(());
 
     #[test]
-    fn emit_without_recorder_never_runs_the_closure() {
+    fn nothing_is_installed_by_default_or_after_clear() {
         let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         clear();
-        assert!(!enabled() && !flows_enabled() && !links_enabled() && !cca_enabled());
-        emit(|| unreachable!("closure must not run on the no-op path"));
+        assert!(installed().is_none());
     }
 
     #[test]
-    fn config_gates_and_interval_are_visible_while_installed() {
+    fn installed_recorder_carries_config_until_the_guard_drops() {
         let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let sink = Arc::new(MemorySink::new());
         {
@@ -346,10 +343,11 @@ mod tests {
                 },
                 sink.clone(),
             );
-            assert!(enabled() && flows_enabled() && cca_enabled());
-            assert!(!links_enabled());
-            assert_eq!(interval(), 0.05);
-            emit(|| TraceEvent::FlowSample {
+            let rec = installed().expect("recorder installed");
+            assert!(rec.config().flows && rec.config().cca);
+            assert!(!rec.config().links);
+            assert_eq!(rec.config().interval, 0.05);
+            rec.record(&TraceEvent::FlowSample {
                 lane: 0,
                 flow: 1,
                 t: 0.25,
@@ -357,7 +355,7 @@ mod tests {
                 inflight_pkts: 12.0,
                 rtt_s: 0.031,
             });
-            emit(|| TraceEvent::CcaPhase {
+            rec.record(&TraceEvent::CcaPhase {
                 lane: 0,
                 flow: 1,
                 t: 0.26,
@@ -365,14 +363,39 @@ mod tests {
                 to: "Drain",
             });
         }
-        assert!(!enabled(), "guard drop must uninstall the recorder");
-        emit(|| unreachable!("recorder was uninstalled"));
+        assert!(installed().is_none(), "guard drop must uninstall");
         let got = sink.take();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].kind(), "flow");
         assert_eq!(got[1].kind(), "phase");
         assert_eq!(got[1].t(), 0.26);
         assert!(sink.is_empty(), "take drains the sink");
+    }
+
+    #[test]
+    fn explicit_recorders_share_their_sink_and_floor_the_interval() {
+        let sink = Arc::new(MemorySink::new());
+        let rec = Recorder::new(
+            TraceConfig {
+                interval: 0.0,
+                ..TraceConfig::default()
+            },
+            sink.clone(),
+        );
+        assert_eq!(rec.config().interval, 1e-6);
+        assert_eq!(rec.stride(1e-4), 1, "strides never drop below one step");
+        let twin = rec.clone();
+        twin.record(&TraceEvent::CcaSignal {
+            lane: 0,
+            flow: 0,
+            t: 0.1,
+            signal: "x_dlv",
+            value: 9.5,
+        });
+        assert_eq!(sink.len(), 1, "clones record into the same sink");
+        let every_ten = Recorder::new(TraceConfig::default(), sink);
+        assert_eq!(every_ten.stride(1e-3), 10);
+        assert!(format!("{every_ten:?}").starts_with("Recorder"));
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn main() {
         let scenario = Scenario::dumbbell(10, 100.0, 0.010, b as f64, QdiscKind::DropTail)
             .rtt_range(0.030, 0.040);
         let mut sim = scenario.build(&kinds).expect("valid scenario");
-        let m = sim.run(5.0).metrics;
+        let m = sim.run(5.0);
         println!(
             "{b:>11}   {:.3}   {:7.2}   {:12.1}   {:14.1}",
             m.jain, m.loss_percent, m.occupancy_percent, m.utilization_percent

@@ -8,8 +8,12 @@
 //!
 //! CCAs: reno, cubic, bbr1, bbr2 (defaults: reno bbr1).
 
+use std::sync::Arc;
+
+use bbr_repro::experiments::tracefmt::CellTrace;
 use bbr_repro::fluid::cca::CcaKind;
 use bbr_repro::fluid::prelude::*;
+use bbr_trace::{MemorySink, Recorder, TraceConfig};
 
 fn parse(s: &str) -> CcaKind {
     match s {
@@ -29,20 +33,27 @@ fn main() {
     let scenario = Scenario::dumbbell(2, 100.0, 0.010, 1.0, QdiscKind::DropTail)
         .access_delays(vec![0.0056, 0.0056]);
     let mut sim = scenario.build(&[a, b]).expect("valid scenario");
-    sim.enable_trace(5_000);
-    let report = sim.run(9.0);
+    // Record the two flows' rates every 50 ms.
+    let sink = Arc::new(MemorySink::new());
+    let config = TraceConfig {
+        interval: 0.05,
+        ..TraceConfig::default()
+    };
+    sim.record(Recorder::new(config, sink.clone()));
+    let metrics = sim.run(9.0);
 
     println!("{a} vs {b}, 9 s, 1-BDP drop-tail buffer");
     println!(
         "  mean rates: {a} = {:.1} Mbit/s, {b} = {:.1} Mbit/s (Jain = {:.3})",
-        report.metrics.mean_rates[0], report.metrics.mean_rates[1], report.metrics.jain,
+        metrics.mean_rates[0], metrics.mean_rates[1], metrics.jain,
     );
     println!("\n  t[s]   {a:>8}[%]  {b:>8}[%]");
-    let trace = report.trace.unwrap();
-    for k in (0..trace.len()).step_by(trace.len() / 18 + 1) {
+    let trace = CellTrace::from_events(&sink.take(), 0);
+    let (fa, fb) = (&trace.flows[0], &trace.flows[1]);
+    for k in (0..fa.t.len()).step_by(fa.t.len() / 18 + 1) {
         println!(
             "  {:5.2}  {:10.1}  {:10.1}",
-            trace.t[k], trace.agents[0].x[k], trace.agents[1].x[k],
+            fa.t[k], fa.rate_mbps[k], fb.rate_mbps[k],
         );
     }
 }

@@ -12,7 +12,7 @@ fn fluid(kinds: &[CcaKind], buffer: f64, qdisc: QdiscKind) -> AggregateMetrics {
         .rtt_range(0.030, 0.040)
         .config(ModelConfig::coarse());
     let mut sim = scenario.build(kinds).expect("valid scenario");
-    sim.run(4.0).metrics
+    sim.run(4.0)
 }
 
 fn packet(kinds: &[CcaKind], buffer: f64, qdisc: QdiscKind) -> PacketSimReport {

@@ -9,7 +9,7 @@ fn run_combo(kinds: &[CcaKind], buffer_bdp: f64, qdisc: QdiscKind) -> AggregateM
         .rtt_range(0.030, 0.040)
         .config(ModelConfig::coarse());
     let mut sim = scenario.build(kinds).expect("valid scenario");
-    sim.run(5.0).metrics
+    sim.run(5.0)
 }
 
 #[test]
@@ -126,7 +126,7 @@ fn insight5_bufferbloat_with_loose_inflight_hi() {
                 Box::new(BbrV2::with_whi_init(hint, cfg, init)) as Box<dyn FluidCca>
             })
             .unwrap();
-        occ.push(sim.run(5.0).metrics.occupancy_percent);
+        occ.push(sim.run(5.0).occupancy_percent);
     }
     assert!(
         occ[1] > occ[0],

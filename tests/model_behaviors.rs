@@ -2,9 +2,26 @@
 //! unfairness of BBRv1 in deep buffers (§4.3.1), ProbeRTT cycling,
 //! multi-link loss accumulation, and RED-vs-drop-tail contrasts.
 
+use std::sync::Arc;
+
+use bbr_repro::experiments::tracefmt::CellTrace;
 use bbr_repro::fluid::cca::{BbrV1, CcaKind, FluidCca};
 use bbr_repro::fluid::prelude::*;
 use bbr_repro::fluid::topology::{LinkId, LinkSpec, Network, PathSpec};
+use bbr_trace::{MemorySink, Recorder, TraceConfig};
+
+/// Run `sim` for `duration` seconds under an in-memory recorder that
+/// samples every `stride` coarse integration steps.
+fn run_traced(sim: &mut Simulator, stride: usize, duration: f64) -> (AggregateMetrics, CellTrace) {
+    let sink = Arc::new(MemorySink::new());
+    let config = TraceConfig {
+        interval: stride as f64 * ModelConfig::coarse().dt,
+        ..TraceConfig::default()
+    };
+    sim.record(Recorder::new(config, sink.clone()));
+    let metrics = sim.run(duration);
+    (metrics, CellTrace::from_events(&sink.take(), 0))
+}
 
 #[test]
 fn bbrv1_rtt_unfairness_in_deep_buffers() {
@@ -17,7 +34,7 @@ fn bbrv1_rtt_unfairness_in_deep_buffers() {
     let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
     sim.run(6.0);
     sim.reset_metrics();
-    let m = sim.run(6.0).metrics;
+    let m = sim.run(6.0);
     let low_rtt = m.mean_rates[0];
     let high_rtt = m.mean_rates[1];
     assert!(
@@ -35,14 +52,13 @@ fn bbrv1_probe_rtt_cycle_in_full_model() {
         .access_delays(vec![0.0056])
         .config(ModelConfig::coarse());
     let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
-    sim.enable_trace(20);
-    let report = sim.run(11.0);
-    let trace = report.trace.unwrap();
+    let (_, trace) = run_traced(&mut sim, 20, 11.0);
+    let flow = &trace.flows[0];
     // Find the minimum rate after t = 9.5 s: the ProbeRTT dip.
-    let min_after: f64 = trace
+    let min_after: f64 = flow
         .t
         .iter()
-        .zip(&trace.agents[0].x)
+        .zip(&flow.rate_mbps)
         .filter(|(t, _)| **t > 9.5)
         .map(|(_, x)| *x)
         .fold(f64::INFINITY, f64::min);
@@ -53,10 +69,10 @@ fn bbrv1_probe_rtt_cycle_in_full_model() {
         "expected a ProbeRTT dip below {dip_bound:.2} Mbit/s, got min {min_after:.2}"
     );
     // And the rate before 9.5 s stays high.
-    let min_before: f64 = trace
+    let min_before: f64 = flow
         .t
         .iter()
-        .zip(&trace.agents[0].x)
+        .zip(&flow.rate_mbps)
         .filter(|(t, _)| **t > 1.0 && **t < 9.0)
         .map(|(_, x)| *x)
         .fold(f64::INFINITY, f64::min);
@@ -101,28 +117,27 @@ fn multi_link_path_accumulates_latency_and_loss() {
     };
     let agents: Vec<Box<dyn FluidCca>> = vec![Box::new(BbrV1::new(&hint, &cfg).with_x_btl(48.0))];
     let mut sim = bbr_repro::fluid::sim::Simulator::new(net, cfg, agents).unwrap();
-    sim.enable_trace(50);
-    let report = sim.run(3.0);
-    let trace = report.trace.unwrap();
+    let (metrics, trace) = run_traced(&mut sim, 50, 3.0);
     // Propagation RTT: 0.005 + 0.01 + 0.02 (two links) + 0.005 = 0.03 s…
     // here both links have 0.01 s: prop RTT = 0.03 s.
     let prop = 0.03;
     // The second (slower) link must queue at some point; at the sample
     // of maximum backlog, the path RTT must include that queueing delay.
-    let (k, q2) = trace.links[1]
-        .q
+    let (k, frac) = trace.links[1]
+        .queue_frac
         .iter()
         .cloned()
         .enumerate()
         .fold((0, 0.0), |acc, (i, q)| if q > acc.1 { (i, q) } else { acc });
-    let tau = trace.agents[0].tau[k];
+    let q2 = frac * 0.5; // Mbit: both buffers hold 0.5 Mbit
+    let tau = trace.flows[0].rtt_s[k];
     assert!(q2 > 0.0, "the 45 Mbit/s link must be the queueing point");
     assert!(
         tau > prop + 0.9 * q2 / 45.0,
         "path RTT {tau:.4} must include the queueing delay {q2:.3} of link 2"
     );
     // Utilization of the downstream bottleneck approaches 100 %.
-    assert!(report.metrics.per_link_utilization[1] > 90.0);
+    assert!(metrics.per_link_utilization[1] > 90.0);
 }
 
 #[test]
@@ -134,7 +149,7 @@ fn red_keeps_loss_spread_over_buffer_sizes() {
             .rtt_range(0.030, 0.040)
             .config(ModelConfig::coarse());
         let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
-        sim.run(4.0).metrics.loss_percent
+        sim.run(4.0).loss_percent
     };
     let shallow = loss_at(1.0);
     let deep = loss_at(6.0);
@@ -146,7 +161,7 @@ fn red_keeps_loss_spread_over_buffer_sizes() {
             .rtt_range(0.030, 0.040)
             .config(ModelConfig::coarse());
         let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
-        sim.run(4.0).metrics.loss_percent
+        sim.run(4.0).loss_percent
     };
     assert!(
         dt_deep < deep + 2.0,
@@ -165,14 +180,12 @@ fn bbrv2_probe_cycle_period_scales_with_agent_index() {
         .access_delays(vec![0.015, 0.015])
         .config(ModelConfig::coarse());
     let mut sim = scenario.build(&[CcaKind::BbrV2]).unwrap();
-    sim.enable_trace(20);
-    let report = sim.run(4.0);
-    let trace = report.trace.unwrap();
-    let crs0 = &trace.agents[0].extra["m_crs"];
-    let crs1 = &trace.agents[1].extra["m_crs"];
+    let (_, trace) = run_traced(&mut sim, 20, 4.0);
+    let crs0 = trace.signal(0, "m_crs").value;
+    let crs1 = trace.signal(1, "m_crs").value;
     let differing = crs0
         .iter()
-        .zip(crs1)
+        .zip(&crs1)
         .filter(|(a, b)| (*a - *b).abs() > 0.5)
         .count();
     assert!(
@@ -194,30 +207,29 @@ fn modelled_startup_converges_and_exits() {
         .access_delays(vec![0.0056])
         .config(cfg);
     let mut sim = scenario.build(&[CcaKind::BbrV2]).unwrap();
-    sim.enable_trace(50);
-    let report = sim.run(4.0);
-    let trace = report.trace.unwrap();
+    let (_, trace) = run_traced(&mut sim, 50, 4.0);
+    let flow = &trace.flows[0];
     // Early rate is small (no mid-flight initialization).
     assert!(
-        trace.agents[0].x[0] < 15.0,
+        flow.rate_mbps[0] < 15.0,
         "start-up must begin small, got {:.1}",
-        trace.agents[0].x[0]
+        flow.rate_mbps[0]
     );
     // Start-up mode ends within the run.
-    let stu = &trace.agents[0].extra["m_stu"];
+    let stu = trace.signal(0, "m_stu").value;
     assert!(stu[0] > 0.5, "flow must begin in start-up");
     assert!(
         stu.last().unwrap() < &0.5,
         "flow must have left start-up by t = 4 s"
     );
     // And the link ends up utilized.
-    let late_mean: f64 = trace
+    let late_mean: f64 = flow
         .t
         .iter()
-        .zip(&trace.agents[0].x)
+        .zip(&flow.rate_mbps)
         .filter(|(t, _)| **t > 2.0)
         .map(|(_, x)| *x)
         .sum::<f64>()
-        / trace.t.iter().filter(|t| **t > 2.0).count() as f64;
+        / flow.t.iter().filter(|t| **t > 2.0).count() as f64;
     assert!(late_mean > 40.0, "late mean rate {late_mean:.1} of 50");
 }

@@ -1,11 +1,14 @@
 //! Property-based tests (proptest) on the core invariants of the fluid
 //! model, the packet simulator, and the numerics.
 
+use std::sync::Arc;
+
 use bbr_repro::fluid::cca::CcaKind;
 use bbr_repro::fluid::history::History;
 use bbr_repro::fluid::math::{jain, relu_smooth, sigmoid};
 use bbr_repro::fluid::prelude::*;
 use bbr_repro::linalg::{eigenvalues, Lu, Matrix};
+use bbr_trace::{MemorySink, Recorder, TraceConfig, TraceEvent};
 use proptest::prelude::*;
 
 proptest! {
@@ -116,23 +119,31 @@ proptest! {
             .rtt_range(0.030, 0.040)
             .config(ModelConfig::coarse());
         let mut sim = scenario.build(&[kind]).unwrap();
-        sim.enable_trace(100);
-        let report = sim.run(1.5);
-        let buffer = sim.network().links[0].buffer;
-        let trace = report.trace.unwrap();
-        for k in 0..trace.len() {
-            // Queue within [0, B].
-            prop_assert!(trace.links[0].q[k] >= -1e-9);
-            prop_assert!(trace.links[0].q[k] <= buffer + 1e-9);
-            // Loss probability within [0, 1].
-            prop_assert!((0.0..=1.0).contains(&trace.links[0].p[k]));
-            for a in &trace.agents {
-                prop_assert!(a.x[k].is_finite() && a.x[k] >= 0.0);
-                // RTT at least the propagation delay.
-                prop_assert!(a.tau[k] >= 0.029);
+        let sink = Arc::new(MemorySink::new());
+        let interval = 100.0 * ModelConfig::coarse().dt;
+        let config = TraceConfig { interval, ..TraceConfig::default() };
+        sim.record(Recorder::new(config, sink.clone()));
+        let m = sim.run(1.5);
+        let mut samples = 0;
+        for event in sink.take() {
+            match event {
+                // Queue within [0, B] (recorded as a fraction of B); loss
+                // probability within [0, 1].
+                TraceEvent::LinkSample { link: 0, queue_frac, loss_frac, .. } => {
+                    prop_assert!(queue_frac >= -1e-9);
+                    prop_assert!(queue_frac <= 1.0 + 1e-9);
+                    prop_assert!((0.0..=1.0).contains(&loss_frac));
+                    samples += 1;
+                }
+                TraceEvent::FlowSample { rate_mbps: x, rtt_s: tau, .. } => {
+                    prop_assert!(x.is_finite() && x >= 0.0);
+                    // RTT at least the propagation delay.
+                    prop_assert!(tau >= 0.029);
+                }
+                _ => {}
             }
         }
-        let m = report.metrics;
+        prop_assert!(samples > 0);
         prop_assert!((0.0..=100.0 + 1e-9).contains(&m.loss_percent));
         prop_assert!((0.0..=100.0 + 1e-9).contains(&m.occupancy_percent));
         prop_assert!(m.utilization_percent <= 100.0 + 1e-9);

@@ -18,7 +18,7 @@ fn theorem1_queue_matches_full_model() {
     let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
     sim.run(6.0);
     sim.reset_metrics();
-    let m = sim.run(4.0).metrics;
+    let m = sim.run(4.0);
     let q_star = d * 100.0; // Mbit
                             // Buffer: 6 × link BDP = 6 × 100 Mbit/s × 10 ms = 6 Mbit.
     let buffer = 6.0 * 100.0 * 0.010;
@@ -46,7 +46,7 @@ fn theorem3_loss_matches_full_model() {
     let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
     sim.run(3.0);
     sim.reset_metrics();
-    let m = sim.run(3.0).metrics;
+    let m = sim.run(3.0);
     assert!(
         (m.loss_percent - predicted).abs() < 8.0,
         "loss {:.1} % vs Theorem-3 prediction {predicted:.1} %",
@@ -68,7 +68,7 @@ fn theorem4_queue_matches_full_model() {
     let mut sim = scenario.build(&[CcaKind::BbrV2]).unwrap();
     sim.run(6.0);
     sim.reset_metrics();
-    let m = sim.run(4.0).metrics;
+    let m = sim.run(4.0);
     let p = ReducedParams::new(n, 100.0, d);
     let q_v2 = reduced_v2::eq_queue(&p);
     let q_v1 = p.eq_queue_deep();
@@ -94,7 +94,7 @@ fn bbrv2_fairness_beats_bbrv1_in_deep_buffers_with_rtt_heterogeneity() {
         let mut sim = scenario.build(&[kind]).unwrap();
         sim.run(5.0);
         sim.reset_metrics();
-        sim.run(5.0).metrics.jain
+        sim.run(5.0).jain
     };
     let v1 = mk(CcaKind::BbrV1);
     let v2 = mk(CcaKind::BbrV2);
