@@ -10,8 +10,9 @@ use bbr_analysis::{reduced_v2, rk4_integrate};
 use bbr_fluid_core::cca::CcaKind;
 use bbr_fluid_core::prelude::*;
 use bbr_linalg::{eigenvalues, Matrix};
-use bbr_packetsim::dumbbell::{run_dumbbell, DumbbellSpec};
+use bbr_packetsim::backend::path_network_for_spec;
 use bbr_packetsim::engine::SimConfig;
+use bbr_packetsim::path::run_path;
 
 fn fluid_steps(c: &mut Criterion) {
     let mut g = c.benchmark_group("fluid_step");
@@ -20,17 +21,13 @@ fn fluid_steps(c: &mut Criterion) {
         g.bench_function(format!("{n}_flows_1000_steps"), |b| {
             b.iter_batched(
                 || {
-                    let scenario = Scenario::dumbbell(n, 100.0, 0.010, 2.0, QdiscKind::DropTail)
-                        .rtt_range(0.030, 0.040)
-                        .config(ModelConfig::coarse());
-                    scenario
-                        .build(&[
-                            CcaKind::BbrV1,
-                            CcaKind::BbrV2,
-                            CcaKind::Reno,
-                            CcaKind::Cubic,
-                        ])
-                        .unwrap()
+                    let spec = ScenarioSpec::dumbbell(n, 100.0, 0.010, 2.0).ccas(vec![
+                        CcaKind::BbrV1,
+                        CcaKind::BbrV2,
+                        CcaKind::Reno,
+                        CcaKind::Cubic,
+                    ]);
+                    Simulator::for_spec(&spec, ModelConfig::coarse()).unwrap()
                 },
                 |mut sim| {
                     for _ in 0..1000 {
@@ -51,15 +48,14 @@ fn packet_sim(c: &mut Criterion) {
     for (label, kind) in [("reno", CcaKind::Reno), ("bbrv1", CcaKind::BbrV1)] {
         g.bench_function(format!("1s_{label}_50mbps"), |b| {
             b.iter(|| {
-                let spec =
-                    DumbbellSpec::new(2, 50.0, 0.010, 1.0, QdiscKind::DropTail).ccas(vec![kind]);
+                let spec = ScenarioSpec::dumbbell(2, 50.0, 0.010, 1.0).ccas(vec![kind]);
                 let cfg = SimConfig {
                     duration: 1.0,
                     warmup: 0.0,
                     seed: 1,
                     ..Default::default()
                 };
-                black_box(run_dumbbell(&spec, &cfg).utilization_percent)
+                black_box(run_path(&path_network_for_spec(&spec), &cfg).utilization_percent)
             })
         });
     }

@@ -137,11 +137,13 @@ impl Json {
         }
     }
 
-    /// Parse one JSON document (must consume the whole input).
+    /// Parse one JSON document (must consume the whole input). Arrays and
+    /// objects nested more than 64 levels deep are an error, so corrupted
+    /// input cannot overflow the stack.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -149,6 +151,11 @@ impl Json {
         Ok(value)
     }
 }
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// document the campaign formats write (a store record holding a custom
+/// topology) nests fewer than 10 levels.
+const MAX_DEPTH: usize = 64;
 
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
@@ -172,11 +179,16 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse the value at `pos`, which sits inside `depth` enclosing
+/// arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(c) if c.is_ascii_digit() || *c == b'-' => parse_num(bytes, pos),
         Some(c) => Err(format!("unexpected byte {:?} at {}", *c as char, *pos)),
@@ -184,7 +196,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -200,7 +212,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {}", *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -214,7 +226,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -223,7 +235,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -367,5 +379,16 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            assert!(Json::parse(&open.repeat(100_000)).is_err(), "{open}");
+        }
+        // The cap itself still parses; one level more does not.
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
     }
 }

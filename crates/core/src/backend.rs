@@ -1,9 +1,9 @@
 //! [`FluidBackend`] — the fluid model behind the backend-agnostic
 //! [`SimBackend`] trait.
 //!
-//! Translates a [`ScenarioSpec`] into a [`Network`] + CCA agents, runs
-//! the method-of-steps integration (honoring the spec's per-flow
-//! activity windows via [`Simulator::with_activity`]), and reshapes the
+//! Builds the [`Simulator`] a [`ScenarioSpec`] describes
+//! ([`Simulator::for_spec`]: network, CCA agents, and per-flow activity
+//! schedules), runs the method-of-steps integration, and reshapes the
 //! aggregate metrics into the shared [`RunOutcome`]. The fluid model is
 //! deterministic and starts from near-equilibrium initial conditions,
 //! so it ignores both the seed and the warm-up window (packet-level
@@ -24,15 +24,16 @@
 //! assert!(outcome.flows[0].throughput_mbps > outcome.flows[1].throughput_mbps);
 //! ```
 
-use bbr_scenario::{FlowMetrics, RunOutcome, ScenarioSpec, SimBackend, Topology};
+use bbr_scenario::{
+    dumbbell_access_delays, FlowMetrics, RunOutcome, ScenarioSpec, SimBackend, Topology,
+};
 pub use bbr_scenario::{CHAIN_ACCESS_DELAY, PARKING_LOT_ACCESS_DELAY};
 
-use crate::cca::{build, FluidCca, ScenarioHint};
+use crate::cca::{build_any, AnyCca, ScenarioHint};
 use crate::config::ModelConfig;
 use crate::metrics::AggregateMetrics;
-use crate::scenario::Scenario;
 use crate::sim::Simulator;
-use crate::topology::{LinkId, LinkSpec, Network, PathSpec};
+use crate::topology::{dumbbell, LinkId, LinkSpec, Network, PathSpec};
 
 /// The fluid model as a [`SimBackend`].
 #[derive(Debug, Clone, Default)]
@@ -59,17 +60,9 @@ impl SimBackend for FluidBackend {
     }
 
     fn run(&self, spec: &ScenarioSpec, _seed: u64) -> RunOutcome {
-        spec.validate().expect("invalid scenario spec");
-        let net = network_for_spec(spec);
-        let agents = agents_for_spec(spec, &net, &self.cfg);
-        let mut sim = if spec.has_schedule() {
-            let schedules: Vec<_> = (0..spec.n_flows()).map(|i| spec.windows_of(i)).collect();
-            Simulator::with_flow_schedules(net, self.cfg.clone(), agents, &schedules)
-        } else {
-            Simulator::with_activity(net, self.cfg.clone(), agents, &spec.churn)
-        }
-        .expect("validated spec must build");
-        let metrics = sim.run(spec.duration);
+        let metrics = Simulator::for_spec(spec, self.cfg.clone())
+            .expect("invalid scenario spec or model configuration")
+            .run(spec.duration);
         outcome_from_metrics(spec, &metrics)
     }
 }
@@ -87,9 +80,14 @@ pub fn network_for_spec(spec: &ScenarioSpec) -> Network {
             buffer_bdp,
             rtt_lo,
             rtt_hi,
-        } => Scenario::dumbbell(n, capacity, bottleneck_delay, buffer_bdp, spec.qdisc)
-            .rtt_range(rtt_lo, rtt_hi)
-            .network(),
+        } => dumbbell(
+            n,
+            capacity,
+            bottleneck_delay,
+            buffer_bdp,
+            spec.qdisc,
+            &dumbbell_access_delays(n, bottleneck_delay, rtt_lo, rtt_hi),
+        ),
         Topology::ParkingLot { .. } => parking_lot_network(spec),
         Topology::Chain { .. } => chain_network(spec),
         Topology::Custom { .. } => custom_network(spec),
@@ -100,20 +98,16 @@ pub fn network_for_spec(spec: &ScenarioSpec) -> Network {
 /// agent is initialized against the bottleneck of *its own* path
 /// (capacity, competitor count, buffer), which is what makes the same
 /// code serve dumbbells, the parking lot, chains, and any future
-/// topology. Shared with the batched integrator.
-pub fn agents_for_spec(
-    spec: &ScenarioSpec,
-    net: &Network,
-    cfg: &ModelConfig,
-) -> Vec<Box<dyn FluidCca>> {
+/// topology. Shared with the batched integrators.
+pub fn agents_for_spec(spec: &ScenarioSpec, net: &Network, cfg: &ModelConfig) -> Vec<AnyCca> {
     (0..spec.n_flows())
-        .map(|i| build(spec.cca_of(i), &hint_for_flow(net, i), cfg))
+        .map(|i| build_any(spec.cca_of(i), &hint_for_flow(net, i), cfg))
         .collect()
 }
 
 /// The initial-condition hint of flow `i` over `net` — the one
-/// derivation behind [`agents_for_spec`] and the batched integrator's
-/// unboxed agent construction.
+/// derivation behind [`agents_for_spec`], the SIMD engine's packed
+/// agents, and agents built with custom initial conditions.
 pub fn hint_for_flow(net: &Network, i: usize) -> ScenarioHint {
     let pos = net.bottleneck_pos(i);
     let link = &net.links[net.paths[i].links[pos].0];
@@ -288,10 +282,10 @@ mod tests {
         let out = FluidBackend::coarse().run(&spec, 7);
         // Same scenario built by hand must give identical numbers — the
         // backend is a pure adapter.
-        let scenario = Scenario::dumbbell(2, 50.0, 0.010, 2.0, spec.qdisc)
-            .rtt_range(0.030, 0.040)
-            .config(ModelConfig::coarse());
-        let mut sim = scenario.build(&spec.ccas).unwrap();
+        let cfg = ModelConfig::coarse();
+        let net = network_for_spec(&spec);
+        let agents = agents_for_spec(&spec, &net, &cfg);
+        let mut sim = Simulator::new(net, cfg, agents, &[]).unwrap();
         let m = sim.run(1.5);
         assert_eq!(out.utilization_percent, m.utilization_percent);
         assert_eq!(out.jain, m.jain);

@@ -102,24 +102,12 @@ pub trait FluidCca: Send {
     fn telemetry(&self, out: &mut Vec<(&'static str, f64)>);
 }
 
-/// Construct a boxed fluid model of the given kind with default initial
-/// conditions derived from the scenario hint.
-pub fn build(kind: CcaKind, hint: &ScenarioHint, cfg: &ModelConfig) -> Box<dyn FluidCca> {
-    match build_any(kind, hint, cfg) {
-        AnyCca::Reno(a) => Box::new(a),
-        AnyCca::Cubic(a) => Box::new(a),
-        AnyCca::BbrV1(a) => Box::new(a),
-        AnyCca::BbrV2(a) => Box::new(a),
-    }
-}
-
-/// A concrete (unboxed) fluid model of any kind — the statically
-/// dispatched counterpart of `Box<dyn FluidCca>`, for engines whose hot
-/// loop cannot afford virtual calls (the batched integrator steps tens
-/// of millions of agents per sweep; the enum match inlines the model
-/// arithmetic where a vtable call cannot). Built by [`build_any`], the
-/// single construction site [`build`] also goes through, so both
-/// representations start from identical state.
+/// A fluid model of any kind — the one agent representation every fluid
+/// engine steps. The enum match is statically dispatched, so the model
+/// arithmetic inlines into the step loops (the batched integrator steps
+/// tens of millions of agents per sweep). [`build_any`] builds one with
+/// default initial conditions; agents with custom initial conditions
+/// wrap the concrete model (e.g. `AnyCca::BbrV2(BbrV2::with_whi_init(..))`).
 #[derive(Debug, Clone)]
 pub enum AnyCca {
     Reno(Reno),
@@ -187,6 +175,16 @@ impl AnyCca {
             AnyCca::BbrV2(a) => a.kind(),
         }
     }
+
+    /// Statically dispatched [`FluidCca::telemetry`].
+    pub fn telemetry(&self, out: &mut Vec<(&'static str, f64)>) {
+        match self {
+            AnyCca::Reno(a) => a.telemetry(out),
+            AnyCca::Cubic(a) => a.telemetry(out),
+            AnyCca::BbrV1(a) => a.telemetry(out),
+            AnyCca::BbrV2(a) => a.telemetry(out),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -231,13 +229,13 @@ mod tests {
             CcaKind::BbrV1,
             CcaKind::BbrV2,
         ] {
-            let m = build(kind, &h, &cfg);
+            let m = build_any(kind, &h, &cfg);
             assert_eq!(m.kind(), kind);
             assert!(m.rate(0.04, &cfg) > 0.0, "{kind} must start sending");
         }
         // The deploy tier shares the fluid BBRv2 model (one fluid
         // abstraction, two packet fidelity tiers).
-        let m = build(CcaKind::BbrV2Deploy, &h, &cfg);
+        let m = build_any(CcaKind::BbrV2Deploy, &h, &cfg);
         assert_eq!(m.kind(), CcaKind::BbrV2);
         assert!(m.rate(0.04, &cfg) > 0.0);
     }

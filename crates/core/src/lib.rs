@@ -15,9 +15,9 @@
 //!
 //! // One BBRv1 flow through a 100 Mbit/s, 10 ms bottleneck with a 1-BDP
 //! // drop-tail buffer (the paper's trace-validation setting, §4.2).
-//! let scenario = Scenario::dumbbell(1, 100.0, 0.010, 1.0, QdiscKind::DropTail)
-//!     .access_delays(vec![0.0056]);
-//! let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
+//! let spec = ScenarioSpec::dumbbell_with_access(100.0, 0.010, 1.0, &[0.0056])
+//!     .ccas(vec![CcaKind::BbrV1]);
+//! let mut sim = Simulator::for_spec(&spec, ModelConfig::default()).unwrap();
 //! let metrics = sim.run(2.0);
 //! assert!(metrics.utilization_percent > 80.0);
 //! ```
@@ -33,7 +33,6 @@ pub mod lanes;
 pub mod math;
 pub mod metrics;
 pub mod queue;
-pub mod scenario;
 pub mod sim;
 pub mod topology;
 
@@ -43,7 +42,6 @@ pub mod prelude {
     pub use crate::cca::{CcaKind, FluidCca, ScenarioHint};
     pub use crate::config::ModelConfig;
     pub use crate::metrics::{jain_fairness, AggregateMetrics};
-    pub use crate::scenario::Scenario;
     pub use crate::sim::Simulator;
     pub use crate::topology::{LinkId, LinkSpec, Network, PathSpec, QdiscKind};
     pub use crate::MSS_MBIT;

@@ -2,10 +2,11 @@
 //! equations of the network (§2) and the per-agent CCA models (§3) with
 //! the method of steps at a fixed step size (§4.1.1).
 
-use bbr_scenario::FlowWindow;
+use bbr_scenario::{FlowWindow, ScenarioSpec};
 use bbr_trace::{Recorder, TraceEvent};
 
-use crate::cca::{AgentInputs, FluidCca};
+use crate::backend::{agents_for_spec, network_for_spec};
+use crate::cca::{AgentInputs, AnyCca};
 use crate::config::ModelConfig;
 use crate::history::History;
 use crate::metrics::{AggregateMetrics, MetricsAccumulator};
@@ -98,7 +99,7 @@ impl ActivitySchedule {
 pub struct Simulator {
     net: Network,
     cfg: ModelConfig,
-    agents: Vec<Box<dyn FluidCca>>,
+    agents: Vec<AnyCca>,
     /// Queue length per link (Mbit).
     q: Vec<f64>,
     x_hist: Vec<History>,
@@ -135,43 +136,30 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Build a simulator for `net` with one CCA model per path, every
-    /// flow active for the whole run.
+    /// The simulator a [`ScenarioSpec`] describes: its network
+    /// ([`network_for_spec`]), one freshly initialized agent per flow
+    /// ([`agents_for_spec`]), and each flow's activity schedule
+    /// ([`ScenarioSpec::windows_of`]). Rejects specs that fail
+    /// [`ScenarioSpec::validate`].
+    pub fn for_spec(spec: &ScenarioSpec, cfg: ModelConfig) -> Result<Self, String> {
+        spec.validate()?;
+        let net = network_for_spec(spec);
+        let agents = agents_for_spec(spec, &net, &cfg);
+        let schedules: Vec<_> = (0..spec.n_flows()).map(|i| spec.windows_of(i)).collect();
+        Self::new(net, cfg, agents, &schedules)
+    }
+
+    /// Build a simulator for `net` with one CCA model per path and
+    /// per-flow multi-interval activity schedules (see
+    /// `bbr_scenario::FlowSchedule`): flow `i` is active inside the
+    /// windows of `schedules[i]` (an empty list = never active; missing
+    /// entries = always active). An inactive flow sends at rate zero and
+    /// its CCA model is frozen; its initial history is zero rather than
+    /// the model's equilibrium rate.
     pub fn new(
         net: Network,
         cfg: ModelConfig,
-        agents: Vec<Box<dyn FluidCca>>,
-    ) -> Result<Self, String> {
-        Self::with_activity(net, cfg, agents, &[])
-    }
-
-    /// Build a simulator with per-flow activity windows (flow churn).
-    /// `windows` may be shorter than the agent count; missing flows get
-    /// [`FlowWindow::ALWAYS`]. An inactive flow sends at rate zero and
-    /// its CCA model is frozen; its initial history is zero rather than
-    /// the model's equilibrium rate.
-    pub fn with_activity(
-        net: Network,
-        cfg: ModelConfig,
-        agents: Vec<Box<dyn FluidCca>>,
-        windows: &[FlowWindow],
-    ) -> Result<Self, String> {
-        let n = agents.len();
-        let schedules: Vec<Vec<FlowWindow>> = (0..n)
-            .map(|i| vec![windows.get(i).copied().unwrap_or(FlowWindow::ALWAYS)])
-            .collect();
-        Self::with_flow_schedules(net, cfg, agents, &schedules)
-    }
-
-    /// Build a simulator with per-flow multi-interval activity schedules
-    /// (see `bbr_scenario::FlowSchedule`): flow `i` is active inside the
-    /// windows of `schedules[i]` (an empty list = never active; missing
-    /// entries = always active). Single-window schedules behave exactly
-    /// like [`Simulator::with_activity`], bit for bit.
-    pub fn with_flow_schedules(
-        net: Network,
-        cfg: ModelConfig,
-        agents: Vec<Box<dyn FluidCca>>,
+        agents: Vec<AnyCca>,
         schedules: &[Vec<FlowWindow>],
     ) -> Result<Self, String> {
         net.validate()?;
@@ -289,7 +277,7 @@ impl Simulator {
     /// (if any) when the simulator was built. Every `rec.stride(dt)`
     /// steps it records each flow's rate, window, and RTT, each link's
     /// queue, utilization, and loss, and — with `TraceConfig::cca` —
-    /// each flow's `x_dlv`, `loss`, and [`FluidCca::telemetry`] values
+    /// each flow's `x_dlv`, `loss`, and [`AnyCca::telemetry`] values
     /// as `CcaSignal`s. Advisory: recording never changes a result.
     pub fn record(&mut self, rec: Recorder) {
         self.trace_stride = rec.stride(self.cfg.dt);
@@ -307,7 +295,7 @@ impl Simulator {
     }
 
     /// Immutable access to the agents (for inspecting model state).
-    pub fn agents(&self) -> &[Box<dyn FluidCca>] {
+    pub fn agents(&self) -> &[AnyCca] {
         &self.agents
     }
 
@@ -549,7 +537,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cca::{build, CcaKind, ScenarioHint};
+    use crate::cca::{build_any, CcaKind, ScenarioHint};
     use crate::topology::{dumbbell, QdiscKind};
     use bbr_trace::{MemorySink, TraceConfig};
     use std::sync::Arc;
@@ -578,8 +566,8 @@ mod tests {
             buffer: net.links[0].buffer,
             agent_index: 0,
         };
-        let agents = vec![build(kind, &hint, &cfg)];
-        Simulator::new(net, cfg, agents).unwrap()
+        let agents = vec![build_any(kind, &hint, &cfg)];
+        Simulator::new(net, cfg, agents, &[]).unwrap()
     }
 
     #[test]
@@ -702,7 +690,25 @@ mod tests {
             buffer: 1.0,
             agent_index: 0,
         };
-        let agents = vec![build(CcaKind::Reno, &hint, &cfg)];
-        assert!(Simulator::new(net, cfg, agents).is_err());
+        let agents = vec![build_any(CcaKind::Reno, &hint, &cfg)];
+        assert!(Simulator::new(net, cfg, agents, &[]).is_err());
+    }
+
+    #[test]
+    fn for_spec_assigns_kinds_round_robin() {
+        let spec =
+            ScenarioSpec::dumbbell(4, 100.0, 0.010, 1.0).ccas(vec![CcaKind::BbrV1, CcaKind::Reno]);
+        let sim = Simulator::for_spec(&spec, ModelConfig::coarse()).unwrap();
+        assert_eq!(sim.agents()[0].kind(), CcaKind::BbrV1);
+        assert_eq!(sim.agents()[1].kind(), CcaKind::Reno);
+        assert_eq!(sim.agents()[2].kind(), CcaKind::BbrV1);
+        assert_eq!(sim.agents()[3].kind(), CcaKind::Reno);
+    }
+
+    #[test]
+    fn for_spec_rejects_an_empty_cca_list() {
+        let mut spec = ScenarioSpec::dumbbell(2, 100.0, 0.010, 1.0);
+        spec.ccas.clear();
+        assert!(Simulator::for_spec(&spec, ModelConfig::coarse()).is_err());
     }
 }

@@ -3,7 +3,8 @@
 //! the paper names as future work, and ablations of the fluid-model
 //! knobs.
 
-use bbr_fluid_core::cca::{BbrV2, CcaKind, FluidCca, WhiInit};
+use bbr_fluid_core::backend::{hint_for_flow, network_for_spec};
+use bbr_fluid_core::cca::{AnyCca, BbrV2, CcaKind, WhiInit};
 use bbr_fluid_core::config::{ModelConfig, ResetMode};
 use bbr_fluid_core::prelude::*;
 use bbr_packetsim::backend::PacketBackend;
@@ -55,16 +56,12 @@ pub fn insight5(effort: Effort) -> FigureOutput {
     let mut rows = Vec::new();
     for b in &buffers {
         let mut row = vec![table::f1(*b)];
+        let net = network_for_spec(&ScenarioSpec::dumbbell(n, 100.0, 0.010, *b));
         for (_, init) in &inits {
-            let scenario = Scenario::dumbbell(n, 100.0, 0.010, *b, QdiscKind::DropTail)
-                .rtt_range(0.030, 0.040)
-                .config(cfg.clone());
-            let init = *init;
-            let mut sim = scenario
-                .build_with(|_i, hint, cfg| {
-                    Box::new(BbrV2::with_whi_init(hint, cfg, init)) as Box<dyn FluidCca>
-                })
-                .unwrap();
+            let agents = (0..n)
+                .map(|i| AnyCca::BbrV2(BbrV2::with_whi_init(&hint_for_flow(&net, i), &cfg, *init)))
+                .collect();
+            let mut sim = Simulator::new(net.clone(), cfg.clone(), agents, &[]).unwrap();
             let m = sim.run(duration);
             row.push(table::f1(m.occupancy_percent));
         }
@@ -197,10 +194,8 @@ pub fn startup(effort: Effort) -> FigureOutput {
     .collect();
     let mut rows = Vec::new();
     for b in &buffers {
-        let scenario = Scenario::dumbbell(n, 100.0, 0.010, *b, QdiscKind::DropTail)
-            .rtt_range(0.030, 0.040)
-            .config(cfg.clone());
-        let mut sim = scenario.build(&[CcaKind::BbrV2]).unwrap();
+        let spec = ScenarioSpec::dumbbell(n, 100.0, 0.010, *b).ccas(vec![CcaKind::BbrV2]);
+        let mut sim = Simulator::for_spec(&spec, cfg.clone()).unwrap();
         let m = sim.run(duration);
         // Count agents whose inflight_hi was materialized during start-up.
         let mut telemetry = Vec::new();
@@ -299,10 +294,8 @@ pub fn ablation(effort: Effort) -> FigureOutput {
         .collect();
     let mut rows = Vec::new();
     for (label, cfg) in variants {
-        let scenario = Scenario::dumbbell(4, 100.0, 0.010, 1.0, QdiscKind::DropTail)
-            .rtt_range(0.030, 0.040)
-            .config(cfg);
-        let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
+        let spec = ScenarioSpec::dumbbell(4, 100.0, 0.010, 1.0).ccas(vec![CcaKind::BbrV1]);
+        let mut sim = Simulator::for_spec(&spec, cfg).unwrap();
         let m = sim.run(duration);
         rows.push(vec![
             label,

@@ -9,8 +9,9 @@ use std::sync::Arc;
 
 use bbr_fluid_core::cca::CcaKind;
 use bbr_fluid_core::prelude::*;
-use bbr_packetsim::dumbbell::{run_dumbbell, DumbbellSpec};
+use bbr_packetsim::backend::path_network_for_spec;
 use bbr_packetsim::engine::SimConfig;
+use bbr_packetsim::path::run_path;
 use bbr_trace::{MemorySink, Recorder, TraceConfig};
 
 use crate::figures::FigureOutput;
@@ -46,16 +47,22 @@ fn recorded(interval: f64, run: impl FnOnce(Recorder)) -> CellTrace {
     CellTrace::from_events(&sink.take(), 0)
 }
 
-/// Run the fluid model for `kinds` and return its trace, including the
+/// The validation dumbbell: one sender per entry of `kinds`, each with
+/// the §4.2 access delay, sharing a 1-BDP bottleneck. Both engines run
+/// this one spec.
+fn validation_spec(kinds: &[CcaKind], qdisc: QdiscKind) -> ScenarioSpec {
+    let access = vec![ACCESS_DELAY; kinds.len()];
+    ScenarioSpec::dumbbell_with_access(CAPACITY, BOTTLENECK_DELAY, 1.0, &access)
+        .qdisc(qdisc)
+        .ccas(kinds.to_vec())
+}
+
+/// Run the fluid model on `spec` and return its trace, including the
 /// model-internal signals (`x_dlv`, `loss`, `x_btl`, ...).
-fn model_trace(kinds: &[CcaKind], qdisc: QdiscKind, duration: f64, effort: Effort) -> CellTrace {
-    let n = kinds.len();
+fn model_trace(spec: &ScenarioSpec, duration: f64, effort: Effort) -> CellTrace {
     let cfg = model_config(effort);
     let dt = cfg.dt;
-    let scenario = Scenario::dumbbell(n, CAPACITY, BOTTLENECK_DELAY, 1.0, qdisc)
-        .access_delays(vec![ACCESS_DELAY; n])
-        .config(cfg);
-    let mut sim = scenario.build(kinds).unwrap();
+    let mut sim = Simulator::for_spec(spec, cfg).unwrap();
     // ≈ 2000 samples regardless of step size.
     let stride = ((duration / dt) / 2000.0).ceil().max(1.0);
     recorded(stride * dt, |rec| {
@@ -64,12 +71,10 @@ fn model_trace(kinds: &[CcaKind], qdisc: QdiscKind, duration: f64, effort: Effor
     })
 }
 
-/// Run the packet simulator and return its trace, binned at `bin`.
-fn experiment_trace(kinds: &[CcaKind], qdisc: QdiscKind, duration: f64, bin: f64) -> CellTrace {
-    let n = kinds.len();
-    let spec = DumbbellSpec::new(n, CAPACITY, BOTTLENECK_DELAY, 1.0, qdisc)
-        .access_delays(vec![ACCESS_DELAY; n])
-        .ccas(kinds.to_vec());
+/// Run the packet simulator on `spec` and return its trace, binned at
+/// `bin`.
+fn experiment_trace(spec: &ScenarioSpec, duration: f64, bin: f64) -> CellTrace {
+    let net = path_network_for_spec(spec);
     recorded(bin, |rec| {
         let cfg = SimConfig {
             duration,
@@ -78,7 +83,7 @@ fn experiment_trace(kinds: &[CcaKind], qdisc: QdiscKind, duration: f64, bin: f64
             recorder: Some(rec),
             ..Default::default()
         };
-        run_dumbbell(&spec, &cfg);
+        run_path(&net, &cfg);
     })
 }
 
@@ -92,9 +97,9 @@ fn at(ts: &[f64], values: &[f64], t: f64) -> f64 {
 /// 1-BDP drop-tail buffer over 9 s, in percent of link bandwidth.
 pub fn fig01(effort: Effort) -> FigureOutput {
     let duration = if effort.is_fast() { 3.0 } else { 9.0 };
-    let kinds = [CcaKind::Reno, CcaKind::BbrV1];
-    let model = model_trace(&kinds, QdiscKind::DropTail, duration, effort);
-    let exp = experiment_trace(&kinds, QdiscKind::DropTail, duration, 0.25);
+    let spec = validation_spec(&[CcaKind::Reno, CcaKind::BbrV1], QdiscKind::DropTail);
+    let model = model_trace(&spec, duration, effort);
+    let exp = experiment_trace(&spec, duration, 0.25);
 
     let step = if effort.is_fast() { 0.25 } else { 0.5 };
     let mut rows = Vec::new();
@@ -141,7 +146,8 @@ pub fn fig02(effort: Effort) -> FigureOutput {
     let mut csv = Vec::new();
     // (a) BBRv1.
     {
-        let trace = model_trace(&[CcaKind::BbrV1], QdiscKind::DropTail, 1.0, effort);
+        let spec = validation_spec(&[CcaKind::BbrV1], QdiscKind::DropTail);
+        let trace = model_trace(&spec, 1.0, effort);
         let f = &trace.flows[0];
         let [x_dlv, x_btl, x_max] = ["x_dlv", "x_btl", "x_max"].map(|name| trace.signal(0, name));
         let header: Vec<String> = vec![
@@ -172,7 +178,8 @@ pub fn fig02(effort: Effort) -> FigureOutput {
     }
     // (b) BBRv2: rate and inflight limits.
     {
-        let trace = model_trace(&[CcaKind::BbrV2], QdiscKind::DropTail, 0.5, effort);
+        let spec = validation_spec(&[CcaKind::BbrV2], QdiscKind::DropTail);
+        let trace = model_trace(&spec, 0.5, effort);
         let f = &trace.flows[0];
         let [x_btl, w, w_hi, v] =
             ["x_btl", "w_bdp_est", "w_hi", "v"].map(|name| trace.signal(0, name));
@@ -231,8 +238,9 @@ fn trace_validation(
     let mut report = String::new();
     let mut csv = Vec::new();
     for (qdisc, label) in [(QdiscKind::DropTail, "drop-tail"), (QdiscKind::Red, "RED")] {
-        let model = model_trace(&[kind], qdisc, duration, effort);
-        let exp = experiment_trace(&[kind], qdisc, duration, step.min(0.25));
+        let spec = validation_spec(&[kind], qdisc);
+        let model = model_trace(&spec, duration, effort);
+        let exp = experiment_trace(&spec, duration, step.min(0.25));
         let header: Vec<String> = [
             "t[s]",
             "m rate[%]",

@@ -48,9 +48,11 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use bbr_fluid_core::backend::{hint_for_flow, network_for_spec, outcome_from_metrics};
+use bbr_fluid_core::backend::{
+    agents_for_spec, hint_for_flow, network_for_spec, outcome_from_metrics,
+};
 use bbr_fluid_core::cca::cubic::{CUBIC_BETA, CUBIC_C};
-use bbr_fluid_core::cca::{build_any, AnyCca, ScenarioHint};
+use bbr_fluid_core::cca::{AnyCca, ScenarioHint};
 use bbr_fluid_core::config::{ModelConfig, ResetMode};
 use bbr_fluid_core::history::History;
 use bbr_fluid_core::lanes::{cbrt4, exp2_4, pow4, pulse4, sigmoid4, F64x4, M64x4, LANES};
@@ -880,12 +882,7 @@ impl PackSim {
         // Same construction sites as the scalar/batched backends, one
         // scalar agent set per lane, transposed into packs below.
         let agents: Vec<Vec<AnyCca>> = (0..LANES)
-            .map(|j| {
-                let netj = &nets[j];
-                (0..n)
-                    .map(|i| build_any(member(j).cca_of(i), &hint_for_flow(netj, i), &cfg))
-                    .collect()
-            })
+            .map(|j| agents_for_spec(member(j), &nets[j], &cfg))
             .collect();
 
         let prop_rtt: Vec<f64> = (0..n).map(|i| net.prop_rtt(i)).collect();

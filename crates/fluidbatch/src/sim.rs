@@ -16,7 +16,7 @@
 //!
 //! * networks, agents, metric parameters, and retention capacities come
 //!   from the same shared constructors (`network_for_spec`,
-//!   `hint_for_flow` + `build_any`, `observed_link`, `jitter_interval`,
+//!   `agents_for_spec`, `observed_link`, `jitter_interval`,
 //!   `History::capacity_for`);
 //! * the ring-buffer histories become sliding windows in one arena, an
 //!   equivalent layout holding exactly the same retained samples;
@@ -28,14 +28,11 @@
 //!
 //! This is also where the batch speedup comes from on a single core:
 //! the scalar stepper spends most of its time on per-lookup index math
-//! (division, floor, two modulo reductions per sample) and on virtual
-//! `rate`/`step` calls whose model arithmetic the compiler cannot
-//! inline. The lookups collapse to precomputed offsets; the agents are
-//! stored as the statically dispatched `AnyCca`, so the CCA math
-//! inlines into the batch loop.
+//! (division, floor, two modulo reductions per sample), which collapses
+//! here to precomputed offsets.
 
-use bbr_fluid_core::backend::{hint_for_flow, network_for_spec};
-use bbr_fluid_core::cca::{build_any, AgentInputs, AnyCca};
+use bbr_fluid_core::backend::{agents_for_spec, network_for_spec};
+use bbr_fluid_core::cca::{AgentInputs, AnyCca};
 use bbr_fluid_core::config::ModelConfig;
 use bbr_fluid_core::history::History;
 use bbr_fluid_core::metrics::{AggregateMetrics, MetricsAccumulator};
@@ -290,13 +287,7 @@ impl BatchedFluidSim {
         let dt = cfg.dt;
         let net = network_for_spec(spec);
         net.validate().expect("validated spec must build");
-        // Unboxed agents: same construction site as the scalar backend's
-        // `agents_for_spec` (`build` and `build_any` share it), stored
-        // as the statically dispatched `AnyCca` so the per-step model
-        // arithmetic inlines into the batch loop.
-        let mut agents: Vec<AnyCca> = (0..net.n_agents())
-            .map(|i| build_any(spec.cca_of(i), &hint_for_flow(&net, i), &cfg))
-            .collect();
+        let mut agents = agents_for_spec(spec, &net, &cfg);
         let n = net.n_agents();
         let m = net.links.len();
         let flow0 = self.agents.len();
@@ -310,12 +301,12 @@ impl BatchedFluidSim {
         let region = 2 * cap;
 
         // Per-flow activity schedules, resolved exactly as the scalar
-        // `Simulator::with_flow_schedules` resolves them.
+        // `Simulator::for_spec` resolves them.
         let activity: Vec<ActivitySchedule> = (0..n)
             .map(|i| ActivitySchedule::from_windows(&spec.windows_of(i), dt))
             .collect();
 
-        // Initial conditions, exactly as `Simulator::with_activity`:
+        // Initial conditions, exactly as `Simulator::new`:
         // agents send at their initial rate (zero for flows that have
         // not started yet), queues are empty, RTTs equal the
         // propagation delay.

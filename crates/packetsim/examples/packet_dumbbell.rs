@@ -25,7 +25,9 @@ fn main() {
     };
     let n: usize = args.get(3).map(|s| s.parse().unwrap()).unwrap_or(1);
     let cap: f64 = args.get(4).map(|s| s.parse().unwrap()).unwrap_or(20.0);
-    let spec = DumbbellSpec::new(n, cap, 0.010, 1.0, qdisc).ccas(vec![kind]);
+    let spec = ScenarioSpec::dumbbell(n, cap, 0.010, 1.0)
+        .qdisc(qdisc)
+        .ccas(vec![kind]);
     // Record flow and bottleneck samples in 250 ms bins.
     let sink = Arc::new(MemorySink::new());
     let trace = TraceConfig {
@@ -40,7 +42,7 @@ fn main() {
         recorder: Some(Recorder::new(trace, sink.clone())),
         ..Default::default()
     };
-    let r = run_dumbbell(&spec, &cfg);
+    let r = run_path(&path_network_for_spec(&spec), &cfg);
     println!(
         "util={:.1}% loss={:.2}% occ={:.1}% jain={:.3} jitter={:.3}ms",
         r.utilization_percent, r.loss_percent, r.occupancy_percent, r.jain, r.jitter_ms

@@ -25,13 +25,12 @@
 //! ```
 
 use bbr_scenario::{
-    run_seed, FlowMetrics, RunOutcome, ScenarioSpec, SimBackend, Topology, CHAIN_ACCESS_DELAY,
+    dumbbell_access_delays, run_seed, FlowMetrics, RunOutcome, ScenarioSpec, SimBackend, Topology,
+    CHAIN_ACCESS_DELAY, PARKING_LOT_ACCESS_DELAY,
 };
 
-use crate::dumbbell::{DumbbellSpec, PacketSimReport};
 use crate::engine::SimConfig;
-use crate::parking_lot::ParkingLotSpec;
-use crate::path::{run_path, PathFlowSpec, PathLinkSpec, PathNetwork};
+use crate::path::{run_path, PacketSimReport, PathFlowSpec, PathLinkSpec, PathNetwork};
 
 /// The packet simulator as a [`SimBackend`].
 #[derive(Debug, Clone)]
@@ -72,20 +71,20 @@ impl PacketBackend {
     }
 
     fn run_once(&self, spec: &ScenarioSpec, seed: u64) -> PacketSimReport {
-        let mut net = path_network_for_spec(spec);
-        apply_churn(&mut net, spec);
-        run_path(&net, &self.config(spec, seed))
+        run_path(&path_network_for_spec(spec), &self.config(spec, seed))
     }
 }
 
-/// The [`PathNetwork`] a [`ScenarioSpec`] describes — the packet-side
-/// counterpart of `bbr_fluid_core::backend::network_for_spec`, so both
-/// simulators derive their wiring from the same declarative topology.
-/// Dumbbells and parking lots are degenerate paths (byte-identical to
-/// the historical hand-wired runners); chains are genuine multi-link
-/// paths mirroring the fluid model's chain network hop for hop.
+/// The [`PathNetwork`] a [`ScenarioSpec`] describes, churn included —
+/// the packet-side counterpart of
+/// `bbr_fluid_core::backend::network_for_spec`, so both simulators
+/// derive their wiring from the same declarative topology. Dumbbells
+/// and parking lots are degenerate paths (byte-identical to the
+/// original hand-wired runners); chains are genuine multi-link paths
+/// mirroring the fluid model's chain network hop for hop. The spec's
+/// activity windows are applied last (see `apply_churn`).
 pub fn path_network_for_spec(spec: &ScenarioSpec) -> PathNetwork {
-    match &spec.topology {
+    let mut net = match &spec.topology {
         &Topology::Dumbbell {
             n,
             capacity,
@@ -93,24 +92,21 @@ pub fn path_network_for_spec(spec: &ScenarioSpec) -> PathNetwork {
             buffer_bdp,
             rtt_lo,
             rtt_hi,
-        } => DumbbellSpec::new(n, capacity, bottleneck_delay, buffer_bdp, spec.qdisc)
-            .rtt_range(rtt_lo, rtt_hi)
-            .ccas(spec.ccas.clone())
-            .path_network(),
+        } => dumbbell_path_network(
+            spec,
+            n,
+            capacity,
+            bottleneck_delay,
+            buffer_bdp,
+            rtt_lo,
+            rtt_hi,
+        ),
         &Topology::ParkingLot {
             c1,
             c2,
             link_delay,
             buffer_bdp,
-        } => ParkingLotSpec {
-            c1_mbps: c1,
-            c2_mbps: c2,
-            link_delay,
-            buffer_bytes: buffer_bdp * c1 * 1e6 / 8.0 * link_delay,
-            qdisc: spec.qdisc,
-            ccas: [spec.cca_of(0), spec.cca_of(1), spec.cca_of(2)],
-        }
-        .path_network(),
+        } => parking_lot_path_network(spec, c1, c2, link_delay, buffer_bdp),
         &Topology::Chain {
             hops,
             capacity,
@@ -118,6 +114,93 @@ pub fn path_network_for_spec(spec: &ScenarioSpec) -> PathNetwork {
             buffer_bdp,
         } => chain_path_network(spec, hops, capacity, link_delay, buffer_bdp),
         Topology::Custom { .. } => custom_path_network(spec),
+    };
+    apply_churn(&mut net, spec);
+    net
+}
+
+/// The dumbbell of the paper's Fig. 3 as a degenerate path network: one
+/// queued link with a buffer of `buffer_bdp` × the BDP of the bottleneck
+/// link (`capacity · bottleneck_delay`, §4.1.3), every flow routing over
+/// it with the shared RTT spread ([`dumbbell_access_delays`]) and a
+/// symmetric return path, and staggered starts (i · 5 ms) avoiding
+/// artificial phase lock.
+fn dumbbell_path_network(
+    spec: &ScenarioSpec,
+    n: usize,
+    capacity: f64,
+    bottleneck_delay: f64,
+    buffer_bdp: f64,
+    rtt_lo: f64,
+    rtt_hi: f64,
+) -> PathNetwork {
+    let access = dumbbell_access_delays(n, bottleneck_delay, rtt_lo, rtt_hi);
+    PathNetwork {
+        links: vec![PathLinkSpec {
+            rate: capacity * 1e6 / 8.0, // bytes/s
+            prop_delay: bottleneck_delay,
+            buffer: buffer_bdp * capacity * 1e6 / 8.0 * bottleneck_delay,
+            qdisc: spec.qdisc,
+        }],
+        flows: (0..n)
+            .map(|i| PathFlowSpec {
+                links: vec![0],
+                access_delay: access[i],
+                bwd_delay: access[i] + bottleneck_delay,
+                cca: spec.cca_of(i),
+                start: i as f64 * 0.005,
+                stop: f64::INFINITY,
+                gaps: Vec::new(),
+            })
+            .collect(),
+        headline: 0,
+    }
+}
+
+/// The two-bottleneck parking lot as a path network: flow 0 routes over
+/// both links, flows 1 and 2 over one each. Each return path mirrors its
+/// forward path, so flow 0's propagation RTT is `2·access + 4·link_delay`
+/// and the single-hop flows' `2·access + 2·link_delay` (the fluid
+/// `parking_lot_network` gives every flow the latter). Both buffers hold `buffer_bdp` × the first link's BDP; the headline
+/// is the slower link (the first on a tie). Starts are staggered
+/// (i · 5 ms) like every other family.
+fn parking_lot_path_network(
+    spec: &ScenarioSpec,
+    c1: f64,
+    c2: f64,
+    link_delay: f64,
+    buffer_bdp: f64,
+) -> PathNetwork {
+    let buffer = buffer_bdp * c1 * 1e6 / 8.0 * link_delay;
+    let access = PARKING_LOT_ACCESS_DELAY;
+    let routes: [Vec<u32>; 3] = [vec![0, 1], vec![0], vec![1]];
+    let bwd = [
+        access + 2.0 * link_delay,
+        access + link_delay,
+        access + link_delay,
+    ];
+    PathNetwork {
+        links: [c1, c2]
+            .iter()
+            .map(|&c| PathLinkSpec {
+                rate: c * 1e6 / 8.0, // bytes/s
+                prop_delay: link_delay,
+                buffer,
+                qdisc: spec.qdisc,
+            })
+            .collect(),
+        flows: (0..3)
+            .map(|i| PathFlowSpec {
+                links: routes[i].clone(),
+                access_delay: access,
+                bwd_delay: bwd[i],
+                cca: spec.cca_of(i),
+                start: i as f64 * 0.005,
+                stop: f64::INFINITY,
+                gaps: Vec::new(),
+            })
+            .collect(),
+        headline: if c2 < c1 { 1 } else { 0 },
     }
 }
 
@@ -221,7 +304,7 @@ fn chain_path_network(
     }
 }
 
-/// Apply the spec's per-flow activity windows to an already-built path
+/// Apply the spec's per-flow activity windows to a freshly lowered path
 /// network. Spec times are measured from the start of the measurement
 /// window, engine times from the start of the warm-up, so both shift by
 /// `spec.warmup`. Default windows are left untouched: those flows keep
@@ -321,8 +404,7 @@ fn outcome(r: &PacketSimReport) -> RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dumbbell::run_dumbbell;
-    use bbr_scenario::CcaKind;
+    use bbr_scenario::{CcaKind, FlowSchedule, FlowWindow};
 
     #[test]
     fn dumbbell_outcome_matches_direct_simulation() {
@@ -331,10 +413,8 @@ mod tests {
             .duration(1.5)
             .warmup(0.5);
         let out = PacketBackend::new(1).run(&spec, 42);
-        let direct = run_dumbbell(
-            &DumbbellSpec::new(2, 50.0, 0.010, 2.0, spec.qdisc)
-                .rtt_range(0.030, 0.040)
-                .ccas(vec![CcaKind::Reno]),
+        let direct = run_path(
+            &path_network_for_spec(&spec),
             &SimConfig {
                 duration: 2.0,
                 warmup: 0.5,
@@ -345,6 +425,34 @@ mod tests {
         assert_eq!(out.utilization_percent, direct.utilization_percent);
         assert_eq!(out.jain, direct.jain);
         assert_eq!(out.flows.len(), 2);
+    }
+
+    #[test]
+    fn churned_spec_through_run_path_matches_the_backend() {
+        // The lowering carries the spec's churn, so driving the engine
+        // directly with the backend's seed and window reproduces the
+        // backend's outcome bit for bit.
+        let spec = ScenarioSpec::dumbbell(3, 20.0, 0.010, 2.0)
+            .ccas(vec![CcaKind::Reno, CcaKind::BbrV2])
+            .duration(1.5)
+            .warmup(0.25)
+            .flow_window(1, 0.3, 1.0)
+            .flow_schedule(
+                2,
+                FlowSchedule::new(vec![
+                    FlowWindow::new(0.1, 0.5),
+                    FlowWindow::starting_at(0.8),
+                ]),
+            );
+        let seed = 11;
+        let cfg = SimConfig {
+            duration: spec.warmup + spec.duration,
+            warmup: spec.warmup,
+            seed: run_seed(seed, 0),
+            ..Default::default()
+        };
+        let direct = run_path(&path_network_for_spec(&spec), &cfg);
+        assert_eq!(outcome(&direct), PacketBackend::new(1).run(&spec, seed));
     }
 
     #[test]
@@ -505,8 +613,7 @@ mod tests {
             .flow_window(1, 0.5, f64::INFINITY)
             .flow_window(2, 0.5, f64::INFINITY)
             .flow_window(3, 0.5, f64::INFINITY);
-        let mut net = path_network_for_spec(&spec);
-        apply_churn(&mut net, &spec);
+        let net = path_network_for_spec(&spec);
         let starts: Vec<f64> = net.flows.iter().map(|f| f.start).collect();
         for pair in starts.windows(2) {
             assert!(
@@ -544,5 +651,119 @@ mod tests {
         // mixed in) but stays in the same regime.
         assert_ne!(one, three);
         assert!((one.utilization_percent - three.utilization_percent).abs() < 40.0);
+    }
+
+    fn sim_config(duration: f64, warmup: f64, seed: u64) -> SimConfig {
+        SimConfig {
+            duration,
+            warmup,
+            seed,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn single_bbrv1_fills_the_bottleneck() {
+        let spec = ScenarioSpec::dumbbell(1, 50.0, 0.010, 1.0).ccas(vec![CcaKind::BbrV1]);
+        let r = run_path(&path_network_for_spec(&spec), &sim_config(3.0, 1.0, 1));
+        assert!(
+            r.utilization_percent > 85.0,
+            "util {}",
+            r.utilization_percent
+        );
+        // Single-link dumbbell: headline == the only per-link entry.
+        assert_eq!(r.per_link_utilization.len(), 1);
+        assert_eq!(r.per_link_utilization[0], r.utilization_percent);
+        assert_eq!(r.per_link_loss[0], r.loss_percent);
+    }
+
+    #[test]
+    fn homogeneous_reno_is_fair() {
+        let spec = ScenarioSpec::dumbbell(4, 50.0, 0.010, 2.0).ccas(vec![CcaKind::Reno]);
+        let r = run_path(&path_network_for_spec(&spec), &sim_config(8.0, 2.0, 3));
+        assert!(r.jain > 0.8, "jain {}", r.jain);
+        assert!(r.utilization_percent > 80.0);
+    }
+
+    #[test]
+    fn bbrv1_starves_reno_in_shallow_buffers() {
+        // The paper's Insight 2 at packet level.
+        let spec =
+            ScenarioSpec::dumbbell(2, 50.0, 0.010, 1.0).ccas(vec![CcaKind::BbrV1, CcaKind::Reno]);
+        let r = run_path(&path_network_for_spec(&spec), &sim_config(10.0, 3.0, 5));
+        let bbr = r.flows[0].throughput_mbps;
+        let reno = r.flows[1].throughput_mbps;
+        assert!(
+            bbr > 2.0 * reno,
+            "BBRv1 {bbr} vs Reno {reno} — expected strong dominance"
+        );
+    }
+
+    #[test]
+    fn buffer_bytes_matches_bdp_definition() {
+        let spec = ScenarioSpec::dumbbell(2, 100.0, 0.010, 2.0).rtt_range(0.030, 0.040);
+        // Link BDP = 100e6/8 · 0.010 = 125000 B; ×2.
+        let net = path_network_for_spec(&spec);
+        assert!((net.links[0].buffer - 250_000.0).abs() < 1.0);
+    }
+
+    /// The parking lot of the multi-bottleneck tests: 100 and 80 Mbit/s
+    /// links of 10 ms with 3 BDP (375 kB) of buffer each.
+    fn parking_lot(kind: CcaKind) -> ScenarioSpec {
+        ScenarioSpec::parking_lot(100.0, 80.0, 0.010, 3.0).ccas(vec![kind])
+    }
+
+    fn tput(r: &PacketSimReport, i: usize) -> f64 {
+        r.flows[i].throughput_mbps
+    }
+
+    #[test]
+    fn both_links_are_shared_and_saturated() {
+        let net = path_network_for_spec(&parking_lot(CcaKind::BbrV2));
+        let r = run_path(&net, &sim_config(6.0, 2.0, 3));
+        let (c1, c2) = (100.0, 80.0);
+        // Link 1 carries flows 0 and 1; link 2 carries flows 0 and 2.
+        let y1 = tput(&r, 0) + tput(&r, 1);
+        let y2 = tput(&r, 0) + tput(&r, 2);
+        assert!(y1 > 0.7 * c1, "link 1 carries {y1:.1}");
+        assert!(y2 > 0.7 * c2, "link 2 carries {y2:.1}");
+        assert!(y1 <= 1.05 * c1);
+        assert!(y2 <= 1.05 * c2);
+        // The headline metrics refer to the slower second link.
+        assert_eq!(net.headline, 1);
+        assert_eq!(r.utilization_percent, r.per_link_utilization[1]);
+        assert_eq!(r.per_link_utilization.len(), 2);
+    }
+
+    #[test]
+    fn multihop_flow_gets_less_than_single_hop_flows() {
+        // The classic parking-lot outcome: the flow crossing both
+        // bottlenecks loses against both single-hop competitors.
+        let net = path_network_for_spec(&parking_lot(CcaKind::BbrV2));
+        let r = run_path(&net, &sim_config(6.0, 2.0, 3));
+        assert!(
+            tput(&r, 0) < tput(&r, 1),
+            "multi-hop {:.1} vs hop-1 {:.1}",
+            tput(&r, 0),
+            tput(&r, 1)
+        );
+        assert!(
+            tput(&r, 0) < tput(&r, 2),
+            "multi-hop {:.1} vs hop-2 {:.1}",
+            tput(&r, 0),
+            tput(&r, 2)
+        );
+    }
+
+    #[test]
+    fn all_flows_make_progress() {
+        for kind in [CcaKind::Reno, CcaKind::BbrV1] {
+            let net = path_network_for_spec(&parking_lot(kind));
+            let r = run_path(&net, &sim_config(6.0, 2.0, 3));
+            for i in 0..3 {
+                let t = tput(&r, i);
+                assert!(t > 1.0, "{kind}: flow {i} got {t:.2} Mbit/s");
+            }
+        }
     }
 }

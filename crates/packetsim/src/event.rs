@@ -86,8 +86,17 @@ impl EventQueue {
     }
 
     /// Schedule `ev` at absolute time `time`.
+    ///
+    /// # Panics
+    ///
+    /// If `time` is not finite: the heap orders entries with
+    /// `partial_cmp(..).unwrap_or(Equal)`, so a NaN would otherwise sort
+    /// anywhere and silently mis-order every later event.
     pub fn push(&mut self, time: f64, ev: Ev) {
-        debug_assert!(time.is_finite(), "event time must be finite");
+        assert!(
+            time.is_finite(),
+            "event time {time} is not finite for {ev:?}"
+        );
         self.counter += 1;
         self.heap.push(Entry {
             time,
@@ -139,6 +148,18 @@ mod tests {
             })
             .collect();
         assert_eq!(order, vec![1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "event time NaN is not finite for Wake")]
+    fn nan_event_time_is_rejected() {
+        EventQueue::new().push(f64::NAN, Ev::Wake { flow: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "event time inf is not finite for Sample")]
+    fn infinite_event_time_is_rejected() {
+        EventQueue::new().push(f64::INFINITY, Ev::Sample);
     }
 
     #[test]

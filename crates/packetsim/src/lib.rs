@@ -23,10 +23,9 @@
 //! ```
 //! use bbr_packetsim::prelude::*;
 //!
-//! let spec = DumbbellSpec::new(1, 100.0, 0.010, 1.0, QdiscKind::DropTail)
-//!     .ccas(vec![CcaKind::BbrV1]);
+//! let spec = ScenarioSpec::dumbbell(1, 100.0, 0.010, 1.0).ccas(vec![CcaKind::BbrV1]);
 //! let cfg = SimConfig { duration: 2.0, warmup: 0.5, seed: 1, ..Default::default() };
-//! let report = run_dumbbell(&spec, &cfg);
+//! let report = run_path(&path_network_for_spec(&spec), &cfg);
 //! assert!(report.utilization_percent > 70.0);
 //! ```
 //!
@@ -36,19 +35,16 @@
 
 pub mod backend;
 pub mod cca;
-pub mod dumbbell;
 pub mod engine;
 pub mod event;
-pub mod parking_lot;
 pub mod path;
 pub mod qdisc;
 
 pub mod prelude {
-    pub use crate::backend::PacketBackend;
+    pub use crate::backend::{path_network_for_spec, PacketBackend};
     pub use crate::cca::CcaKind;
-    pub use crate::dumbbell::{run_dumbbell, DumbbellSpec, PacketSimReport};
     pub use crate::engine::SimConfig;
-    pub use crate::path::{run_path, PathFlowSpec, PathLinkSpec, PathNetwork};
+    pub use crate::path::{run_path, PacketSimReport, PathFlowSpec, PathLinkSpec, PathNetwork};
     pub use crate::qdisc::QdiscKind;
     pub use bbr_scenario::{RunOutcome, ScenarioSpec, SimBackend};
 }

@@ -1,24 +1,18 @@
 //! [`PathNetwork`] — the general multi-link path description every
 //! packet-level scenario is expressed in.
 //!
-//! Historically the dumbbell and parking-lot runners each hand-wired
-//! their own links and flows straight into the [`Engine`]; chains (or
-//! any other layout) would have meant a third copy. This module turns
-//! the wiring into data: a scenario is a list of queued links plus, per
-//! flow, the ordered links its packets traverse, the pure-delay
-//! segments around them, a CCA, and an activity window. [`run_path`]
-//! assembles the engine from that description and collects the shared
-//! [`PacketSimReport`].
-//!
-//! The dumbbell and parking lot are *degenerate paths* of this model
-//! (one queued link per route, or two) — `run_dumbbell` and
-//! `run_parking_lot` build their [`PathNetwork`] and call [`run_path`],
-//! producing byte-identical results to the pre-refactor hand-wired
-//! runners (pinned in `tests/packet_path_pins.rs`). Chains are the
-//! first scenario family that *only* exists as paths.
+//! A scenario is data: a list of queued links plus, per flow, the
+//! ordered links its packets traverse, the pure-delay segments around
+//! them, a CCA, and an activity window. [`run_path`] assembles the
+//! engine from that description and collects the [`PacketSimReport`].
+//! `backend::path_network_for_spec` lowers every `ScenarioSpec` to one;
+//! the dumbbell and parking lot are *degenerate paths* of this model
+//! (one queued link per route, or two), byte-identical to the original
+//! hand-wired runners (pinned in `tests/packet_path_pins.rs`).
+
+use bbr_scenario::jain_index;
 
 use crate::cca::{build, CcaKind};
-use crate::dumbbell::{collect_report, PacketSimReport};
 use crate::engine::{Engine, Flow, Link, SimConfig};
 use crate::qdisc::QdiscKind;
 
@@ -126,6 +120,34 @@ impl PathNetwork {
     }
 }
 
+/// Per-flow results.
+#[derive(Debug, Clone)]
+pub struct FlowReport {
+    pub kind: CcaKind,
+    pub throughput_mbps: f64,
+    pub mean_rtt: f64,
+    pub jitter_ms: f64,
+}
+
+/// Aggregate results of one packet-level run (the "Experiment" column of
+/// the paper's figures). The headline occupancy/utilization refer to the
+/// bottleneck (minimum-capacity) link; the `per_link_*` vectors cover all
+/// queued links of multi-bottleneck topologies.
+#[derive(Debug, Clone)]
+pub struct PacketSimReport {
+    pub flows: Vec<FlowReport>,
+    pub jain: f64,
+    /// Lost traffic as a percentage of traffic arriving at queued links,
+    /// aggregated over all links.
+    pub loss_percent: f64,
+    pub occupancy_percent: f64,
+    pub utilization_percent: f64,
+    pub jitter_ms: f64,
+    pub per_link_loss: Vec<f64>,
+    pub per_link_occupancy: Vec<f64>,
+    pub per_link_utilization: Vec<f64>,
+}
+
 /// Run one packet-level simulation of an arbitrary [`PathNetwork`].
 ///
 /// Per-flow CCA seeds derive from `cfg.seed` exactly as the historical
@@ -162,6 +184,62 @@ pub fn run_path(net: &PathNetwork, cfg: &SimConfig) -> PacketSimReport {
     let kinds: Vec<CcaKind> = net.flows.iter().map(|f| f.cca).collect();
     let link_stats: Vec<(f64, f64)> = net.links.iter().map(|l| (l.rate, l.buffer)).collect();
     collect_report(&engine, &kinds, &link_stats, net.headline)
+}
+
+/// Collect the per-flow and per-link statistics of a finished engine.
+/// `links` holds each link's (service rate in bytes/s, buffer in bytes);
+/// `headline` selects the link whose occupancy/utilization become the
+/// headline numbers.
+fn collect_report(
+    engine: &Engine,
+    kinds: &[CcaKind],
+    links: &[(f64, f64)],
+    headline: usize,
+) -> PacketSimReport {
+    let window = engine.window().max(1e-9);
+    let flows: Vec<FlowReport> = kinds
+        .iter()
+        .enumerate()
+        .map(|(i, kind)| FlowReport {
+            kind: *kind,
+            throughput_mbps: engine.flow_delivered(i) * 8.0 / 1e6 / window,
+            mean_rtt: engine.flow_mean_rtt(i),
+            jitter_ms: engine.flow_jitter(i) * 1000.0,
+        })
+        .collect();
+    let mut total_arrived = 0.0;
+    let mut total_dropped = 0.0;
+    let mut per_link_loss = Vec::with_capacity(links.len());
+    let mut per_link_occupancy = Vec::with_capacity(links.len());
+    let mut per_link_utilization = Vec::with_capacity(links.len());
+    for (l, (rate, buffer)) in links.iter().enumerate() {
+        let (arrived, dropped, delivered, occ_int) = engine.link_stats(l);
+        total_arrived += arrived;
+        total_dropped += dropped;
+        per_link_loss.push(if arrived > 0.0 {
+            100.0 * dropped / arrived
+        } else {
+            0.0
+        });
+        per_link_occupancy.push(100.0 * occ_int / (buffer * window));
+        per_link_utilization.push(100.0 * delivered / (rate * window));
+    }
+    let tputs: Vec<f64> = flows.iter().map(|f| f.throughput_mbps).collect();
+    PacketSimReport {
+        jain: jain_index(&tputs),
+        loss_percent: if total_arrived > 0.0 {
+            100.0 * total_dropped / total_arrived
+        } else {
+            0.0
+        },
+        occupancy_percent: per_link_occupancy[headline],
+        utilization_percent: per_link_utilization[headline],
+        jitter_ms: flows.iter().map(|f| f.jitter_ms).sum::<f64>() / flows.len().max(1) as f64,
+        per_link_loss,
+        per_link_occupancy,
+        per_link_utilization,
+        flows,
+    }
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ pub mod universe;
 
 /// Which congestion-control algorithm a flow runs (shared by the fluid
 /// model and the packet simulator; the per-backend state machines are
-/// built from this tag by `bbr_fluid_core::cca::build` and
+/// built from this tag by `bbr_fluid_core::cca::build_any` and
 /// `bbr_packetsim::cca::build`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CcaKind {
@@ -448,6 +448,33 @@ pub const PARKING_LOT_ACCESS_DELAY: f64 = 0.005;
 /// [`PARKING_LOT_ACCESS_DELAY`].
 pub const CHAIN_ACCESS_DELAY: f64 = 0.005;
 
+/// One-way access delays (s) of the `n` senders of a
+/// [`Topology::Dumbbell`]: total propagation RTTs spread evenly over
+/// `[rtt_lo, rtt_hi]` (a single sender gets the midpoint). A sender's
+/// RTT is `2·(access + bottleneck_delay)`, so its access delay is
+/// `rtt/2 − bottleneck_delay`, floored at zero. The paper draws RTTs
+/// randomly from this range; an even deterministic spread keeps runs
+/// reproducible while preserving the heterogeneity. Every backend
+/// lowers the dumbbell through this one function.
+pub fn dumbbell_access_delays(
+    n: usize,
+    bottleneck_delay: f64,
+    rtt_lo: f64,
+    rtt_hi: f64,
+) -> Vec<f64> {
+    (0..n)
+        .map(|i| {
+            let frac = if n > 1 {
+                i as f64 / (n - 1) as f64
+            } else {
+                0.5
+            };
+            let rtt = rtt_lo + frac * (rtt_hi - rtt_lo);
+            (rtt / 2.0 - bottleneck_delay).max(0.0)
+        })
+        .collect()
+}
+
 /// Backend-agnostic description of one simulation: topology, flows,
 /// queuing discipline, and measurement window. Built once, runnable on
 /// every [`SimBackend`].
@@ -503,6 +530,27 @@ impl ScenarioSpec {
             churn: Vec::new(),
             schedules: Vec::new(),
         }
+    }
+
+    /// A dumbbell whose senders have explicit one-way access delays (s),
+    /// one per sender, instead of a spread RTT range — the paper's §4.2
+    /// trace-validation setting. It is a one-link [`Topology::Custom`]:
+    /// route `i` crosses link 0 with extra delays `access[i]` forward
+    /// and `access[i] + bottleneck_delay` back, so every sender's RTT is
+    /// `2·(access[i] + bottleneck_delay)` as on [`Topology::Dumbbell`].
+    pub fn dumbbell_with_access(
+        capacity: f64,
+        bottleneck_delay: f64,
+        buffer_bdp: f64,
+        access: &[f64],
+    ) -> Self {
+        Self::custom(
+            vec![CustomLink::new(capacity, bottleneck_delay, buffer_bdp)],
+            access
+                .iter()
+                .map(|&a| CustomRoute::new(vec![0], a, a + bottleneck_delay))
+                .collect(),
+        )
     }
 
     /// Two-bottleneck parking lot (three flows; see
@@ -1318,6 +1366,42 @@ mod tests {
         assert_eq!(s.cca_of(1), CcaKind::Reno);
         assert_eq!(s.cca_of(2), CcaKind::BbrV1);
         assert_eq!(s.cca_of(3), CcaKind::Reno);
+    }
+
+    /// Total propagation RTT of a dumbbell sender with access delay `a`.
+    fn dumbbell_rtt(a: f64, bottleneck_delay: f64) -> f64 {
+        2.0 * (a + bottleneck_delay)
+    }
+
+    #[test]
+    fn rtt_range_spreads_evenly() {
+        let access = dumbbell_access_delays(10, 0.010, 0.030, 0.040);
+        assert_eq!(access.len(), 10);
+        assert!((dumbbell_rtt(access[0], 0.010) - 0.030).abs() < 1e-9);
+        assert!((dumbbell_rtt(access[9], 0.010) - 0.040).abs() < 1e-9);
+        // Monotone spread.
+        for i in 1..10 {
+            assert!(access[i] > access[i - 1]);
+        }
+    }
+
+    #[test]
+    fn single_sender_uses_midpoint_rtt() {
+        let access = dumbbell_access_delays(1, 0.010, 0.030, 0.040);
+        assert!((dumbbell_rtt(access[0], 0.010) - 0.035).abs() < 1e-9);
+    }
+
+    #[test]
+    fn explicit_access_dumbbell_is_a_one_link_custom_layout() {
+        let s = ScenarioSpec::dumbbell_with_access(100.0, 0.010, 1.0, &[0.0056, 0.002]);
+        s.validate().unwrap();
+        assert_eq!(s.n_flows(), 2);
+        let Topology::Custom { links, routes } = &s.topology else {
+            panic!("expected a custom layout");
+        };
+        assert_eq!(links, &[CustomLink::new(100.0, 0.010, 1.0)]);
+        assert_eq!(routes[0], CustomRoute::new(vec![0], 0.0056, 0.0056 + 0.010));
+        assert_eq!(routes[1], CustomRoute::new(vec![0], 0.002, 0.002 + 0.010));
     }
 
     #[test]

@@ -32,9 +32,10 @@ fn main() {
     println!("combo {name}: N = 10 senders, C = 100 Mbit/s, RTT 30–40 ms, drop-tail");
     println!("buffer[BDP]   jain   loss[%]   occupancy[%]   utilization[%]");
     for b in 1..=7 {
-        let scenario = Scenario::dumbbell(10, 100.0, 0.010, b as f64, QdiscKind::DropTail)
-            .rtt_range(0.030, 0.040);
-        let mut sim = scenario.build(&kinds).expect("valid scenario");
+        let spec = ScenarioSpec::dumbbell(10, 100.0, 0.010, b as f64)
+            .rtt_range(0.030, 0.040)
+            .ccas(kinds.clone());
+        let mut sim = Simulator::for_spec(&spec, ModelConfig::default()).expect("valid scenario");
         let m = sim.run(5.0);
         println!(
             "{b:>11}   {:.3}   {:7.2}   {:12.1}   {:14.1}",

@@ -30,9 +30,9 @@ fn main() {
     let a = parse(args.first().map(|s| s.as_str()).unwrap_or("reno"));
     let b = parse(args.get(1).map(|s| s.as_str()).unwrap_or("bbr1"));
 
-    let scenario = Scenario::dumbbell(2, 100.0, 0.010, 1.0, QdiscKind::DropTail)
-        .access_delays(vec![0.0056, 0.0056]);
-    let mut sim = scenario.build(&[a, b]).expect("valid scenario");
+    let spec =
+        ScenarioSpec::dumbbell_with_access(100.0, 0.010, 1.0, &[0.0056, 0.0056]).ccas(vec![a, b]);
+    let mut sim = Simulator::for_spec(&spec, ModelConfig::default()).expect("valid scenario");
     // Record the two flows' rates every 50 ms.
     let sink = Arc::new(MemorySink::new());
     let config = TraceConfig {

@@ -16,9 +16,9 @@ fn main() {
     // The paper's §4.2 trace-validation setting: C = 100 Mbit/s,
     // bottleneck propagation delay 10 ms, access delay 5.6 ms, 1-BDP
     // drop-tail buffer.
-    let scenario =
-        Scenario::dumbbell(1, 100.0, 0.010, 1.0, QdiscKind::DropTail).access_delays(vec![0.0056]);
-    let mut sim = scenario.build(&[CcaKind::BbrV1]).expect("valid scenario");
+    let spec =
+        ScenarioSpec::dumbbell_with_access(100.0, 0.010, 1.0, &[0.0056]).ccas(vec![CcaKind::BbrV1]);
+    let mut sim = Simulator::for_spec(&spec, ModelConfig::default()).expect("valid scenario");
     // Attach a flight recorder sampling every 20 ms.
     let sink = Arc::new(MemorySink::new());
     let config = TraceConfig {

@@ -227,6 +227,29 @@ fn churn_is_honored_consistently_across_backends() {
 }
 
 #[test]
+fn dumbbell_lowerings_carry_bit_equal_delays() {
+    // Both engines lower a dumbbell through the one shared RTT spread:
+    // each fluid path and packet flow gets the same access delay and the
+    // same return delay, to the bit.
+    use bbr_repro::fluid::backend::network_for_spec;
+    use bbr_repro::packetsim::backend::path_network_for_spec;
+    for n in [1, 5] {
+        let default = ScenarioSpec::dumbbell(n, 100.0, 0.010, 2.0);
+        let custom = default.clone().rtt_range(0.021, 0.077);
+        for spec in [default, custom] {
+            let net = network_for_spec(&spec);
+            let path = path_network_for_spec(&spec);
+            assert_eq!(net.paths.len(), n);
+            assert_eq!(path.flows.len(), n);
+            for (p, f) in net.paths.iter().zip(&path.flows) {
+                assert_eq!(p.extra_fwd_delay.to_bits(), f.access_delay.to_bits());
+                assert_eq!(p.extra_bwd_delay.to_bits(), f.bwd_delay.to_bits());
+            }
+        }
+    }
+}
+
+#[test]
 fn pinned_cell_seeds_are_stable() {
     // Regression pin for the seed-derivation scheme: seeds are a pure
     // function of (grid seed, spec contents). If this test fails, the

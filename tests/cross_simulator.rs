@@ -4,28 +4,32 @@
 
 use bbr_repro::fluid::cca::CcaKind;
 use bbr_repro::fluid::prelude::*;
-use bbr_repro::packetsim::dumbbell::{run_dumbbell, DumbbellSpec, PacketSimReport};
+use bbr_repro::packetsim::backend::path_network_for_spec;
 use bbr_repro::packetsim::engine::SimConfig;
+use bbr_repro::packetsim::path::{run_path, PacketSimReport};
+
+/// The six-sender dumbbell both simulators run.
+fn spec(kinds: &[CcaKind], buffer: f64, qdisc: QdiscKind) -> ScenarioSpec {
+    ScenarioSpec::dumbbell(6, 100.0, 0.010, buffer)
+        .qdisc(qdisc)
+        .rtt_range(0.030, 0.040)
+        .ccas(kinds.to_vec())
+}
 
 fn fluid(kinds: &[CcaKind], buffer: f64, qdisc: QdiscKind) -> AggregateMetrics {
-    let scenario = Scenario::dumbbell(6, 100.0, 0.010, buffer, qdisc)
-        .rtt_range(0.030, 0.040)
-        .config(ModelConfig::coarse());
-    let mut sim = scenario.build(kinds).expect("valid scenario");
+    let mut sim = Simulator::for_spec(&spec(kinds, buffer, qdisc), ModelConfig::coarse())
+        .expect("valid scenario");
     sim.run(4.0)
 }
 
 fn packet(kinds: &[CcaKind], buffer: f64, qdisc: QdiscKind) -> PacketSimReport {
-    let spec = DumbbellSpec::new(6, 100.0, 0.010, buffer, qdisc)
-        .rtt_range(0.030, 0.040)
-        .ccas(kinds.to_vec());
     let cfg = SimConfig {
         duration: 5.0,
         warmup: 1.0,
         seed: 11,
         ..Default::default()
     };
-    run_dumbbell(&spec, &cfg)
+    run_path(&path_network_for_spec(&spec(kinds, buffer, qdisc)), &cfg)
 }
 
 #[test]

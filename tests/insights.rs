@@ -5,10 +5,11 @@ use bbr_repro::fluid::cca::CcaKind;
 use bbr_repro::fluid::prelude::*;
 
 fn run_combo(kinds: &[CcaKind], buffer_bdp: f64, qdisc: QdiscKind) -> AggregateMetrics {
-    let scenario = Scenario::dumbbell(10, 100.0, 0.010, buffer_bdp, qdisc)
+    let spec = ScenarioSpec::dumbbell(10, 100.0, 0.010, buffer_bdp)
+        .qdisc(qdisc)
         .rtt_range(0.030, 0.040)
-        .config(ModelConfig::coarse());
-    let mut sim = scenario.build(kinds).expect("valid scenario");
+        .ccas(kinds.to_vec());
+    let mut sim = Simulator::for_spec(&spec, ModelConfig::coarse()).expect("valid scenario");
     sim.run(5.0)
 }
 
@@ -107,7 +108,8 @@ fn insight4_bbrv2_achieves_redesign_goals() {
 
 #[test]
 fn insight5_bufferbloat_with_loose_inflight_hi() {
-    use bbr_repro::fluid::cca::{BbrV2, FluidCca, WhiInit};
+    use bbr_repro::fluid::backend::{hint_for_flow, network_for_spec};
+    use bbr_repro::fluid::cca::{AnyCca, BbrV2, WhiInit};
     // With a tight inflight_hi the absolute queue stays flat; with an
     // unset/loose one (deep-buffer start-up), occupancy grows.
     let mut occ = Vec::new();
@@ -118,14 +120,13 @@ fn insight5_bufferbloat_with_loose_inflight_hi() {
             bbr2_wlo_unset: true,
             ..ModelConfig::coarse()
         };
-        let scenario = Scenario::dumbbell(10, 100.0, 0.010, 6.0, QdiscKind::DropTail)
-            .rtt_range(0.030, 0.040)
-            .config(cfg);
-        let mut sim = scenario
-            .build_with(|_i, hint, cfg| {
-                Box::new(BbrV2::with_whi_init(hint, cfg, init)) as Box<dyn FluidCca>
-            })
-            .unwrap();
+        let net = network_for_spec(
+            &ScenarioSpec::dumbbell(10, 100.0, 0.010, 6.0).rtt_range(0.030, 0.040),
+        );
+        let agents = (0..10)
+            .map(|i| AnyCca::BbrV2(BbrV2::with_whi_init(&hint_for_flow(&net, i), &cfg, init)))
+            .collect();
+        let mut sim = Simulator::new(net, cfg, agents, &[]).unwrap();
         occ.push(sim.run(5.0).occupancy_percent);
     }
     assert!(

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use bbr_repro::experiments::tracefmt::CellTrace;
-use bbr_repro::fluid::cca::{BbrV1, CcaKind, FluidCca};
+use bbr_repro::fluid::cca::{AnyCca, BbrV1, CcaKind};
 use bbr_repro::fluid::prelude::*;
 use bbr_repro::fluid::topology::{LinkId, LinkSpec, Network, PathSpec};
 use bbr_trace::{MemorySink, Recorder, TraceConfig};
@@ -28,10 +28,9 @@ fn bbrv1_rtt_unfairness_in_deep_buffers() {
     // §4.3.1: in deep drop-tail buffers the fluid model predicts that
     // BBRv1 flows with *lower* RTT are throttled by their smaller 2-BDP
     // window, so higher-RTT flows win. Use a strong RTT difference.
-    let scenario = Scenario::dumbbell(2, 100.0, 0.010, 6.0, QdiscKind::DropTail)
-        .access_delays(vec![0.002, 0.040])
-        .config(ModelConfig::coarse());
-    let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
+    let spec = ScenarioSpec::dumbbell_with_access(100.0, 0.010, 6.0, &[0.002, 0.040])
+        .ccas(vec![CcaKind::BbrV1]);
+    let mut sim = Simulator::for_spec(&spec, ModelConfig::coarse()).unwrap();
     sim.run(6.0);
     sim.reset_metrics();
     let m = sim.run(6.0);
@@ -48,10 +47,9 @@ fn bbrv1_probe_rtt_cycle_in_full_model() {
     // A single BBRv1 flow with an empty-queue equilibrium never
     // re-observes a smaller RTT, so it enters ProbeRTT every 10 s and
     // dips its rate to 4 segments/RTT for 200 ms.
-    let scenario = Scenario::dumbbell(1, 50.0, 0.010, 2.0, QdiscKind::DropTail)
-        .access_delays(vec![0.0056])
-        .config(ModelConfig::coarse());
-    let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
+    let spec =
+        ScenarioSpec::dumbbell_with_access(50.0, 0.010, 2.0, &[0.0056]).ccas(vec![CcaKind::BbrV1]);
+    let mut sim = Simulator::for_spec(&spec, ModelConfig::coarse()).unwrap();
     let (_, trace) = run_traced(&mut sim, 20, 11.0);
     let flow = &trace.flows[0];
     // Find the minimum rate after t = 9.5 s: the ProbeRTT dip.
@@ -115,8 +113,8 @@ fn multi_link_path_accumulates_latency_and_loss() {
         buffer: 0.5,
         agent_index: 0,
     };
-    let agents: Vec<Box<dyn FluidCca>> = vec![Box::new(BbrV1::new(&hint, &cfg).with_x_btl(48.0))];
-    let mut sim = bbr_repro::fluid::sim::Simulator::new(net, cfg, agents).unwrap();
+    let agents = vec![AnyCca::BbrV1(BbrV1::new(&hint, &cfg).with_x_btl(48.0))];
+    let mut sim = Simulator::new(net, cfg, agents, &[]).unwrap();
     let (metrics, trace) = run_traced(&mut sim, 50, 3.0);
     // Propagation RTT: 0.005 + 0.01 + 0.02 (two links) + 0.005 = 0.03 s…
     // here both links have 0.01 s: prop RTT = 0.03 s.
@@ -145,10 +143,11 @@ fn red_keeps_loss_spread_over_buffer_sizes() {
     // Fig. 7b: under RED the loss of BBRv1 stays substantial across
     // buffer sizes (no shallow-to-deep cliff like drop-tail).
     let loss_at = |buffer: f64| {
-        let scenario = Scenario::dumbbell(10, 100.0, 0.010, buffer, QdiscKind::Red)
+        let spec = ScenarioSpec::dumbbell(10, 100.0, 0.010, buffer)
+            .qdisc(QdiscKind::Red)
             .rtt_range(0.030, 0.040)
-            .config(ModelConfig::coarse());
-        let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
+            .ccas(vec![CcaKind::BbrV1]);
+        let mut sim = Simulator::for_spec(&spec, ModelConfig::coarse()).unwrap();
         sim.run(4.0).loss_percent
     };
     let shallow = loss_at(1.0);
@@ -157,10 +156,10 @@ fn red_keeps_loss_spread_over_buffer_sizes() {
     assert!(deep > 1.0, "RED deep loss {deep:.2} %");
     // Drop-tail, by contrast, almost eliminates loss in deep buffers.
     let dt_deep = {
-        let scenario = Scenario::dumbbell(10, 100.0, 0.010, 6.0, QdiscKind::DropTail)
+        let spec = ScenarioSpec::dumbbell(10, 100.0, 0.010, 6.0)
             .rtt_range(0.030, 0.040)
-            .config(ModelConfig::coarse());
-        let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
+            .ccas(vec![CcaKind::BbrV1]);
+        let mut sim = Simulator::for_spec(&spec, ModelConfig::coarse()).unwrap();
         sim.run(4.0).loss_percent
     };
     assert!(
@@ -176,10 +175,9 @@ fn bbrv2_probe_cycle_period_scales_with_agent_index() {
     // agents' m_crs phases differ.
     // RTT 50 ms so 63·τ_min > 2 s and the wall-clock interval 2 + i/N
     // (distinct per agent) decides the period.
-    let scenario = Scenario::dumbbell(2, 50.0, 0.010, 2.0, QdiscKind::DropTail)
-        .access_delays(vec![0.015, 0.015])
-        .config(ModelConfig::coarse());
-    let mut sim = scenario.build(&[CcaKind::BbrV2]).unwrap();
+    let spec = ScenarioSpec::dumbbell_with_access(50.0, 0.010, 2.0, &[0.015, 0.015])
+        .ccas(vec![CcaKind::BbrV2]);
+    let mut sim = Simulator::for_spec(&spec, ModelConfig::coarse()).unwrap();
     let (_, trace) = run_traced(&mut sim, 20, 4.0);
     let crs0 = trace.signal(0, "m_crs").value;
     let crs1 = trace.signal(1, "m_crs").value;
@@ -203,10 +201,9 @@ fn modelled_startup_converges_and_exits() {
         model_startup: true,
         ..ModelConfig::coarse()
     };
-    let scenario = Scenario::dumbbell(1, 50.0, 0.010, 2.0, QdiscKind::DropTail)
-        .access_delays(vec![0.0056])
-        .config(cfg);
-    let mut sim = scenario.build(&[CcaKind::BbrV2]).unwrap();
+    let spec =
+        ScenarioSpec::dumbbell_with_access(50.0, 0.010, 2.0, &[0.0056]).ccas(vec![CcaKind::BbrV2]);
+    let mut sim = Simulator::for_spec(&spec, cfg).unwrap();
     let (_, trace) = run_traced(&mut sim, 50, 4.0);
     let flow = &trace.flows[0];
     // Early rate is small (no mid-flight initialization).

@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use bbr_repro::campaign::json::Json;
 use bbr_repro::fluid::cca::CcaKind;
 use bbr_repro::fluid::history::History;
 use bbr_repro::fluid::math::{jain, relu_smooth, sigmoid};
@@ -115,10 +116,11 @@ proptest! {
     ) {
         let kind = [CcaKind::Reno, CcaKind::Cubic, CcaKind::BbrV1, CcaKind::BbrV2][kind_sel];
         let qdisc = if red { QdiscKind::Red } else { QdiscKind::DropTail };
-        let scenario = Scenario::dumbbell(n, 50.0, 0.010, buffer_bdp, qdisc)
+        let spec = ScenarioSpec::dumbbell(n, 50.0, 0.010, buffer_bdp)
+            .qdisc(qdisc)
             .rtt_range(0.030, 0.040)
-            .config(ModelConfig::coarse());
-        let mut sim = scenario.build(&[kind]).unwrap();
+            .ccas(vec![kind]);
+        let mut sim = Simulator::for_spec(&spec, ModelConfig::coarse()).unwrap();
         let sink = Arc::new(MemorySink::new());
         let interval = 100.0 * ModelConfig::coarse().dt;
         let config = TraceConfig { interval, ..TraceConfig::default() };
@@ -152,14 +154,15 @@ proptest! {
 
     #[test]
     fn packet_sim_conservation(seed in 0u64..50, red in proptest::bool::ANY) {
-        use bbr_repro::packetsim::dumbbell::{run_dumbbell, DumbbellSpec};
+        use bbr_repro::packetsim::backend::path_network_for_spec;
         use bbr_repro::packetsim::engine::SimConfig;
-        use bbr_repro::packetsim::qdisc::QdiscKind;
+        use bbr_repro::packetsim::path::run_path;
         let qdisc = if red { QdiscKind::Red } else { QdiscKind::DropTail };
-        let spec = DumbbellSpec::new(2, 20.0, 0.010, 1.0, qdisc)
+        let spec = ScenarioSpec::dumbbell(2, 20.0, 0.010, 1.0)
+            .qdisc(qdisc)
             .ccas(vec![CcaKind::Reno, CcaKind::BbrV2]);
         let cfg = SimConfig { duration: 1.5, warmup: 0.0, seed, ..Default::default() };
-        let r = run_dumbbell(&spec, &cfg);
+        let r = run_path(&path_network_for_spec(&spec), &cfg);
         // Rates bounded by capacity (+ small binning slack).
         for f in &r.flows {
             prop_assert!(f.throughput_mbps <= 20.0 * 1.05);
@@ -168,5 +171,70 @@ proptest! {
         prop_assert!((0.0..=100.0).contains(&r.loss_percent));
         prop_assert!((0.0..=100.0 + 1e-9).contains(&r.occupancy_percent));
         prop_assert!(r.utilization_percent <= 100.0 + 1e-9);
+    }
+}
+
+/// Characters that stress the JSON writer's escaping: quotes,
+/// backslashes, control characters, and multi-byte UTF-8.
+const JSON_CHARS: [char; 12] = [
+    'a', ' ', '"', '\\', '/', '\n', '\t', '\u{1}', '\u{7f}', 'é', '€', '😀',
+];
+
+/// A JSON string drawn from [`JSON_CHARS`] by the bits of `w`.
+fn json_string(w: u64) -> String {
+    (0..(w >> 60) as u32)
+        .map(|k| JSON_CHARS[((w >> (4 * k)) % 12) as usize])
+        .collect()
+}
+
+/// A JSON document at most `depth` levels deep, built from `words`:
+/// finite numbers from raw bit patterns (`-0.0` and subnormals
+/// included), escaped strings, and arrays/objects of up to three items.
+fn json_doc(words: &mut std::slice::Iter<u64>, depth: usize) -> Json {
+    let w = words.next().copied().unwrap_or(0);
+    let kind = if depth == 0 { w % 2 } else { w % 4 };
+    let len = (w >> 62) as usize;
+    match kind {
+        0 => {
+            let v = f64::from_bits(w.rotate_left(31));
+            Json::Num(if v.is_finite() { v } else { w as f64 })
+        }
+        1 => Json::Str(json_string(w)),
+        2 => Json::Arr((0..len).map(|_| json_doc(words, depth - 1)).collect()),
+        _ => Json::Obj(
+            (0..len)
+                .map(|k| (json_string(w >> k), json_doc(words, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn json_parse_never_panics_on_hostile_bytes(
+        noise in proptest::collection::vec(0u16..256, 0..200),
+        structure in proptest::collection::vec(0usize..12, 0..400),
+    ) {
+        // Arbitrary bytes, and JSON punctuation soup that nests deeply
+        // and unbalanced: any outcome but a panic.
+        let noise: Vec<u8> = noise.iter().map(|&b| b as u8).collect();
+        let _ = Json::parse(&String::from_utf8_lossy(&noise));
+        let soup: String = structure.iter().map(|&i| b"[]{}\":, 1-e\\"[i] as char).collect();
+        let _ = Json::parse(&soup);
+    }
+
+    #[test]
+    fn json_writer_output_round_trips(
+        words in proptest::collection::vec(0u64..u64::MAX, 1..64),
+        depth in 0usize..6,
+    ) {
+        let doc = json_doc(&mut words.iter(), depth);
+        let text = doc.to_compact_string();
+        let back = Json::parse(&text).unwrap();
+        prop_assert_eq!(&back, &doc);
+        // Equal text means equal float bits (`-0.0` included).
+        prop_assert_eq!(back.to_compact_string(), text);
     }
 }

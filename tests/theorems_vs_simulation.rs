@@ -12,10 +12,10 @@ fn theorem1_queue_matches_full_model() {
     // Deep buffer, homogeneous BBRv1, equal RTTs: the full fluid model
     // should settle near q* = d·C (RTT doubles: τ → 2·τ_prop).
     let d = 0.032; // total propagation RTT
-    let scenario = Scenario::dumbbell(5, 100.0, 0.010, 6.0, QdiscKind::DropTail)
+    let spec = ScenarioSpec::dumbbell(5, 100.0, 0.010, 6.0)
         .rtt_range(d, d)
-        .config(ModelConfig::coarse());
-    let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
+        .ccas(vec![CcaKind::BbrV1]);
+    let mut sim = Simulator::for_spec(&spec, ModelConfig::coarse()).unwrap();
     sim.run(6.0);
     sim.reset_metrics();
     let m = sim.run(4.0);
@@ -40,10 +40,10 @@ fn theorem3_loss_matches_full_model() {
     let n = 10;
     let p = ReducedParams::new(n, 100.0, 0.035);
     let predicted = 100.0 * (1.0 - 100.0 / (n as f64 * p.eq_rate_shallow()));
-    let scenario = Scenario::dumbbell(n, 100.0, 0.010, 0.5, QdiscKind::DropTail)
+    let spec = ScenarioSpec::dumbbell(n, 100.0, 0.010, 0.5)
         .rtt_range(0.030, 0.040)
-        .config(ModelConfig::coarse());
-    let mut sim = scenario.build(&[CcaKind::BbrV1]).unwrap();
+        .ccas(vec![CcaKind::BbrV1]);
+    let mut sim = Simulator::for_spec(&spec, ModelConfig::coarse()).unwrap();
     sim.run(3.0);
     sim.reset_metrics();
     let m = sim.run(3.0);
@@ -62,10 +62,10 @@ fn theorem4_queue_matches_full_model() {
     // in the right region and (b) clearly below BBRv1's equilibrium.
     let d = 0.032;
     let n = 5;
-    let scenario = Scenario::dumbbell(n, 100.0, 0.010, 6.0, QdiscKind::DropTail)
+    let spec = ScenarioSpec::dumbbell(n, 100.0, 0.010, 6.0)
         .rtt_range(d, d)
-        .config(ModelConfig::coarse());
-    let mut sim = scenario.build(&[CcaKind::BbrV2]).unwrap();
+        .ccas(vec![CcaKind::BbrV2]);
+    let mut sim = Simulator::for_spec(&spec, ModelConfig::coarse()).unwrap();
     sim.run(6.0);
     sim.reset_metrics();
     let m = sim.run(4.0);
@@ -88,10 +88,10 @@ fn bbrv2_fairness_beats_bbrv1_in_deep_buffers_with_rtt_heterogeneity() {
     // be. With heterogeneous RTTs in deep buffers the fluid model shows
     // BBRv1 RTT-unfairness (§4.3.1) while BBRv2 converges close to fair.
     let mk = |kind: CcaKind| {
-        let scenario = Scenario::dumbbell(6, 100.0, 0.010, 6.0, QdiscKind::DropTail)
+        let spec = ScenarioSpec::dumbbell(6, 100.0, 0.010, 6.0)
             .rtt_range(0.030, 0.040)
-            .config(ModelConfig::coarse());
-        let mut sim = scenario.build(&[kind]).unwrap();
+            .ccas(vec![kind]);
+        let mut sim = Simulator::for_spec(&spec, ModelConfig::coarse()).unwrap();
         sim.run(5.0);
         sim.reset_metrics();
         sim.run(5.0).jain
