@@ -2,7 +2,7 @@
 //! ACK clocking, SACK-style loss detection, fast retransmit, RTO), and
 //! metrics collection.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use bbr_trace::{Recorder, TraceEvent};
 use rand::rngs::StdRng;
@@ -111,6 +111,127 @@ struct PktMeta {
     last_sent: f64,
 }
 
+/// Sent packets not yet cumulatively acknowledged, indexed by sequence
+/// number: slot `i` holds seq `base + i`, so `base + slots.len()` is the
+/// next fresh seq. `None` marks a SACKed packet.
+#[derive(Default)]
+struct Flight {
+    base: u64,
+    slots: VecDeque<Option<PktMeta>>,
+    /// Number of `Some` slots.
+    live: usize,
+}
+
+impl Flight {
+    fn slot(&mut self, seq: u64) -> Option<&mut Option<PktMeta>> {
+        let i = usize::try_from(seq.checked_sub(self.base)?).ok()?;
+        self.slots.get_mut(i)
+    }
+
+    /// The outstanding (un-SACKed) packet `seq`, if any.
+    fn get_mut(&mut self, seq: u64) -> Option<&mut PktMeta> {
+        self.slot(seq)?.as_mut()
+    }
+
+    /// Record the next fresh packet.
+    fn push(&mut self, meta: PktMeta) {
+        self.slots.push_back(Some(meta));
+        self.live += 1;
+    }
+
+    /// SACK packet `seq`: take it out of the flight, if still there.
+    fn take(&mut self, seq: u64) -> Option<PktMeta> {
+        let meta = self.slot(seq)?.take()?;
+        self.live -= 1;
+        Some(meta)
+    }
+
+    /// Drop every slot below the cumulative ACK `ack`, handing each
+    /// outstanding packet among them to `acked` in sequence order.
+    fn ack_below(&mut self, ack: u64, mut acked: impl FnMut(PktMeta)) {
+        while self.base < ack {
+            let Some(slot) = self.slots.pop_front() else {
+                break;
+            };
+            self.base += 1;
+            if let Some(meta) = slot {
+                self.live -= 1;
+                acked(meta);
+            }
+        }
+    }
+
+    /// The outstanding packets below seq `end` with their seqs, in
+    /// sequence order.
+    fn outstanding_below(&mut self, end: u64) -> impl Iterator<Item = (u64, &mut PktMeta)> {
+        let n = usize::try_from(end.saturating_sub(self.base)).unwrap_or(usize::MAX);
+        (self.base..)
+            .zip(self.slots.iter_mut().take(n))
+            .filter_map(|(seq, slot)| Some((seq, slot.as_mut()?)))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+}
+
+/// A flow's retransmission timer.
+///
+/// An eager timer would push a fresh `Ev::Rto` on every ACK and orphan
+/// the previous one. This one keeps the armed deadline together with the
+/// FIFO sequence number such a push would have taken
+/// ([`EventQueue::reserve`]), and at most one queued entry that is still
+/// its own. That entry lies at or before the armed `(at, seq)`; popping
+/// early, it re-queues itself there. So the timer fires at exactly the
+/// place in the event order where the eager one would, exact-time ties
+/// included.
+#[derive(Default)]
+struct RtoTimer {
+    armed: bool,
+    at: f64,
+    seq: u64,
+    /// `(time, seq)` of the timer's own queued `Ev::Rto`, if any.
+    queued: Option<(f64, u64)>,
+}
+
+impl RtoTimer {
+    /// Arm for `at`. The deadline takes the FIFO seq an eager push would
+    /// take now; an entry is queued only when none is at or before `at`.
+    fn arm(&mut self, events: &mut EventQueue, flow: usize, at: f64) {
+        let seq = events.reserve();
+        self.armed = true;
+        self.at = at;
+        self.seq = seq;
+        if self.queued.is_none_or(|(t, _)| t > at) {
+            self.queue(events, flow, at, seq);
+        }
+    }
+
+    /// Handle the pop of flow `flow`'s `Ev::Rto` queued under `token`;
+    /// true when the timer is due.
+    fn pop(&mut self, events: &mut EventQueue, flow: usize, token: u64) -> bool {
+        if self.queued.map(|(_, seq)| seq) != Some(token) {
+            return false; // superseded by an entry for a nearer deadline
+        }
+        self.queued = None;
+        if self.armed && token != self.seq {
+            // The deadline moved later: wait where the eager timer pops.
+            self.queue(events, flow, self.at, self.seq);
+            return false;
+        }
+        self.armed
+    }
+
+    fn queue(&mut self, events: &mut EventQueue, flow: usize, at: f64, seq: u64) {
+        self.queued = Some((at, seq));
+        let ev = Ev::Rto {
+            flow: flow as u32,
+            token: seq,
+        };
+        events.push_reserved(at, seq, ev);
+    }
+}
+
 /// Per-flow sender + receiver state.
 pub struct Flow {
     /// Queued links on the forward route.
@@ -134,15 +255,14 @@ pub struct Flow {
     mss: f64,
     // Sender state.
     next_seq: u64,
-    inflight: BTreeMap<u64, PktMeta>,
+    inflight: Flight,
     inflight_bytes: f64,
     sacked: BTreeSet<u64>,
     delivered: f64,
     srtt: f64,
     rttvar: f64,
     min_rtt: f64,
-    rto_token: u64,
-    rto_armed: bool,
+    rto: RtoTimer,
     recovery_until: u64,
     next_send_time: f64,
     wake_at: f64,
@@ -181,15 +301,14 @@ impl Flow {
             cca,
             mss,
             next_seq: 0,
-            inflight: BTreeMap::new(),
+            inflight: Flight::default(),
             inflight_bytes: 0.0,
             sacked: BTreeSet::new(),
             delivered: 0.0,
             srtt: 0.0,
             rttvar: 0.0,
             min_rtt: f64::INFINITY,
-            rto_token: 0,
-            rto_armed: false,
+            rto: RtoTimer::default(),
             recovery_until: 0,
             next_send_time: 0.0,
             wake_at: f64::INFINITY,
@@ -264,11 +383,14 @@ impl Engine {
                 f.cca.set_trace_id(i, rec);
             }
         }
+        // Delay lines: one per flow access path, one per flow return
+        // path, one per link (see `access_line` and friends).
+        let events = EventQueue::with_lines(2 * flows.len() + links.len());
         Self {
             cfg,
             links,
             flows,
-            events: EventQueue::new(),
+            events,
             now: 0.0,
             rng,
             bottleneck,
@@ -317,6 +439,26 @@ impl Engine {
         }
     }
 
+    // Every packet-carrying event leaves its source after a fixed delay
+    // of that source, so each source's events form a delay line.
+
+    /// Line of the `Arrive`s flow `f` emits after its access delay.
+    fn access_line(&self, f: usize) -> usize {
+        f
+    }
+
+    /// Line of the `Ack`s flow `f`'s receiver returns after its return
+    /// delay.
+    fn return_line(&self, f: usize) -> usize {
+        self.flows.len() + f
+    }
+
+    /// Line of the `Arrive`s and `Recv`s link `l` hands on after its
+    /// propagation delay.
+    fn link_line(&self, l: usize) -> usize {
+        2 * self.flows.len() + l
+    }
+
     // ------------------------------------------------------------------
     // Sender.
     // ------------------------------------------------------------------
@@ -342,11 +484,12 @@ impl Engine {
         loop {
             // Drop stale retransmission entries (acked in the meantime or
             // already retransmitted).
-            while let Some(&seq) = self.flows[f].retx_queue.front() {
-                match self.flows[f].inflight.get(&seq) {
+            let flow = &mut self.flows[f];
+            while let Some(&seq) = flow.retx_queue.front() {
+                match flow.inflight.get_mut(seq) {
                     Some(meta) if meta.lost => break,
                     _ => {
-                        self.flows[f].retx_queue.pop_front();
+                        flow.retx_queue.pop_front();
                     }
                 }
             }
@@ -381,7 +524,7 @@ impl Engine {
         let seq = match retx_seq {
             Some(s) => {
                 // Retransmission: the packet re-enters the flight.
-                let meta = match flow.inflight.get_mut(&s) {
+                let meta = match flow.inflight.get_mut(s) {
                     Some(m) if m.lost => m,
                     _ => return, // acked or already retransmitted
                 };
@@ -393,14 +536,11 @@ impl Engine {
             None => {
                 let s = flow.next_seq;
                 flow.next_seq += 1;
-                flow.inflight.insert(
-                    s,
-                    PktMeta {
-                        size,
-                        lost: false,
-                        last_sent: now,
-                    },
-                );
+                flow.inflight.push(PktMeta {
+                    size,
+                    lost: false,
+                    last_sent: now,
+                });
                 flow.inflight_bytes += size;
                 s
             }
@@ -423,20 +563,12 @@ impl Engine {
             hop: 0,
         };
         let access = flow.access_delay;
-        if !flow.rto_armed {
-            flow.rto_armed = true;
-            flow.rto_token += 1;
-            let token = flow.rto_token;
+        if !flow.rto.armed {
             let at = now + flow.rto_interval();
-            self.events.push(
-                at,
-                Ev::Rto {
-                    flow: f as u32,
-                    token,
-                },
-            );
+            flow.rto.arm(&mut self.events, f, at);
         }
-        self.events.push(now + access, Ev::Arrive { pkt });
+        self.events
+            .push_line(self.access_line(f), now + access, Ev::Arrive { pkt });
     }
 
     // ------------------------------------------------------------------
@@ -506,12 +638,13 @@ impl Engine {
         // Propagate to the next hop or the receiver.
         let flow = &self.flows[pkt.flow as usize];
         let mut next = pkt;
-        if (pkt.hop as usize) + 1 < flow.route.len() {
+        let ev = if (pkt.hop as usize) + 1 < flow.route.len() {
             next.hop += 1;
-            self.events.push(now + prop, Ev::Arrive { pkt: next });
+            Ev::Arrive { pkt: next }
         } else {
-            self.events.push(now + prop, Ev::Recv { pkt: next });
-        }
+            Ev::Recv { pkt: next }
+        };
+        self.events.push_line(self.link_line(l), now + prop, ev);
     }
 
     // ------------------------------------------------------------------
@@ -541,7 +674,9 @@ impl Engine {
         }
         let rcv_next = flow.rcv_next;
         let bwd = flow.bwd_delay;
-        self.events.push(now + bwd, Ev::Ack { pkt, rcv_next });
+        let line = self.return_line(pkt.flow as usize);
+        self.events
+            .push_line(line, now + bwd, Ev::Ack { pkt, rcv_next });
     }
 
     // ------------------------------------------------------------------
@@ -556,23 +691,21 @@ impl Engine {
         let mut newly_acked = 0.0;
 
         // Cumulatively acknowledged packets.
-        while let Some((&s, _)) = flow.inflight.iter().next() {
-            if s >= rcv_next {
-                break;
-            }
-            let meta = flow.inflight.remove(&s).unwrap();
+        flow.inflight.ack_below(rcv_next, |meta| {
             if !meta.lost {
                 flow.inflight_bytes -= meta.size;
             }
             flow.delivered += meta.size;
             newly_acked += meta.size;
-        }
+        });
         // SACKed packets below the cumulative ACK are fully accounted.
-        flow.sacked = flow.sacked.split_off(&rcv_next);
+        while flow.sacked.first().is_some_and(|&s| s < rcv_next) {
+            flow.sacked.pop_first();
+        }
 
         // Selective acknowledgment of this packet.
         if pkt.seq >= rcv_next {
-            if let Some(meta) = flow.inflight.remove(&pkt.seq) {
+            if let Some(meta) = flow.inflight.take(pkt.seq) {
                 if !meta.lost {
                     flow.inflight_bytes -= meta.size;
                 }
@@ -606,56 +739,35 @@ impl Engine {
         flow.bin_delivered += newly_acked;
 
         // Loss detection: a hole with ≥ REORDER_THRESH SACKed packets
-        // above it is lost (fast retransmit).
-        let mut lost: Vec<u64> = Vec::new();
-        {
-            let flow = &mut self.flows[f];
+        // above it is lost (fast retransmit). The flight and `sacked` are
+        // disjoint, so those holes are exactly the ones below the
+        // REORDER_THRESH-th highest SACK.
+        let mut congestion_event = false;
+        if let Some(&thresh) = flow.sacked.iter().nth_back(REORDER_THRESH - 1) {
             // Loss can only be declared for packets whose most recent
             // transmission is old enough for its SACKs to have returned.
             let age_floor = 0.9 * flow.srtt;
-            let holes: Vec<(u64, f64)> = flow
-                .inflight
-                .iter()
-                .filter(|(_, m)| !m.lost)
-                .map(|(&s, m)| (s, m.last_sent))
-                .collect();
-            for (s, last_sent) in holes {
-                let above = flow
-                    .sacked
-                    .range((std::ops::Bound::Excluded(s), std::ops::Bound::Unbounded))
-                    .count();
-                if above < REORDER_THRESH {
-                    break; // holes are ordered; later ones have fewer above
+            let holes = flow.inflight.outstanding_below(thresh);
+            for (s, meta) in holes.filter(|(_, m)| !m.lost && now - m.last_sent >= age_floor) {
+                meta.lost = true;
+                // Lost bytes leave the flight (standard TCP accounting);
+                // the packet waits in the retransmission queue for a
+                // paced resend.
+                flow.inflight_bytes -= meta.size;
+                flow.retx_queue.push_back(s);
+                flow.cca.on_packet_lost(now, meta.size);
+                if s >= flow.recovery_until || flow.recovery_until == 0 {
+                    congestion_event = true;
+                    flow.recovery_until = flow.next_seq;
                 }
-                if now - last_sent >= age_floor {
-                    lost.push(s);
-                }
-            }
-        }
-        let mut congestion_event = false;
-        for &s in &lost {
-            let flow = &mut self.flows[f];
-            let meta = flow.inflight.get_mut(&s).unwrap();
-            meta.lost = true;
-            let size = meta.size;
-            // Lost bytes leave the flight (standard TCP accounting); the
-            // packet waits in the retransmission queue for a paced resend.
-            flow.inflight_bytes -= size;
-            flow.retx_queue.push_back(s);
-            flow.cca.on_packet_lost(now, size);
-            if s >= flow.recovery_until || flow.recovery_until == 0 {
-                congestion_event = true;
-                flow.recovery_until = flow.next_seq;
             }
         }
         if congestion_event {
-            let flow = &mut self.flows[f];
             let inflight = flow.inflight_bytes;
             flow.cca.on_congestion_event(now, inflight);
         }
 
         // Rate sample to the CCA.
-        let flow = &mut self.flows[f];
         if newly_acked > 0.0 {
             let interval = now - pkt.sent_time;
             let delivery_rate = if interval > 0.0 {
@@ -678,21 +790,11 @@ impl Engine {
         }
 
         // Re-arm the retransmission timer.
-        let flow = &mut self.flows[f];
-        flow.rto_token += 1;
         if flow.inflight.is_empty() {
-            flow.rto_armed = false;
+            flow.rto.armed = false;
         } else {
-            flow.rto_armed = true;
-            let token = flow.rto_token;
             let at = now + flow.rto_interval();
-            self.events.push(
-                at,
-                Ev::Rto {
-                    flow: f as u32,
-                    token,
-                },
-            );
+            flow.rto.arm(&mut self.events, f, at);
         }
 
         self.try_send(f);
@@ -700,47 +802,33 @@ impl Engine {
 
     fn on_rto(&mut self, f: usize, token: u64) {
         let now = self.now;
-        {
-            let flow = &mut self.flows[f];
-            if token != flow.rto_token || !flow.rto_armed {
-                return; // stale timer
-            }
-            if now >= flow.stop {
-                flow.rto_armed = false;
-                return; // stopped flows neither retransmit nor re-arm
-            }
-            if flow.inflight.is_empty() {
-                flow.rto_armed = false;
-                return;
-            }
-            flow.cca.on_rto(now);
-            flow.recovery_until = flow.next_seq;
-            // Go-back-N: every outstanding packet is presumed lost and
-            // queued for a paced retransmission.
-            let seqs: Vec<u64> = flow
-                .inflight
-                .iter()
-                .filter(|(_, m)| !m.lost)
-                .map(|(&s, _)| s)
-                .collect();
-            for s in seqs {
-                let meta = flow.inflight.get_mut(&s).unwrap();
+        let flow = &mut self.flows[f];
+        if !flow.rto.pop(&mut self.events, f, token) {
+            return;
+        }
+        if now >= flow.stop {
+            flow.rto.armed = false;
+            return; // stopped flows neither retransmit nor re-arm
+        }
+        if flow.inflight.is_empty() {
+            flow.rto.armed = false;
+            return;
+        }
+        flow.cca.on_rto(now);
+        flow.recovery_until = flow.next_seq;
+        // Go-back-N: every outstanding packet is presumed lost and
+        // queued for a paced retransmission.
+        let next_seq = flow.next_seq;
+        for (s, meta) in flow.inflight.outstanding_below(next_seq) {
+            if !meta.lost {
                 meta.lost = true;
                 flow.inflight_bytes -= meta.size;
                 flow.retx_queue.push_back(s);
             }
-            flow.next_send_time = now; // restart the pacing clock
-            flow.rto_token += 1;
-            let token = flow.rto_token;
-            let at = now + 2.0 * flow.rto_interval(); // backoff
-            self.events.push(
-                at,
-                Ev::Rto {
-                    flow: f as u32,
-                    token,
-                },
-            );
         }
+        flow.next_send_time = now; // restart the pacing clock
+        let at = now + 2.0 * flow.rto_interval(); // backoff
+        flow.rto.arm(&mut self.events, f, at);
         self.try_send(f);
     }
 
@@ -947,6 +1035,117 @@ mod tests {
         assert!((19..=21).contains(&rates.len()), "{} bins", rates.len());
         let peak = rates.iter().cloned().fold(0.0, f64::max);
         assert!(peak > 10.0, "peak binned rate {peak}");
+    }
+
+    /// The lazy retransmission timer fires exactly where an eager one
+    /// would. The eager reference pushes a fresh `Ev::Rto` on every arm
+    /// and ignores all but the latest. Both follow one random script of
+    /// arms, disarms and other events on a coarse time grid, so exact-time
+    /// ties between deadlines and other events are common.
+    #[test]
+    fn lazy_rto_timer_fires_where_an_eager_one_would() {
+        use rand::Rng;
+
+        #[derive(Debug, PartialEq)]
+        enum Seen {
+            Wake(u32),
+            Fire,
+        }
+        struct Eager {
+            q: EventQueue,
+            armed: bool,
+            token: u64,
+        }
+        impl Eager {
+            fn arm(&mut self, at: f64) {
+                self.token += 1;
+                self.armed = true;
+                let token = self.token;
+                self.q.push(at, Ev::Rto { flow: 0, token });
+            }
+            fn next(&mut self) -> Option<(f64, Seen)> {
+                loop {
+                    match self.q.pop()? {
+                        (t, Ev::Wake { flow }) => return Some((t, Seen::Wake(flow))),
+                        (t, Ev::Rto { token, .. }) if self.armed && token == self.token => {
+                            return Some((t, Seen::Fire))
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+        struct Lazy {
+            q: EventQueue,
+            rto: RtoTimer,
+        }
+        impl Lazy {
+            fn next(&mut self) -> Option<(f64, Seen)> {
+                loop {
+                    match self.q.pop()? {
+                        (t, Ev::Wake { flow }) => return Some((t, Seen::Wake(flow))),
+                        (t, Ev::Rto { token, .. }) => {
+                            if self.rto.pop(&mut self.q, 0, token) {
+                                return Some((t, Seen::Fire));
+                            }
+                        }
+                        (_, ev) => panic!("unexpected {ev:?}"),
+                    }
+                }
+            }
+        }
+
+        let mut rng = StdRng::seed_from_u64(0x7173);
+        let mut draw = |max: u64| rng.gen::<u64>() % (max + 1);
+        let grid = |ticks: u64| ticks as f64 * 0.25;
+        let mut fires = 0;
+        for _ in 0..100 {
+            let mut eager = Eager {
+                q: EventQueue::new(),
+                armed: false,
+                token: 0,
+            };
+            let mut lazy = Lazy {
+                q: EventQueue::new(),
+                rto: RtoTimer::default(),
+            };
+            let mut next_wake = 0;
+            let mut now = 0.0;
+            let mut seen = None;
+            for _ in 0..300 {
+                for _ in 0..draw(3) {
+                    let at = now + grid(draw(8));
+                    eager.q.push(at, Ev::Wake { flow: next_wake });
+                    lazy.q.push(at, Ev::Wake { flow: next_wake });
+                    next_wake += 1;
+                }
+                // After a timeout the engine always re-arms or disarms.
+                let action = if seen == Some(Seen::Fire) {
+                    draw(1)
+                } else {
+                    draw(7)
+                };
+                match action {
+                    0 => {
+                        let at = now + grid(draw(12));
+                        eager.arm(at);
+                        lazy.rto.arm(&mut lazy.q, 0, at);
+                    }
+                    1 => {
+                        eager.armed = false;
+                        lazy.rto.armed = false;
+                    }
+                    _ => {}
+                }
+                let got = lazy.next();
+                assert_eq!(got, eager.next());
+                let Some((t, ev)) = got else { break };
+                fires += usize::from(ev == Seen::Fire);
+                now = t;
+                seen = Some(ev);
+            }
+        }
+        assert!(fires > 100, "only {fires} timeouts fired");
     }
 
     #[test]

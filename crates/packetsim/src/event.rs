@@ -1,7 +1,8 @@
 //! Time-ordered event queue of the discrete-event engine.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A data packet in flight (metadata travels with the packet so that the
 /// ACK can echo it back for RTT and delivery-rate sampling, as in BBR's
@@ -20,7 +21,7 @@ pub struct Pkt {
     /// Whether this is a retransmission (Karn's rule: no RTT sample).
     pub retx: bool,
     /// Position of the next queued link on the flow's route.
-    pub hop: u8,
+    pub hop: u16,
 }
 
 /// Events handled by the engine.
@@ -37,18 +38,25 @@ pub enum Ev {
     Ack { pkt: Pkt, rcv_next: u64 },
     /// A pacing / send-opportunity wake-up for the sender.
     Wake { flow: u32 },
-    /// Retransmission-timeout check; `token` guards against stale timers.
+    /// Retransmission-timeout check; `token` is the FIFO sequence number
+    /// the entry is queued under, which tells the flow's live timer entry
+    /// from superseded ones.
     Rto { flow: u32, token: u64 },
     /// Periodic metrics/trace sample.
     Sample,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Entry {
     time: f64,
     seq: u64,
+    /// Delay line the entry belongs to, or [`DIRECT`].
+    line: usize,
     ev: Ev,
 }
+
+/// `Entry::line` of an entry pushed straight into the heap.
+const DIRECT: usize = usize::MAX;
 
 impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
@@ -73,16 +81,53 @@ impl PartialOrd for Entry {
     }
 }
 
+/// One delay line: a stream of entries pushed in `(time, seq)` order.
+/// Only its head sits in the heap; the rest wait here in push order.
+#[derive(Debug)]
+struct Line {
+    waiting: VecDeque<Entry>,
+    /// Whether the line's head is in the heap.
+    in_heap: bool,
+    /// Time of the latest push.
+    last: f64,
+}
+
 /// A deterministic min-heap of timestamped events.
+///
+/// Events pop in `(time, seq)` order: earliest time first, ties broken
+/// by the FIFO sequence number every push takes. That order is output
+/// data, since every outcome bit of the engine depends on it.
+///
+/// Besides plain pushes the queue has *delay lines*: streams whose
+/// pushes never go back in time, such as the packets a link hands on
+/// after its fixed propagation delay. A line keeps only its head in the
+/// heap. Merging sorted streams by the same key pops the same sequence
+/// as one heap holding every entry, so lines shrink the heap without
+/// moving one event.
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Entry>,
+    lines: Vec<Line>,
     counter: u64,
 }
 
 impl EventQueue {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A queue with `lines` delay lines, numbered from 0.
+    pub(crate) fn with_lines(lines: usize) -> Self {
+        Self {
+            lines: (0..lines)
+                .map(|_| Line {
+                    waiting: VecDeque::new(),
+                    in_heap: false,
+                    last: f64::NEG_INFINITY,
+                })
+                .collect(),
+            ..Self::default()
+        }
     }
 
     /// Schedule `ev` at absolute time `time`.
@@ -93,30 +138,94 @@ impl EventQueue {
     /// `partial_cmp(..).unwrap_or(Equal)`, so a NaN would otherwise sort
     /// anywhere and silently mis-order every later event.
     pub fn push(&mut self, time: f64, ev: Ev) {
-        assert!(
-            time.is_finite(),
-            "event time {time} is not finite for {ev:?}"
-        );
+        let seq = self.reserve();
+        self.push_reserved(time, seq, ev);
+    }
+
+    /// Take the next FIFO sequence number without pushing, for an entry
+    /// pushed later through [`EventQueue::push_reserved`].
+    pub(crate) fn reserve(&mut self) -> u64 {
         self.counter += 1;
+        self.counter
+    }
+
+    /// Schedule `ev` at `time` under a sequence number taken earlier with
+    /// [`EventQueue::reserve`]: it pops exactly where a push made at the
+    /// reservation would have. Panics as [`EventQueue::push`] does.
+    pub(crate) fn push_reserved(&mut self, time: f64, seq: u64, ev: Ev) {
+        assert_finite(time, &ev);
         self.heap.push(Entry {
             time,
-            seq: self.counter,
+            seq,
+            line: DIRECT,
             ev,
         });
     }
 
-    /// Pop the earliest event.
-    pub fn pop(&mut self) -> Option<(f64, Ev)> {
-        self.heap.pop().map(|e| (e.time, e.ev))
+    /// Schedule `ev` at `time` on delay line `line`.
+    ///
+    /// # Panics
+    ///
+    /// If `time` is not finite, or earlier than the line's previous push:
+    /// a line out of order would pop its entries out of `(time, seq)`
+    /// order.
+    pub(crate) fn push_line(&mut self, line: usize, time: f64, ev: Ev) {
+        assert_finite(time, &ev);
+        let seq = self.reserve();
+        let l = &mut self.lines[line];
+        assert!(
+            time >= l.last,
+            "delay line {line} went back in time: {time} after {} for {ev:?}",
+            l.last
+        );
+        l.last = time;
+        let entry = Entry {
+            time,
+            seq,
+            line,
+            ev,
+        };
+        if l.in_heap {
+            l.waiting.push_back(entry);
+        } else {
+            l.in_heap = true;
+            self.heap.push(entry);
+        }
     }
 
+    /// Pop the earliest event.
+    pub fn pop(&mut self) -> Option<(f64, Ev)> {
+        let mut top = self.heap.peek_mut()?;
+        let entry = match self.lines.get_mut(top.line) {
+            // A line head: its successor takes its place in the heap.
+            Some(line) => match line.waiting.pop_front() {
+                Some(next) => std::mem::replace(&mut *top, next),
+                None => {
+                    line.in_heap = false;
+                    PeekMut::pop(top)
+                }
+            },
+            None => PeekMut::pop(top),
+        };
+        Some((entry.time, entry.ev))
+    }
+
+    /// Number of queued events, delay lines included.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lines.iter().map(|l| l.waiting.len()).sum::<usize>()
     }
 
     pub fn is_empty(&self) -> bool {
+        // A line with waiting entries always has its head in the heap.
         self.heap.is_empty()
     }
+}
+
+fn assert_finite(time: f64, ev: &Ev) {
+    assert!(
+        time.is_finite(),
+        "event time {time} is not finite for {ev:?}"
+    );
 }
 
 #[cfg(test)]
@@ -171,5 +280,119 @@ mod tests {
         assert_eq!(q.len(), 2);
         q.pop();
         assert_eq!(q.len(), 1);
+    }
+
+    fn wake_flow(ev: Ev) -> u32 {
+        match ev {
+            Ev::Wake { flow } => flow,
+            other => panic!("expected a wake-up, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reserved_seq_pops_before_a_later_push_at_the_same_time() {
+        let mut q = EventQueue::new();
+        let early = q.reserve();
+        q.push(1.0, Ev::Wake { flow: 1 });
+        q.push_reserved(1.0, early, Ev::Wake { flow: 0 });
+        let order: Vec<u32> = (0..2).map(|_| wake_flow(q.pop().unwrap().1)).collect();
+        assert_eq!(order, vec![0, 1]);
+    }
+
+    #[test]
+    fn len_counts_line_entries() {
+        let mut q = EventQueue::with_lines(2);
+        for t in [1.0, 1.0, 2.0] {
+            q.push_line(0, t, Ev::Sample);
+        }
+        q.push_line(1, 0.5, Ev::Sample);
+        q.push(3.0, Ev::Sample);
+        // Two line heads and one direct entry in the heap, two waiting.
+        assert_eq!(q.len(), 5);
+        let mut popped = 0;
+        while q.pop().is_some() {
+            popped += 1;
+            assert_eq!(q.len(), 5 - popped);
+        }
+        assert_eq!(popped, 5);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "delay line 1 went back in time: 1.5 after 2")]
+    fn line_push_going_back_in_time_is_rejected() {
+        let mut q = EventQueue::with_lines(2);
+        q.push_line(1, 2.0, Ev::Sample);
+        q.pop();
+        q.push_line(1, 1.5, Ev::Sample);
+    }
+
+    /// Random interleavings of direct, reserved and line pushes with
+    /// pops, on a coarse time grid so exact ties are common, pop in
+    /// exactly the order of a plain heap keyed by `(time, seq)`.
+    #[test]
+    fn lines_and_reservations_pop_like_one_heap() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::cmp::Reverse;
+
+        const LINES: usize = 5;
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let tick = |rng: &mut StdRng, max: u64| rng.gen::<u64>() % (max + 1);
+        for _ in 0..200 {
+            let mut q = EventQueue::with_lines(LINES);
+            // Reference: every entry in one heap, keyed by (tick, seq).
+            let mut reference = BinaryHeap::new();
+            let mut line_last = [0u64; LINES];
+            let mut reserved: Vec<u64> = Vec::new();
+            let mut now = 0u64;
+            let mut next_id = 0u32;
+            for _ in 0..400 {
+                let id = next_id;
+                let ev = Ev::Wake { flow: id };
+                let (at, seq) = match tick(&mut rng, 9) {
+                    0..=2 => {
+                        let at = now + tick(&mut rng, 3);
+                        q.push(at as f64, ev);
+                        (at, q.counter)
+                    }
+                    3..=5 => {
+                        let line = (rng.gen::<u64>() % LINES as u64) as usize;
+                        let at = line_last[line].max(now) + tick(&mut rng, 2);
+                        line_last[line] = at;
+                        q.push_line(line, at as f64, ev);
+                        (at, q.counter)
+                    }
+                    6 => {
+                        reserved.push(q.reserve());
+                        continue;
+                    }
+                    7 if !reserved.is_empty() => {
+                        let i = (rng.gen::<u64>() % reserved.len() as u64) as usize;
+                        let seq = reserved.swap_remove(i);
+                        let at = now + tick(&mut rng, 3);
+                        q.push_reserved(at as f64, seq, ev);
+                        (at, seq)
+                    }
+                    _ => {
+                        let got = q.pop().map(|(t, ev)| (t as u64, wake_flow(ev)));
+                        let want = reference.pop().map(|Reverse((t, _, id))| (t, id));
+                        assert_eq!(got, want);
+                        if let Some((t, _)) = got {
+                            now = t;
+                        }
+                        continue;
+                    }
+                };
+                next_id += 1;
+                reference.push(Reverse((at, seq, id)));
+                assert_eq!(q.len(), reference.len());
+            }
+            while let Some(Reverse((t, _, id))) = reference.pop() {
+                let (got_t, ev) = q.pop().expect("queue ran dry before the reference");
+                assert_eq!((got_t as u64, wake_flow(ev)), (t, id));
+            }
+            assert!(q.pop().is_none());
+        }
     }
 }

@@ -68,7 +68,8 @@ pub struct PathNetwork {
 
 impl PathNetwork {
     /// Structural sanity: at least one link and one flow, every route
-    /// non-empty and in range, the headline link in range, and every
+    /// non-empty, in range and at most `u16::MAX` links long (a packet
+    /// counts its hops in a `u16`), the headline link in range, and every
     /// flow's activity window non-empty.
     pub fn validate(&self) -> Result<(), String> {
         if self.links.is_empty() {
@@ -87,6 +88,13 @@ impl PathNetwork {
         for (i, f) in self.flows.iter().enumerate() {
             if f.links.is_empty() {
                 return Err(format!("flow {i} has an empty route"));
+            }
+            if f.links.len() > usize::from(u16::MAX) {
+                return Err(format!(
+                    "flow {i} routes over {} links, more than the {} a packet can count",
+                    f.links.len(),
+                    u16::MAX
+                ));
             }
             if let Some(&l) = f.links.iter().find(|&&l| l as usize >= self.links.len()) {
                 return Err(format!(
@@ -280,6 +288,12 @@ mod tests {
         let mut empty_route = ok.clone();
         empty_route.flows[0].links.clear();
         assert!(empty_route.validate().is_err());
+        let mut endless_route = ok.clone();
+        endless_route.flows[0].links = vec![0; usize::from(u16::MAX) + 1];
+        let err = endless_route.validate().unwrap_err();
+        assert!(err.contains("65536 links"), "{err}");
+        endless_route.flows[0].links.pop();
+        endless_route.validate().unwrap();
         let mut bad_headline = ok.clone();
         bad_headline.headline = 9;
         assert!(bad_headline.validate().is_err());
@@ -315,6 +329,45 @@ mod tests {
             h < 0.65 * f && h > 0.25 * f,
             "stopped at half time: {h:.2} vs {f:.2} Mbit/s"
         );
+    }
+
+    #[test]
+    fn route_longer_than_256_links_reaches_its_last_link() {
+        // One flow over 257 queued links: hop counts past `u8::MAX` must
+        // neither overflow nor wrap back to the first link.
+        let hops = 257;
+        let rate = 10.0 * 1e6 / 8.0;
+        let links = (0..hops)
+            .map(|_| PathLinkSpec {
+                rate,
+                prop_delay: 0.0001,
+                buffer: 30_000.0,
+                qdisc: QdiscKind::DropTail,
+            })
+            .collect();
+        let net = PathNetwork {
+            links,
+            flows: vec![PathFlowSpec {
+                links: (0..hops as u32).collect(),
+                access_delay: 0.001,
+                bwd_delay: 0.001,
+                cca: CcaKind::Reno,
+                start: 0.0,
+                stop: f64::INFINITY,
+                gaps: Vec::new(),
+            }],
+            headline: 0,
+        };
+        let cfg = SimConfig {
+            duration: 1.0,
+            warmup: 0.25,
+            seed: 1,
+            ..Default::default()
+        };
+        let r = run_path(&net, &cfg);
+        assert!(r.flows[0].throughput_mbps > 0.0, "no delivery");
+        let last = r.per_link_utilization[hops - 1];
+        assert!(last > 0.0, "last link idle: {last} %");
     }
 
     #[test]
