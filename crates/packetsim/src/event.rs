@@ -55,7 +55,8 @@ struct Entry {
     ev: Ev,
 }
 
-/// `Entry::line` of an entry pushed straight into the heap.
+/// `Entry::line` of an entry pushed straight into the heap (no line has
+/// this index).
 const DIRECT: usize = usize::MAX;
 
 impl PartialEq for Entry {
