@@ -13,10 +13,14 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use bbr_analysis::{theorem2_stability, theorem5_stability};
-use bbr_experiments::aggregate::{experiment_cell, model_cell};
+use bbr_experiments::aggregate::model_config;
 use bbr_experiments::figures::run_figure;
 use bbr_experiments::scenarios::{CampaignParams, COMBOS};
 use bbr_experiments::Effort;
+use bbr_fluid_core::backend::FluidBackend;
+use bbr_fluid_core::topology::QdiscKind;
+use bbr_packetsim::backend::PacketBackend;
+use bbr_scenario::SimBackend;
 
 fn trace_figures(c: &mut Criterion) {
     let mut g = c.benchmark_group("figures_traces");
@@ -46,22 +50,14 @@ fn aggregate_figures(c: &mut Criterion) {
         ("fig16_cell", CampaignParams::short_rtt().fast(), 0),
         ("fig17_cell", CampaignParams::short_rtt().fast(), 5),
     ];
+    let model = FluidBackend::new(model_config(Effort::Fast));
     for (id, params, combo) in cases {
+        let spec = params.dumbbell_spec(&COMBOS[combo], 2.0, QdiscKind::DropTail);
+        let experiment = PacketBackend::new(params.runs);
         g.bench_function(id, |b| {
             b.iter(|| {
-                let m = model_cell(
-                    &params,
-                    &COMBOS[combo],
-                    2.0,
-                    bbr_fluid_core::topology::QdiscKind::DropTail,
-                    Effort::Fast,
-                );
-                let e = experiment_cell(
-                    &params,
-                    &COMBOS[combo],
-                    2.0,
-                    bbr_fluid_core::topology::QdiscKind::DropTail,
-                );
+                let m = model.run(&spec, 42);
+                let e = experiment.run(&spec, 42);
                 black_box((m.jain, e.jain))
             })
         });

@@ -277,10 +277,12 @@ pub fn run_worker(
     let mut progress = ShardProgress::new(shard, shards, planned, cached);
     // Pass 2: compute and persist, batching where the backend can,
     // flushing to the shard file as results are produced.
-    // (`ScenarioGrid::run_cached` in bbr-experiments implements the same
-    // partition-by-backend / run_batch-or-scalar dispatch with in-memory
-    // result placement instead of incremental flushing — keep the two in
-    // step when changing either.)
+    // (`bbr_experiments::compare::run_column` is the in-memory form of
+    // this rule, which sweeps, cached sweeps and the differential harness
+    // share: a backend with a batch view gets its entries through
+    // `run_batch`, any other runs them one at a time. This loop keeps its
+    // own copy for the per-chunk flushing and progress events — keep the
+    // two in step when changing either.)
     for (backend_index, (_, backend)) in backends.iter().enumerate() {
         let mine: Vec<usize> = (0..items.len())
             .filter(|&i| items[i].backend_index == backend_index)

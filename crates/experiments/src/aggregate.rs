@@ -8,11 +8,17 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use bbr_fluid_core::prelude::*;
+use bbr_fluidbatch::BatchedFluidBackend;
 use bbr_packetsim::backend::PacketBackend;
 use bbr_scenario::RunOutcome;
 
+use crate::compare::run_column;
 use crate::scenarios::{CampaignParams, Combo, COMBOS};
 use crate::Effort;
+
+/// The seed of every aggregate-figure cell. The packet engine derives
+/// its runs' seeds from it; the fluid model ignores it.
+const FIGURE_SEED: u64 = 42;
 
 /// The five §4.3 metrics of one simulation.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -37,6 +43,12 @@ impl From<&RunOutcome> for CellMetrics {
 }
 
 impl CellMetrics {
+    /// `(utilization %, Jain, loss %)`: the three metrics the
+    /// differential harness ([`crate::compare`]) gates.
+    pub fn headline(&self) -> (f64, f64, f64) {
+        (self.utilization_percent, self.jain, self.loss_percent)
+    }
+
     pub fn get(&self, metric: Metric) -> f64 {
         match metric {
             Metric::Jain => self.jain,
@@ -91,43 +103,6 @@ pub fn model_config(effort: Effort) -> ModelConfig {
     }
 }
 
-/// Run the fluid model for one cell (through [`FluidBackend`]).
-pub fn model_cell(
-    p: &CampaignParams,
-    combo: &Combo,
-    buffer_bdp: f64,
-    qdisc: QdiscKind,
-    effort: Effort,
-) -> CellMetrics {
-    let spec = p.dumbbell_spec(combo, buffer_bdp, qdisc);
-    CellMetrics::from(&FluidBackend::new(model_config(effort)).run(&spec, 0))
-}
-
-/// Run the packet-level experiment for one cell with the fixed seed the
-/// figure sweeps use.
-pub fn experiment_cell(
-    p: &CampaignParams,
-    combo: &Combo,
-    buffer_bdp: f64,
-    qdisc: QdiscKind,
-) -> CellMetrics {
-    experiment_cell_seeded(p, combo, buffer_bdp, qdisc, 42)
-}
-
-/// Run the packet-level experiment for one cell with an explicit seed
-/// (the sweep engine derives one per grid cell), averaging the
-/// campaign's `runs` seeds through [`PacketBackend`].
-pub fn experiment_cell_seeded(
-    p: &CampaignParams,
-    combo: &Combo,
-    buffer_bdp: f64,
-    qdisc: QdiscKind,
-    seed: u64,
-) -> CellMetrics {
-    let spec = p.dumbbell_spec(combo, buffer_bdp, qdisc);
-    CellMetrics::from(&PacketBackend::new(p.runs).run(&spec, seed))
-}
-
 /// Buffer sizes of the sweep (1–7 BDP; reduced in fast mode).
 pub fn buffer_sizes(effort: Effort) -> Vec<f64> {
     if effort.is_fast() {
@@ -151,19 +126,25 @@ pub fn sweep(p: &CampaignParams, qdisc: QdiscKind, effort: Effort) -> Arc<SweepT
     } else {
         COMBOS.iter().collect()
     };
-    let cells = combos
+    let specs: Vec<ScenarioSpec> = combos
         .iter()
-        .map(|combo| {
-            buffers
-                .iter()
-                .map(|b| {
-                    (
-                        model_cell(p, combo, *b, qdisc, effort),
-                        experiment_cell(p, combo, *b, qdisc),
-                    )
-                })
-                .collect()
-        })
+        .flat_map(|combo| buffers.iter().map(|&b| p.dumbbell_spec(combo, b, qdisc)))
+        .collect();
+    let jobs: Vec<(&ScenarioSpec, u64)> = specs.iter().map(|s| (s, FIGURE_SEED)).collect();
+    // The batched fluid engine is bit-identical to the scalar one, and
+    // the packet cells spread over the pool: same table, less wall time.
+    let column = |backend: &dyn SimBackend| -> Vec<CellMetrics> {
+        run_column(backend, &jobs, |o| CellMetrics::from(&o))
+            .into_iter()
+            .map(|m| m.expect("dumbbells run on every backend"))
+            .collect()
+    };
+    let model = column(&BatchedFluidBackend::new(model_config(effort)));
+    let experiment = column(&PacketBackend::new(p.runs));
+    let pairs: Vec<(CellMetrics, CellMetrics)> = model.into_iter().zip(experiment).collect();
+    let cells = pairs
+        .chunks(buffers.len())
+        .map(|row| row.to_vec())
         .collect();
     let table = Arc::new(SweepTable { buffers, cells });
     cache.lock().unwrap().insert(key, table.clone());
@@ -186,14 +167,17 @@ mod tests {
     #[test]
     fn fast_cells_produce_sane_metrics() {
         let p = CampaignParams::default_rtt().fast();
-        let m = model_cell(&p, &COMBOS[0], 2.0, QdiscKind::DropTail, Effort::Fast);
-        assert!(m.jain > 0.0 && m.jain <= 1.0);
-        assert!((0.0..=100.0).contains(&m.loss_percent));
-        assert!((0.0..=100.0).contains(&m.occupancy_percent));
-        assert!(m.utilization_percent > 10.0);
-        let e = experiment_cell(&p, &COMBOS[0], 2.0, QdiscKind::DropTail);
-        assert!(e.jain > 0.0 && e.jain <= 1.0);
-        assert!(e.utilization_percent > 10.0);
+        let table = sweep(&p, QdiscKind::DropTail, Effort::Fast);
+        assert_eq!(table.cells.len(), combo_labels(Effort::Fast).len());
+        assert_eq!(combo_labels(Effort::Fast)[0], COMBOS[0].label);
+        for &(m, e) in table.cells.iter().flatten() {
+            assert!(m.jain > 0.0 && m.jain <= 1.0);
+            assert!((0.0..=100.0).contains(&m.loss_percent));
+            assert!((0.0..=100.0).contains(&m.occupancy_percent));
+            assert!(m.utilization_percent > 10.0);
+            assert!(e.jain > 0.0 && e.jain <= 1.0);
+            assert!(e.utilization_percent > 10.0);
+        }
     }
 
     #[test]

@@ -40,8 +40,9 @@
 use std::path::PathBuf;
 
 use bbr_campaign::ResultStore;
-use bbr_experiments::aggregate::buffer_sizes;
+use bbr_experiments::aggregate::{buffer_sizes, model_config};
 use bbr_experiments::campaign::{all_topologies, build_backend, campaign_grid};
+use bbr_experiments::compare::{Delta, CONSISTENCY};
 use bbr_experiments::figures::{all_ids, run_figure};
 use bbr_experiments::scenarios::CampaignParams;
 use bbr_experiments::sweep::{bench_grid, Backend, ScenarioGrid, TopologyKind};
@@ -222,43 +223,68 @@ fn parse_topologies(args: &[String], default: Vec<TopologyKind>) -> Vec<Topology
     }
 }
 
+/// The `--backend` selector shared by `sweep` and `universe`.
+fn parse_backend(args: &[String]) -> Backend {
+    match flag_value(args, "--backend") {
+        Some("fluid") => Backend::Fluid,
+        Some("fluid-batch") => Backend::FluidBatch,
+        Some("fluid-simd") => Backend::FluidSimd,
+        Some("packet") => Backend::Packet,
+        Some("both") | None => Backend::Both,
+        Some(other) => {
+            eprintln!(
+                "unknown backend: {other} (expected fluid|fluid-batch|fluid-simd|packet|both)"
+            );
+            std::process::exit(2);
+        }
+    }
+}
+
 /// The `simd-check` subcommand: the SIMD engine's consistency smoke.
 ///
 /// Runs the pinned 24-cell mixed-topology grid ([`bench_grid`]) on the
 /// scalar `fluid` backend and the packed `fluid-simd` backend and
 /// diffs every cell's metrics under the cross-backend tolerance
-/// contract (`tests/backend_consistency.rs`): utilization within 25
-/// percentage points, Jain within 0.35. The packed engine tracks the
-/// scalar one far tighter than that in practice (sub-percent), but the
-/// contract is the tolerance the name `"fluid-simd"` promises, so the
-/// gate checks exactly that. Exits non-zero on any violation.
+/// contract, [`CONSISTENCY`]: a cell fails when its utilization or Jain
+/// gap reaches the gate. The packed engine tracks the scalar one far
+/// tighter than that in practice (sub-percent), but the contract is the
+/// tolerance the name `"fluid-simd"` promises, so the gate checks
+/// exactly that. Exits non-zero on any violation.
 fn run_simd_check() {
-    let scalar = bench_grid(24).run();
-    let simd = bench_grid(24).backend(Backend::FluidSimd).run();
-    assert_eq!(scalar.len(), simd.len(), "grids must expand identically");
+    let cfg = model_config(Effort::Fast);
+    let report = bench_grid(24).run_with(&[
+        Box::new(bbr_fluid_core::backend::FluidBackend::new(cfg.clone())),
+        Box::new(bbr_fluidbatch::SimdFluidBackend::new(cfg)),
+    ]);
     let mut worst_util = 0.0f64;
     let mut worst_jain = 0.0f64;
     let mut failed = false;
-    for (a, b) in scalar.cells.iter().zip(&simd.cells) {
-        let (Some(m), Some(s)) = (scalar.metrics(a, "fluid"), simd.metrics(b, "fluid-simd")) else {
+    for cell in &report.cells {
+        let (Some(m), Some(s)) = (
+            report.metrics(cell, "fluid"),
+            report.metrics(cell, "fluid-simd"),
+        ) else {
             eprintln!("simd-check: missing backend column for a cell");
             std::process::exit(1);
         };
-        let util_gap = (m.utilization_percent - s.utilization_percent).abs();
-        let jain_gap = (m.jain - s.jain).abs();
+        let d = Delta::between(m, s);
+        let (util_gap, jain_gap) = (d.util_pp.abs(), d.jain.abs());
         worst_util = worst_util.max(util_gap);
         worst_jain = worst_jain.max(jain_gap);
-        if util_gap >= 25.0 || jain_gap >= 0.35 {
+        if util_gap >= CONSISTENCY.util_pp || jain_gap >= CONSISTENCY.jain {
             eprintln!(
                 "simd-check FAIL at {:?}: util gap {util_gap:.2} pp, jain gap {jain_gap:.3}",
-                a.point
+                cell.point
             );
             failed = true;
         }
     }
     eprintln!(
-        "simd-check: 24 cells, worst utilization gap {worst_util:.3} pp \
-         (tolerance 25), worst Jain gap {worst_jain:.4} (tolerance 0.35)"
+        "simd-check: {} cells, worst utilization gap {worst_util:.3} pp \
+         (tolerance {}), worst Jain gap {worst_jain:.4} (tolerance {})",
+        report.len(),
+        CONSISTENCY.util_pp,
+        CONSISTENCY.jain,
     );
     if failed {
         std::process::exit(1);
@@ -341,19 +367,7 @@ fn run_universe_cmd(args: &[String], effort: Effort) {
             std::process::exit(2);
         }
     };
-    let backend = match flag_value(args, "--backend") {
-        Some("fluid") => Backend::Fluid,
-        Some("fluid-batch") => Backend::FluidBatch,
-        Some("fluid-simd") => Backend::FluidSimd,
-        Some("packet") => Backend::Packet,
-        Some("both") | None => Backend::Both,
-        Some(other) => {
-            eprintln!(
-                "unknown backend: {other} (expected fluid|fluid-batch|fluid-simd|packet|both)"
-            );
-            std::process::exit(2);
-        }
-    };
+    let backend = parse_backend(args);
     eprintln!(
         "universe sweep: {cells} generated cells (seed {seed:#x}) on {} thread(s)...",
         rayon::current_num_threads()
@@ -455,9 +469,9 @@ fn run_trace(args: &[String]) {
     }
     let backend: Box<dyn SimBackend> = match flag_value(args, "--backend") {
         None | Some("packet") => Box::new(bbr_packetsim::backend::PacketBackend::new(1)),
-        Some("fluid") => Box::new(bbr_fluid_core::backend::FluidBackend::new(
-            bbr_experiments::aggregate::model_config(Effort::Fast),
-        )),
+        Some("fluid") => Box::new(bbr_fluid_core::backend::FluidBackend::new(model_config(
+            Effort::Fast,
+        ))),
         Some(other) => {
             eprintln!("unknown backend: {other} (expected fluid|packet)");
             std::process::exit(2);
@@ -681,19 +695,7 @@ fn parse_cca_combo(label: &str) -> bbr_experiments::scenarios::Combo {
 /// buffer sizes × both qdiscs, or a single `--cca` mix) fanned out over
 /// the cores.
 fn run_sweep(args: &[String], effort: Effort) {
-    let backend = match flag_value(args, "--backend") {
-        Some("fluid") => Backend::Fluid,
-        Some("fluid-batch") => Backend::FluidBatch,
-        Some("fluid-simd") => Backend::FluidSimd,
-        Some("packet") => Backend::Packet,
-        Some("both") | None => Backend::Both,
-        Some(other) => {
-            eprintln!(
-                "unknown backend: {other} (expected fluid|fluid-batch|fluid-simd|packet|both)"
-            );
-            std::process::exit(2);
-        }
-    };
+    let backend = parse_backend(args);
     let topologies = parse_topologies(args, vec![TopologyKind::Dumbbell]);
     // Full effort runs the §4.3 campaign (N = 10, 5 s windows, 3 runs);
     // --fast its reduced variant — same split as the figure generators.

@@ -10,15 +10,16 @@
 //! hand-rolled writer, so floats round-trip exactly) and is exercised in
 //! CI through `figures drift --fast`.
 //!
-//! The score normalizes each delta by the corresponding cross-backend
-//! consistency tolerance (`tests/backend_consistency.rs`: 25 pp
-//! utilization, 0.35 Jain), so `score ≈ 1` means "a cell at the edge of
-//! what the consistency suite tolerates" and the worst-cell ranking is
-//! directly comparable across metrics.
+//! The score normalizes each delta by the [`CONSISTENCY`] gates, the
+//! tolerances `tests/backend_consistency.rs` holds the engines to, so
+//! `score ≈ 1` means "a cell at the edge of what the consistency suite
+//! tolerates" and the worst-cell ranking is directly comparable across
+//! metrics.
 
 use std::sync::Arc;
 
 use crate::aggregate::model_config;
+use crate::compare::{self, Delta, CONSISTENCY};
 use crate::scenarios::{COMBOS, DEPLOY_COMBOS};
 use crate::sweep::{Backend, ScenarioGrid, SweepReport, TopologyKind};
 use crate::tracefmt::CellTrace;
@@ -30,14 +31,11 @@ use bbr_scenario::{QdiscKind, ScenarioSpec, SimBackend};
 use bbr_trace::{MemorySink, TraceConfig};
 
 /// Utilization tolerance (percentage points) the consistency suite
-/// allows; used as the score normalizer.
-pub const UTIL_TOLERANCE_PP: f64 = 25.0;
-/// Jain-index tolerance used as the score normalizer.
-pub const JAIN_TOLERANCE: f64 = 0.35;
-/// Loss normalizer (percentage points): no consistency bound exists for
-/// loss, so the score weighs 5 pp of loss disagreement like a
-/// full-tolerance utilization gap.
-pub const LOSS_NORM_PP: f64 = 5.0;
+/// allows: [`CONSISTENCY`]`.util_pp`.
+pub const UTIL_TOLERANCE_PP: f64 = CONSISTENCY.util_pp;
+/// Jain-index tolerance the consistency suite allows:
+/// [`CONSISTENCY`]`.jain`.
+pub const JAIN_TOLERANCE: f64 = CONSISTENCY.jain;
 
 /// The pinned paper-shaped audit grid. Fixed seed, fixed axes: the
 /// report is a deterministic function of the effort preset, so two
@@ -77,7 +75,7 @@ pub fn drift_grid(effort: Effort) -> ScenarioGrid {
 }
 
 /// One audited cell: scenario coordinates, both backends' headline
-/// metrics, and the packet-minus-fluid deltas.
+/// metrics, and the packet-minus-fluid delta.
 #[derive(Debug, Clone)]
 pub struct DriftCell {
     pub topology: &'static str,
@@ -90,14 +88,16 @@ pub struct DriftCell {
     pub fluid: (f64, f64, f64),
     /// (utilization %, Jain, loss %) under the packet simulator.
     pub packet: (f64, f64, f64),
-    /// packet − fluid utilization gap (percentage points).
-    pub util_delta_pp: f64,
-    /// packet − fluid Jain-index gap.
-    pub jain_delta: f64,
-    /// packet − fluid loss gap (percentage points).
-    pub loss_delta_pp: f64,
-    /// Tolerance-normalized divergence (see module docs).
-    pub score: f64,
+    /// packet − fluid on each metric.
+    pub delta: Delta,
+}
+
+impl DriftCell {
+    /// Tolerance-normalized divergence under [`CONSISTENCY`] (see module
+    /// docs).
+    pub fn score(&self) -> f64 {
+        self.delta.score(&CONSISTENCY)
+    }
 }
 
 /// The audit result: every cell in grid order plus a worst-first
@@ -130,12 +130,6 @@ pub fn from_sweep(report: &SweepReport, effort: Effort) -> DriftReport {
         ) else {
             continue;
         };
-        let util_delta_pp = p.utilization_percent - f.utilization_percent;
-        let jain_delta = p.jain - f.jain;
-        let loss_delta_pp = p.loss_percent - f.loss_percent;
-        let score = util_delta_pp.abs() / UTIL_TOLERANCE_PP
-            + jain_delta.abs() / JAIN_TOLERANCE
-            + loss_delta_pp.abs() / LOSS_NORM_PP;
         cells.push(DriftCell {
             topology: cell.point.topology.label(),
             combo: cell.point.combo.label,
@@ -143,41 +137,25 @@ pub fn from_sweep(report: &SweepReport, effort: Effort) -> DriftReport {
             buffer_bdp: cell.point.buffer_bdp,
             qdisc: cell.point.qdisc,
             seed: cell.seed,
-            fluid: (f.utilization_percent, f.jain, f.loss_percent),
-            packet: (p.utilization_percent, p.jain, p.loss_percent),
-            util_delta_pp,
-            jain_delta,
-            loss_delta_pp,
-            score,
+            fluid: f.headline(),
+            packet: p.headline(),
+            delta: Delta::between(f, p),
         });
     }
-    let mut ranking: Vec<usize> = (0..cells.len()).collect();
-    ranking.sort_by(|&a, &b| {
-        cells[b]
-            .score
-            .partial_cmp(&cells[a].score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    let scores: Vec<Option<f64>> = cells.iter().map(|c| Some(c.score())).collect();
     DriftReport {
         effort,
         capacity: report.capacity,
         duration: report.duration,
         cells,
-        ranking,
+        ranking: compare::rank_worst_first(&scores),
     }
 }
 
 impl DriftReport {
     /// Mean absolute utilization gap over all audited cells (pp).
     pub fn mean_abs_util_gap_pp(&self) -> f64 {
-        if self.cells.is_empty() {
-            return 0.0;
-        }
-        self.cells
-            .iter()
-            .map(|c| c.util_delta_pp.abs())
-            .sum::<f64>()
-            / self.cells.len() as f64
+        compare::mean_abs_util_gap(self.cells.iter().map(|c| c.delta)).unwrap_or(0.0)
     }
 
     /// The worst `k` cells by score, worst first.
@@ -191,13 +169,6 @@ impl DriftReport {
 
     /// Machine-readable form (schema `drift-report/v1`).
     pub fn to_json(&self) -> Json {
-        let metric_obj = |(util, jain, loss): (f64, f64, f64)| {
-            Json::Obj(vec![
-                ("utilization_percent".into(), Json::Num(util)),
-                ("jain".into(), Json::Num(jain)),
-                ("loss_percent".into(), Json::Num(loss)),
-            ])
-        };
         let cells: Vec<Json> = self
             .cells
             .iter()
@@ -209,17 +180,10 @@ impl DriftReport {
                     ("buffer_bdp".into(), Json::Num(c.buffer_bdp)),
                     ("qdisc".into(), Json::str(format!("{:?}", c.qdisc))),
                     ("seed".into(), Json::hex(c.seed)),
-                    ("fluid".into(), metric_obj(c.fluid)),
-                    ("packet".into(), metric_obj(c.packet)),
-                    (
-                        "delta".into(),
-                        Json::Obj(vec![
-                            ("utilization_pp".into(), Json::Num(c.util_delta_pp)),
-                            ("jain".into(), Json::Num(c.jain_delta)),
-                            ("loss_pp".into(), Json::Num(c.loss_delta_pp)),
-                        ]),
-                    ),
-                    ("score".into(), Json::Num(c.score)),
+                    ("fluid".into(), compare::metrics_json(c.fluid)),
+                    ("packet".into(), compare::metrics_json(c.packet)),
+                    ("delta".into(), Json::Obj(c.delta.json_fields())),
+                    ("score".into(), Json::Num(c.score())),
                 ])
             })
             .collect();
@@ -257,7 +221,7 @@ impl DriftReport {
             out.push_str(&format!(
                 "  {:>8} {:<13} buf={:.0} {:?}: Δutil {:+.1} pp, Δjain {:+.3}, Δloss {:+.2} pp (score {:.2})\n",
                 c.topology, c.combo, c.buffer_bdp, c.qdisc,
-                c.util_delta_pp, c.jain_delta, c.loss_delta_pp, c.score,
+                c.delta.util_pp, c.delta.jain, c.delta.loss_pp, c.score(),
             ));
         }
         out
@@ -265,10 +229,10 @@ impl DriftReport {
 }
 
 /// Utilization-fraction gap above which two traces count as diverged
-/// (`|util_fluid − util_packet| > 0.25` at one aligned sample). Matches
-/// the consistency suite's 25 pp utilization tolerance, expressed as a
-/// fraction of capacity.
-pub const TRACE_GAP_THRESHOLD: f64 = 0.25;
+/// (`|util_fluid − util_packet| > 0.25` at one aligned sample): the
+/// [`CONSISTENCY`] utilization tolerance, expressed as a fraction of
+/// capacity.
+pub const TRACE_GAP_THRESHOLD: f64 = CONSISTENCY.util_pp / 100.0;
 
 /// Width (s) of the sliding window the worst-divergence search uses.
 pub const TRACE_WINDOW_S: f64 = 0.25;
@@ -690,7 +654,7 @@ mod tests {
         assert_eq!(report.ranking.len(), 18);
         // Ranking is worst-first.
         for w in report.ranking.windows(2) {
-            assert!(report.cells[w[0]].score >= report.cells[w[1]].score);
+            assert!(report.cells[w[0]].score() >= report.cells[w[1]].score());
         }
         // The JSON round-trips through the campaign parser.
         let text = report.to_json().to_compact_string();
@@ -704,6 +668,6 @@ mod tests {
         let seed = cells[0].field("seed").unwrap().as_hex_u64().unwrap();
         assert_eq!(seed, report.cells[0].seed);
         let score = cells[0].field("score").unwrap().as_f64().unwrap();
-        assert_eq!(score.to_bits(), report.cells[0].score.to_bits());
+        assert_eq!(score.to_bits(), report.cells[0].score().to_bits());
     }
 }

@@ -13,6 +13,7 @@
 
 pub mod aggregate;
 pub mod campaign;
+pub mod compare;
 pub mod drift;
 pub mod figures;
 pub mod scenarios;

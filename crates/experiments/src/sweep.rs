@@ -42,9 +42,9 @@ use bbr_packetsim::backend::PacketBackend;
 use bbr_scenario::{
     run_seed, FlowWindow, QdiscKind, RunOutcome, ScenarioSpec, SimBackend, Topology,
 };
-use rayon::prelude::*;
 
 use crate::aggregate::{model_config, CellMetrics};
+use crate::compare::{self, run_column, Delta};
 use crate::scenarios::{CampaignParams, Combo, COMBOS};
 use crate::table;
 use crate::Effort;
@@ -638,48 +638,29 @@ impl ScenarioGrid {
     /// implementations plug in here. Cells a backend does not support
     /// (`SimBackend::supports`) get `None` in that backend's column.
     ///
-    /// Backends exposing a batch view ([`SimBackend::as_batch`]) receive
-    /// *all* of their supported cells in one `run_batch` call — the
-    /// whole grid integrates in lockstep — instead of the per-cell loop.
-    /// Since `run_batch` is bit-identical to the scalar loop by
-    /// contract, the report never depends on which path ran.
+    /// Each backend runs its column through
+    /// [`compare::run_column`]: backends exposing a batch view
+    /// ([`SimBackend::as_batch`]) receive *all* of their supported cells
+    /// in one `run_batch` call — the whole grid integrates in lockstep —
+    /// and the rest fan out per cell. Since `run_batch` is bit-identical
+    /// to the scalar loop by contract, the report never depends on which
+    /// path ran.
     pub fn run_with(&self, backends: &[Box<dyn SimBackend>]) -> SweepReport {
         let t0 = Instant::now();
         let tasks = self.tasks();
+        let jobs: Vec<(&ScenarioSpec, u64)> =
+            tasks.iter().map(|(_, spec, seed)| (spec, *seed)).collect();
         // One column of outcomes per backend, then transpose into cells.
         let columns: Vec<Vec<Option<CellMetrics>>> = backends
             .iter()
-            .map(|b| match b.as_batch() {
-                Some(batch) => {
-                    let supported: Vec<usize> = (0..tasks.len())
-                        .filter(|&i| b.supports(&tasks[i].1))
-                        .collect();
-                    let jobs: Vec<(&ScenarioSpec, u64)> = supported
-                        .iter()
-                        .map(|&i| (&tasks[i].1, tasks[i].2))
-                        .collect();
-                    let outs = batch.run_batch(&jobs);
-                    let mut col = vec![None; tasks.len()];
-                    for (&i, out) in supported.iter().zip(&outs) {
-                        col[i] = Some(CellMetrics::from(out));
-                    }
-                    col
-                }
-                None => tasks
-                    .par_iter()
-                    .map(|(_, spec, seed)| {
-                        b.supports(spec)
-                            .then(|| CellMetrics::from(&b.run(spec, *seed)))
-                    })
-                    .collect(),
-            })
+            .map(|b| run_column(b.as_ref(), &jobs, |o| CellMetrics::from(&o)))
             .collect();
         let cells: Vec<SweepCell> = tasks
-            .into_iter()
+            .iter()
             .enumerate()
             .map(|(i, (pt, _, seed))| SweepCell {
-                point: pt,
-                seed,
+                point: *pt,
+                seed: *seed,
                 outcomes: columns.iter().map(|col| col[i]).collect(),
             })
             .collect();
@@ -815,14 +796,10 @@ impl ScenarioGrid {
                 }
             }
         }
-        // Fill the missing entries backend by backend: batch-capable
-        // backends integrate all of their missing cells in lockstep, the
-        // rest fan out per cell. Results land back in `missing` order,
-        // so the store's append order (and thus its bytes) is the same
-        // whichever path computed an entry.
-        // (`bbr_campaign::run_worker` implements the same
-        // partition-by-backend dispatch with incremental shard-file
-        // flushing — keep the two in step when changing either.)
+        // Fill the missing entries backend by backend, one
+        // `run_column` each. Results land back in `missing` order, so the
+        // store's append order (and thus its bytes) is the same whichever
+        // path computed an entry.
         let mut outcomes: Vec<Option<RunOutcome>> = vec![None; missing.len()];
         for (backend_index, (backend, _)) in plan.iter().enumerate() {
             let mine: Vec<usize> = (0..missing.len())
@@ -831,31 +808,15 @@ impl ScenarioGrid {
             if mine.is_empty() {
                 continue;
             }
-            match backend.as_batch() {
-                Some(batch) => {
-                    let jobs: Vec<(&ScenarioSpec, u64)> = mine
-                        .iter()
-                        .map(|&i| {
-                            let item = &missing[i];
-                            (&item.spec, run_seed(item.seed, item.run_index))
-                        })
-                        .collect();
-                    for (&i, out) in mine.iter().zip(batch.run_batch(&jobs)) {
-                        outcomes[i] = Some(out);
-                    }
-                }
-                None => {
-                    let outs: Vec<RunOutcome> = mine
-                        .par_iter()
-                        .map(|&i| {
-                            let item = &missing[i];
-                            backend.run(&item.spec, run_seed(item.seed, item.run_index))
-                        })
-                        .collect();
-                    for (&i, out) in mine.iter().zip(outs) {
-                        outcomes[i] = Some(out);
-                    }
-                }
+            let jobs: Vec<(&ScenarioSpec, u64)> = mine
+                .iter()
+                .map(|&i| {
+                    let item = &missing[i];
+                    (&item.spec, run_seed(item.seed, item.run_index))
+                })
+                .collect();
+            for (&i, out) in mine.iter().zip(run_column(backend.as_ref(), &jobs, |o| o)) {
+                outcomes[i] = out;
             }
         }
         let computed: Vec<(CellKey, RunOutcome)> = missing
@@ -1074,19 +1035,10 @@ impl SweepReport {
     /// validation number).
     pub fn mean_gap_between(&self, a: &str, b: &str) -> Option<f64> {
         let (ia, ib) = (self.backend_index(a)?, self.backend_index(b)?);
-        let gaps: Vec<f64> = self
-            .cells
-            .iter()
-            .filter_map(|c| {
-                let (x, y) = (c.outcomes.get(ia)?.as_ref()?, c.outcomes.get(ib)?.as_ref()?);
-                Some((x.utilization_percent - y.utilization_percent).abs())
-            })
-            .collect();
-        if gaps.is_empty() {
-            None
-        } else {
-            Some(gaps.iter().sum::<f64>() / gaps.len() as f64)
-        }
+        compare::mean_abs_util_gap(self.cells.iter().filter_map(|c| {
+            let (x, y) = (c.outcomes.get(ia)?.as_ref()?, c.outcomes.get(ib)?.as_ref()?);
+            Some(Delta::between(x, y))
+        }))
     }
 
     /// Mean absolute model-vs-experiment utilization gap (fluid vs packet

@@ -8,20 +8,10 @@
 //! fat-tree / random-mesh topologies with varied per-hop RTT and
 //! bandwidth, and flow schedules from steady to multi-interval on/off
 //! to Poisson arrival/departure processes. Every cell is judged against
-//! universe tolerance gates ([`UNIVERSE_UTIL_TOLERANCE_PP`],
-//! [`UNIVERSE_JAIN_TOLERANCE`], [`UNIVERSE_LOSS_NORM_PP`]), so the
-//! report answers one question at scale: *does the fluid abstraction
-//! hold across topology space, or only on the three families the paper
-//! picked?*
-//!
-//! The universe gates share the drift audit's utilization tolerance but
-//! widen the Jain and loss gates: the generated corpus deliberately
-//! includes multi-hop contention and flow churn, where packet-level
-//! restart transients (STARTUP loss bursts, BBR flow-join standoff) and
-//! multi-flow fairness tails are known fluid blind spots. Calibrated on
-//! the 1024-cell seed-1889 reference universe (observed maxima: 19.5 pp
-//! utilization, 0.39 Jain, 8.5 pp loss), leaving ≥ 20 % headroom on
-//! every axis.
+//! the [`UNIVERSE`] gates of the differential harness
+//! ([`crate::compare`]), so the report answers one question at scale:
+//! *does the fluid abstraction hold across topology space, or only on
+//! the three families the paper picked?*
 //!
 //! Determinism: the report (and its CSV rendering) is a pure function
 //! of `(seed, cells, effort, backend)` — generated specs are
@@ -37,42 +27,12 @@ use bbr_fluidbatch::{BatchedFluidBackend, SimdFluidBackend};
 use bbr_packetsim::backend::PacketBackend;
 use bbr_scenario::universe::{generate_universe, GeneratedScenario};
 use bbr_scenario::{ScenarioSpec, SimBackend, Topology};
-use rayon::prelude::*;
 
 use crate::aggregate::{model_config, CellMetrics};
+use crate::compare::{self, run_column, Delta, UNIVERSE};
 use crate::sweep::{mix_seed, Backend};
 use crate::table;
 use crate::Effort;
-
-/// Utilization gate (percentage points) — same as the drift audit's
-/// [`crate::drift::UTIL_TOLERANCE_PP`].
-pub const UNIVERSE_UTIL_TOLERANCE_PP: f64 = 25.0;
-/// Jain-index gate. Wider than the drift audit's steady-dumbbell gate
-/// (0.35): ~1 % of generated cells land in a BBRv2 multi-flow fairness
-/// tail (flow-join standoff after churn, RTT-heterogeneous shares) the
-/// fluid model resolves to near-perfect fairness.
-pub const UNIVERSE_JAIN_TOLERANCE: f64 = 0.5;
-/// Loss gate (percentage points). Wider than the drift audit's 5 pp:
-/// every packet-level flow (re)start is a STARTUP burst into a small
-/// buffer, and Poisson cells restart flows several times per window.
-pub const UNIVERSE_LOSS_NORM_PP: f64 = 12.0;
-
-/// Fluid-vs-packet deltas of one compared cell, judged against the
-/// universe tolerance gates.
-#[derive(Debug, Clone, Copy)]
-pub struct UniverseDelta {
-    /// packet − fluid utilization gap (percentage points).
-    pub util_pp: f64,
-    /// packet − fluid Jain-index gap.
-    pub jain: f64,
-    /// packet − fluid loss gap (percentage points).
-    pub loss_pp: f64,
-    /// Tolerance-normalized divergence (same normalizers as the drift
-    /// audit, so scores are comparable across the two reports).
-    pub score: f64,
-    /// Whether every delta is within its tolerance gate.
-    pub within_gates: bool,
-}
 
 /// One swept universe cell: generation coordinates, per-backend
 /// headline metrics, and (when both engines ran) the divergence.
@@ -97,8 +57,16 @@ pub struct UniverseCell {
     /// (utilization %, Jain, loss %) under the packet simulator, when it
     /// ran.
     pub packet: Option<(f64, f64, f64)>,
-    /// The divergence, when both engines ran.
-    pub delta: Option<UniverseDelta>,
+    /// packet − fluid on each metric, when both engines ran.
+    pub delta: Option<Delta>,
+}
+
+impl UniverseCell {
+    /// Tolerance-normalized divergence under [`UNIVERSE`], when both
+    /// engines ran.
+    pub fn score(&self) -> Option<f64> {
+        self.delta.map(|d| d.score(&UNIVERSE))
+    }
 }
 
 /// The universe sweep result: every cell in generation order plus a
@@ -118,40 +86,6 @@ pub struct UniverseReport {
     pub cells: Vec<UniverseCell>,
     /// Indices of compared cells, sorted by descending score.
     pub ranking: Vec<usize>,
-}
-
-/// Evaluate one backend column over all cells: batch-capable backends
-/// integrate their supported cells in lockstep, the rest fan out per
-/// cell across the cores.
-fn eval_column(
-    backend: &dyn SimBackend,
-    tasks: &[(ScenarioSpec, u64)],
-) -> Vec<Option<CellMetrics>> {
-    match backend.as_batch() {
-        Some(batch) => {
-            let supported: Vec<usize> = (0..tasks.len())
-                .filter(|&i| backend.supports(&tasks[i].0))
-                .collect();
-            let jobs: Vec<(&ScenarioSpec, u64)> = supported
-                .iter()
-                .map(|&i| (&tasks[i].0, tasks[i].1))
-                .collect();
-            let outs = batch.run_batch(&jobs);
-            let mut col = vec![None; tasks.len()];
-            for (&i, out) in supported.iter().zip(&outs) {
-                col[i] = Some(CellMetrics::from(out));
-            }
-            col
-        }
-        None => tasks
-            .par_iter()
-            .map(|(spec, seed)| {
-                backend
-                    .supports(spec)
-                    .then(|| CellMetrics::from(&backend.run(spec, *seed)))
-            })
-            .collect(),
-    }
 }
 
 /// Generate the `cells`-cell universe seeded by `seed` and sweep it on
@@ -182,8 +116,10 @@ pub fn run_universe(seed: u64, cells: usize, effort: Effort, backend: Backend) -
         Backend::Packet | Backend::Both => Some(Box::new(PacketBackend::new(1))),
         _ => None,
     };
-    let fluid_col = fluid_backend.as_deref().map(|b| eval_column(b, &tasks));
-    let packet_col = packet_backend.as_deref().map(|b| eval_column(b, &tasks));
+    let jobs: Vec<(&ScenarioSpec, u64)> = tasks.iter().map(|(spec, seed)| (spec, *seed)).collect();
+    let column = |b: &dyn SimBackend| run_column(b, &jobs, |o| CellMetrics::from(&o));
+    let fluid_col = fluid_backend.as_deref().map(column);
+    let packet_col = packet_backend.as_deref().map(column);
     let mut backends = Vec::new();
     if let Some(b) = &fluid_backend {
         backends.push(b.name());
@@ -199,15 +135,8 @@ pub fn run_universe(seed: u64, cells: usize, effort: Effort, backend: Backend) -
             reduce_cell(i, g, spec, *cell_seed, &fluid_col, &packet_col)
         })
         .collect();
-    let mut ranking: Vec<usize> = (0..cells.len())
-        .filter(|&i| cells[i].delta.is_some())
-        .collect();
-    ranking.sort_by(|&a, &b| {
-        let score = |i: usize| cells[i].delta.map(|d| d.score).unwrap_or(0.0);
-        score(b)
-            .partial_cmp(&score(a))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    let scores: Vec<Option<f64>> = cells.iter().map(UniverseCell::score).collect();
+    let ranking = compare::rank_worst_first(&scores);
     UniverseReport {
         universe_seed: seed,
         effort,
@@ -226,32 +155,9 @@ fn reduce_cell(
     fluid_col: &Option<Vec<Option<CellMetrics>>>,
     packet_col: &Option<Vec<Option<CellMetrics>>>,
 ) -> UniverseCell {
-    let triple = |m: &CellMetrics| (m.utilization_percent, m.jain, m.loss_percent);
-    let fluid = fluid_col
-        .as_ref()
-        .and_then(|c| c[index].as_ref().map(triple));
-    let packet = packet_col
-        .as_ref()
-        .and_then(|c| c[index].as_ref().map(triple));
-    let delta = match (fluid, packet) {
-        (Some(f), Some(p)) => {
-            let util_pp = p.0 - f.0;
-            let jain = p.1 - f.1;
-            let loss_pp = p.2 - f.2;
-            Some(UniverseDelta {
-                util_pp,
-                jain,
-                loss_pp,
-                score: util_pp.abs() / UNIVERSE_UTIL_TOLERANCE_PP
-                    + jain.abs() / UNIVERSE_JAIN_TOLERANCE
-                    + loss_pp.abs() / UNIVERSE_LOSS_NORM_PP,
-                within_gates: util_pp.abs() <= UNIVERSE_UTIL_TOLERANCE_PP
-                    && jain.abs() <= UNIVERSE_JAIN_TOLERANCE
-                    && loss_pp.abs() <= UNIVERSE_LOSS_NORM_PP,
-            })
-        }
-        _ => None,
-    };
+    let fluid = fluid_col.as_ref().and_then(|c| c[index]);
+    let packet = packet_col.as_ref().and_then(|c| c[index]);
+    let delta = fluid.zip(packet).map(|(f, p)| Delta::between(&f, &p));
     let links = match &spec.topology {
         Topology::Custom { links, .. } => links.len(),
         _ => 0,
@@ -264,8 +170,8 @@ fn reduce_cell(
         links,
         spec_hash: spec.stable_hash(),
         seed,
-        fluid,
-        packet,
+        fluid: fluid.map(|m| m.headline()),
+        packet: packet.map(|m| m.headline()),
         delta,
     }
 }
@@ -280,22 +186,13 @@ impl UniverseReport {
     pub fn violations(&self) -> Vec<&UniverseCell> {
         self.cells
             .iter()
-            .filter(|c| c.delta.is_some_and(|d| !d.within_gates))
+            .filter(|c| c.delta.is_some_and(|d| !UNIVERSE.admits(&d)))
             .collect()
     }
 
     /// Mean absolute utilization gap over compared cells (pp).
     pub fn mean_abs_util_gap_pp(&self) -> f64 {
-        let gaps: Vec<f64> = self
-            .cells
-            .iter()
-            .filter_map(|c| c.delta.map(|d| d.util_pp.abs()))
-            .collect();
-        if gaps.is_empty() {
-            0.0
-        } else {
-            gaps.iter().sum::<f64>() / gaps.len() as f64
-        }
+        compare::mean_abs_util_gap(self.cells.iter().filter_map(|c| c.delta)).unwrap_or(0.0)
     }
 
     /// The worst `k` compared cells by score, worst first.
@@ -310,13 +207,6 @@ impl UniverseReport {
     /// Machine-readable form (schema `universe-report/v1`). Fully
     /// deterministic: wall-clock time is deliberately excluded.
     pub fn to_json(&self) -> Json {
-        let metric_obj = |(util, jain, loss): (f64, f64, f64)| {
-            Json::Obj(vec![
-                ("utilization_percent".into(), Json::Num(util)),
-                ("jain".into(), Json::Num(jain)),
-                ("loss_percent".into(), Json::Num(loss)),
-            ])
-        };
         let cells: Vec<Json> = self
             .cells
             .iter()
@@ -331,27 +221,18 @@ impl UniverseReport {
                     ("seed".into(), Json::hex(c.seed)),
                 ];
                 if let Some(f) = c.fluid {
-                    fields.push(("fluid".into(), metric_obj(f)));
+                    fields.push(("fluid".into(), compare::metrics_json(f)));
                 }
                 if let Some(p) = c.packet {
-                    fields.push(("packet".into(), metric_obj(p)));
+                    fields.push(("packet".into(), compare::metrics_json(p)));
                 }
                 if let Some(d) = c.delta {
-                    fields.push((
-                        "delta".into(),
-                        Json::Obj(vec![
-                            ("utilization_pp".into(), Json::Num(d.util_pp)),
-                            ("jain".into(), Json::Num(d.jain)),
-                            ("loss_pp".into(), Json::Num(d.loss_pp)),
-                            ("score".into(), Json::Num(d.score)),
-                            // 1/0 — the deterministic writer has no
-                            // boolean type.
-                            (
-                                "within_gates".into(),
-                                Json::Num(if d.within_gates { 1.0 } else { 0.0 }),
-                            ),
-                        ]),
-                    ));
+                    let mut delta = d.json_fields();
+                    delta.push(("score".into(), Json::Num(d.score(&UNIVERSE))));
+                    // 1/0 — the deterministic writer has no boolean type.
+                    let within = if UNIVERSE.admits(&d) { 1.0 } else { 0.0 };
+                    delta.push(("within_gates".into(), Json::Num(within)));
+                    fields.push(("delta".into(), Json::Obj(delta)));
                 }
                 Json::Obj(fields)
             })
@@ -365,17 +246,7 @@ impl UniverseReport {
                 "backends".into(),
                 Json::Arr(self.backends.iter().map(|b| Json::str(*b)).collect()),
             ),
-            (
-                "gates".into(),
-                Json::Obj(vec![
-                    (
-                        "utilization_pp".into(),
-                        Json::Num(UNIVERSE_UTIL_TOLERANCE_PP),
-                    ),
-                    ("jain".into(), Json::Num(UNIVERSE_JAIN_TOLERANCE)),
-                    ("loss_pp".into(), Json::Num(UNIVERSE_LOSS_NORM_PP)),
-                ]),
-            ),
+            ("gates".into(), UNIVERSE.to_json()),
             (
                 "summary".into(),
                 Json::Obj(vec![
@@ -445,8 +316,8 @@ impl UniverseReport {
                         row.push(format!("{:+.1}", d.util_pp));
                         row.push(format!("{:+.3}", d.jain));
                         row.push(format!("{:+.2}", d.loss_pp));
-                        row.push(table::f3(d.score));
-                        row.push(if d.within_gates { "yes" } else { "NO" }.to_string());
+                        row.push(table::f3(d.score(&UNIVERSE)));
+                        row.push(if UNIVERSE.admits(&d) { "yes" } else { "NO" }.to_string());
                     }
                     None => row.extend(["-", "-", "-", "-", "-"].map(String::from)),
                 }
@@ -478,9 +349,9 @@ impl UniverseReport {
                 self.compared(),
                 self.mean_abs_util_gap_pp(),
                 violations.len(),
-                UNIVERSE_UTIL_TOLERANCE_PP,
-                UNIVERSE_JAIN_TOLERANCE,
-                UNIVERSE_LOSS_NORM_PP,
+                UNIVERSE.util_pp,
+                UNIVERSE.jain,
+                UNIVERSE.loss_pp,
             ));
             out.push_str("worst cells (score = tolerance-normalized divergence):\n");
             for c in self.worst(5) {
@@ -496,8 +367,8 @@ impl UniverseReport {
                     d.util_pp,
                     d.jain,
                     d.loss_pp,
-                    d.score,
-                    if d.within_gates {
+                    d.score(&UNIVERSE),
+                    if UNIVERSE.admits(&d) {
                         ""
                     } else {
                         ", OUTSIDE GATES"
@@ -534,7 +405,7 @@ mod tests {
         assert_eq!(cells.len(), 12);
         // Ranking is worst-first over compared cells.
         for w in a.ranking.windows(2) {
-            let score = |i: usize| a.cells[i].delta.unwrap().score;
+            let score = |i: usize| a.cells[i].score().unwrap();
             assert!(score(w[0]) >= score(w[1]));
         }
         // Every generated cell of this small smoke universe is within

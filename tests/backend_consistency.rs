@@ -3,6 +3,7 @@
 //! the seed-derivation regression pins, and a property test that every
 //! spec the sweep grid can emit runs on both backends.
 
+use bbr_repro::experiments::compare::{CONSISTENCY, UNIVERSE};
 use bbr_repro::experiments::scenarios::{COMBOS, DEPLOY_COMBOS};
 use bbr_repro::experiments::sweep::{ScenarioGrid, TopologyKind};
 use bbr_repro::fluid::prelude::*;
@@ -21,8 +22,8 @@ fn backends() -> Vec<Box<dyn SimBackend>> {
 fn cubic_vs_bbrv1_dumbbell_agrees_across_backends() {
     // The paper's validation claim, as a hard check: for a 2-flow
     // CUBIC-vs-BBRv1 dumbbell, the fluid model and the packet simulator
-    // must agree on bottleneck utilization and Jain fairness within a
-    // tolerance.
+    // must agree on bottleneck utilization and Jain fairness within the
+    // consistency gates.
     let spec = ScenarioSpec::dumbbell(2, 50.0, 0.010, 2.0)
         .ccas(vec![CcaKind::Cubic, CcaKind::BbrV1])
         .duration(3.0)
@@ -43,14 +44,14 @@ fn cubic_vs_bbrv1_dumbbell_agrees_across_backends() {
     }
     let util_gap = (fluid.utilization_percent - packet.utilization_percent).abs();
     assert!(
-        util_gap < 25.0,
+        util_gap < CONSISTENCY.util_pp,
         "utilization gap {util_gap:.1} pp (fluid {:.1} vs packet {:.1})",
         fluid.utilization_percent,
         packet.utilization_percent
     );
     let jain_gap = (fluid.jain - packet.jain).abs();
     assert!(
-        jain_gap < 0.35,
+        jain_gap < CONSISTENCY.jain,
         "Jain gap {jain_gap:.3} (fluid {:.3} vs packet {:.3})",
         fluid.jain,
         packet.jain
@@ -112,14 +113,14 @@ fn chain_story_matches_across_backends_within_tolerance() {
     }
     let gap = (fluid.utilization_percent - packet.utilization_percent).abs();
     assert!(
-        gap < 25.0,
+        gap < CONSISTENCY.util_pp,
         "chain utilization gap {gap:.1} pp (fluid {:.1} vs packet {:.1})",
         fluid.utilization_percent,
         packet.utilization_percent
     );
     let jain_gap = (fluid.jain - packet.jain).abs();
     assert!(
-        jain_gap < 0.35,
+        jain_gap < CONSISTENCY.jain,
         "chain Jain gap {jain_gap:.3} (fluid {:.3} vs packet {:.3})",
         fluid.jain,
         packet.jain
@@ -152,14 +153,14 @@ fn bbrv2_deploy_dumbbell_agrees_across_backends() {
     }
     let util_gap = (fluid.utilization_percent - packet.utilization_percent).abs();
     assert!(
-        util_gap < 25.0,
+        util_gap < CONSISTENCY.util_pp,
         "utilization gap {util_gap:.1} pp (fluid {:.1} vs packet {:.1})",
         fluid.utilization_percent,
         packet.utilization_percent
     );
     let jain_gap = (fluid.jain - packet.jain).abs();
     assert!(
-        jain_gap < 0.35,
+        jain_gap < CONSISTENCY.jain,
         "Jain gap {jain_gap:.3} (fluid {:.3} vs packet {:.3})",
         fluid.jain,
         packet.jain
@@ -343,8 +344,8 @@ proptest! {
 
     // Arbitrary valid custom topologies must agree across the fluid and
     // packet engines within the universe tolerance gates
-    // (`bbr_experiments::universe`): the differential-harness claim as a
-    // property rather than a pinned grid.
+    // (`bbr_experiments::compare::UNIVERSE`): the differential-harness
+    // claim as a property rather than a pinned grid.
     #[test]
     fn arbitrary_custom_specs_agree_across_backends(spec in ArbitraryCustomSpec) {
         prop_assert!(spec.validate().is_ok(), "strategy emitted invalid spec {spec:?}");
@@ -356,14 +357,14 @@ proptest! {
                 "{} idle on {}: {:.1} %", o.backend, spec.describe(), o.utilization_percent);
         }
         let util_gap = (fluid.utilization_percent - packet.utilization_percent).abs();
-        prop_assert!(util_gap < 25.0,
+        prop_assert!(util_gap < UNIVERSE.util_pp,
             "utilization gap {util_gap:.1} pp (fluid {:.1} vs packet {:.1})",
             fluid.utilization_percent, packet.utilization_percent);
         let jain_gap = (fluid.jain - packet.jain).abs();
-        prop_assert!(jain_gap < 0.5,
+        prop_assert!(jain_gap < UNIVERSE.jain,
             "Jain gap {jain_gap:.3} (fluid {:.3} vs packet {:.3})", fluid.jain, packet.jain);
         let loss_gap = (fluid.loss_percent - packet.loss_percent).abs();
-        prop_assert!(loss_gap < 12.0,
+        prop_assert!(loss_gap < UNIVERSE.loss_pp,
             "loss gap {loss_gap:.2} pp (fluid {:.2} vs packet {:.2})",
             fluid.loss_percent, packet.loss_percent);
     }

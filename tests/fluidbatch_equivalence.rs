@@ -10,9 +10,12 @@
 //! `PartialEq` on `f64` fields means bit-level agreement, no tolerances.
 
 use bbr_repro::campaign::ResultStore;
-use bbr_repro::experiments::scenarios::COMBOS;
+use bbr_repro::experiments::aggregate::model_config;
+use bbr_repro::experiments::scenarios::{CampaignParams, COMBOS};
 use bbr_repro::experiments::sweep::{Backend, ScenarioGrid, TopologyKind};
+use bbr_repro::experiments::Effort;
 use bbr_repro::fluid::backend::FluidBackend;
+use bbr_repro::fluid::config::ModelConfig;
 use bbr_repro::fluidbatch::BatchedFluidBackend;
 use bbr_repro::scenario::{BatchSimBackend, CcaKind, QdiscKind, ScenarioSpec, SimBackend};
 use proptest::prelude::*;
@@ -21,6 +24,24 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("bbr-fb-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// One batch of `specs` (seeds 1000, 1001, ...) on the batched engine
+/// equals per-spec scalar runs under the same configuration, bit for bit.
+fn assert_batch_matches_scalar(cfg: ModelConfig, specs: &[ScenarioSpec]) {
+    let jobs: Vec<(&ScenarioSpec, u64)> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (s, 1000 + i as u64))
+        .collect();
+    let batch = BatchedFluidBackend::new(cfg.clone()).run_batch(&jobs);
+    let scalar = FluidBackend::new(cfg);
+    assert_eq!(batch.len(), jobs.len());
+    for ((spec, seed), out) in jobs.iter().zip(&batch) {
+        let want = scalar.run(spec, *seed);
+        assert_eq!(out, &want, "family {:?} diverged", spec.topology);
+        assert_eq!(out.backend, "fluid", "batch shares the fluid namespace");
+    }
 }
 
 /// Byte-identity on a hand-picked spec set covering every topology
@@ -52,19 +73,21 @@ fn per_family_byte_identity() {
             .qdisc(QdiscKind::Red)
             .duration(0.4),
     ];
-    let jobs: Vec<(&ScenarioSpec, u64)> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s, 1000 + i as u64))
-        .collect();
-    let batch = BatchedFluidBackend::coarse().run_batch(&jobs);
-    let scalar = FluidBackend::coarse();
-    assert_eq!(batch.len(), jobs.len());
-    for ((spec, seed), out) in jobs.iter().zip(&batch) {
-        let want = scalar.run(spec, *seed);
-        assert_eq!(out, &want, "family {:?} diverged", spec.topology);
-        assert_eq!(out.backend, "fluid", "batch shares the fluid namespace");
-    }
+    assert_batch_matches_scalar(ModelConfig::coarse(), &specs);
+}
+
+/// The aggregate figures (Figs. 6–10, 13–17) run the batched engine at
+/// Full effort: a 20 µs step at the default sigmoid sharpness, not
+/// `coarse()`. One §4.3 dumbbell (N = 10) per qdisc, on a short window.
+#[test]
+fn full_effort_paper_dumbbells_byte_identity() {
+    let p = CampaignParams::default_rtt();
+    let specs = [
+        p.dumbbell_spec(&COMBOS[2], 2.0, QdiscKind::DropTail),
+        p.dumbbell_spec(&COMBOS[6], 2.0, QdiscKind::Red),
+    ]
+    .map(|spec| spec.duration(0.3).warmup(0.1));
+    assert_batch_matches_scalar(model_config(Effort::Full), &specs);
 }
 
 /// Ragged batches: sizes 1, N homogeneous, and N with mixed flow

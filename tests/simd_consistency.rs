@@ -4,11 +4,12 @@
 //! not bit-identical to libm, so it reports the distinct backend name
 //! `"fluid-simd"` and promises agreement with the scalar `fluid` column
 //! within the cross-backend tolerances of `tests/backend_consistency.rs`
-//! (utilization within 25 pp, Jain within 0.35). In practice the packed
+//! (`bbr_experiments::compare::CONSISTENCY`). In practice the packed
 //! engine tracks the scalar one to sub-percent throughput; the asserts
 //! here check the promised contract, and a few tighter spot checks keep
 //! the practical gap from regressing silently.
 
+use bbr_repro::experiments::compare::CONSISTENCY;
 use bbr_repro::experiments::scenarios::COMBOS;
 use bbr_repro::experiments::sweep::{Backend, ScenarioGrid, TopologyKind};
 use bbr_repro::fluid::backend::FluidBackend;
@@ -20,12 +21,12 @@ use proptest::prelude::*;
 fn assert_within_tolerances(scalar: &RunOutcome, simd: &RunOutcome, ctx: &dyn std::fmt::Debug) {
     let util_gap = (scalar.utilization_percent - simd.utilization_percent).abs();
     assert!(
-        util_gap < 25.0,
+        util_gap < CONSISTENCY.util_pp,
         "utilization gap {util_gap:.2} pp out of tolerance: {ctx:?}"
     );
     let jain_gap = (scalar.jain - simd.jain).abs();
     assert!(
-        jain_gap < 0.35,
+        jain_gap < CONSISTENCY.jain,
         "Jain gap {jain_gap:.3} out of tolerance: {ctx:?}"
     );
 }
@@ -108,7 +109,7 @@ fn grid_simd_consistency() {
         let util_gap = (m.utilization_percent - s.utilization_percent).abs();
         let jain_gap = (m.jain - s.jain).abs();
         assert!(
-            util_gap < 25.0 && jain_gap < 0.35,
+            util_gap < CONSISTENCY.util_pp && jain_gap < CONSISTENCY.jain,
             "grid cell out of tolerance ({util_gap:.2} pp, {jain_gap:.3}): {:?}",
             a.point
         );
@@ -163,7 +164,7 @@ proptest! {
             let util_gap = (want.utilization_percent - out.utilization_percent).abs();
             let jain_gap = (want.jain - out.jain).abs();
             prop_assert!(
-                util_gap < 25.0 && jain_gap < 0.35,
+                util_gap < CONSISTENCY.util_pp && jain_gap < CONSISTENCY.jain,
                 "{:?}: util gap {} pp, jain gap {}",
                 spec.topology, util_gap, jain_gap
             );

@@ -3,6 +3,7 @@
 //! and qualitative fluid-vs-packet agreement (the §4.3 validation shape)
 //! — all routed through the backend-agnostic `SimBackend` layer.
 
+use bbr_repro::experiments::compare::CONSISTENCY;
 use bbr_repro::experiments::scenarios::COMBOS;
 use bbr_repro::experiments::sweep::{ScenarioGrid, TopologyKind};
 use bbr_repro::experiments::Effort;
@@ -94,7 +95,10 @@ fn fluid_and_packet_backends_agree_qualitatively() {
         );
     }
     let mean_gap = report.mean_utilization_gap().unwrap();
-    assert!(mean_gap < 25.0, "mean utilization gap {mean_gap} pp");
+    assert!(
+        mean_gap < CONSISTENCY.util_pp,
+        "mean utilization gap {mean_gap} pp"
+    );
 }
 
 #[test]
