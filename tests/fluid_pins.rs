@@ -8,16 +8,24 @@
 //! `tests/fluidbatch_equivalence.rs`, so these pins also cover the
 //! `"fluid"` column of every sweep and store.
 //!
+//! `SimdFluidBackend` is also pinned the way `grid-simd` runs it: a full
+//! and a ragged pack at `model_config(Effort::Full)` through one
+//! `run_batch` call with interleaved jobs.
+//!
 //! The packed engine gets its own expected vector: its transcendental
 //! kernels are tolerance-bound, not bit-bound, against libm, and the
 //! generated cell already differs from the scalar engine in the last
 //! bits of its loss. If a deliberate engine change moves these numbers,
 //! re-pin them in the same commit and say why.
 
+use bbr_repro::experiments::aggregate::model_config;
+use bbr_repro::experiments::Effort;
 use bbr_repro::fluid::backend::FluidBackend;
 use bbr_repro::fluidbatch::SimdFluidBackend;
 use bbr_repro::scenario::universe::generate_scenario;
-use bbr_repro::scenario::{CcaKind, QdiscKind, RunOutcome, ScenarioSpec, SimBackend};
+use bbr_repro::scenario::{
+    BatchSimBackend, CcaKind, QdiscKind, RunOutcome, ScenarioSpec, SimBackend,
+};
 
 /// The field layout of `tests/packet_path_pins.rs`.
 fn bits(outcome: &RunOutcome) -> Vec<u64> {
@@ -292,4 +300,136 @@ fn generated_custom_topology_is_pinned() {
         ],
         "generated Custom cell",
     );
+}
+
+/// `grid-simd`'s shape: full packs at Full effort, not one-member packs
+/// at `coarse()`. Two packs go through one `run_batch` call with their
+/// jobs interleaved, so grouping and job order are pinned too: a full
+/// 4-member pack (BBRv2/CUBIC, drop-tail, 0.5, 1, 2 and 8 BDP) and a
+/// ragged 3-member pack (BBRv1/RENO, RED, 1, 2 and 4 BDP) whose padding
+/// lane replicates member 0.
+#[test]
+fn full_effort_packs_are_pinned() {
+    let full = |bdp: f64| {
+        ScenarioSpec::dumbbell(3, 10.0, 0.010, bdp)
+            .ccas(vec![CcaKind::BbrV2, CcaKind::Cubic])
+            .duration(0.5)
+    };
+    let ragged = |bdp: f64| {
+        ScenarioSpec::dumbbell(2, 50.0, 0.010, bdp)
+            .ccas(vec![CcaKind::BbrV1, CcaKind::Reno])
+            .qdisc(QdiscKind::Red)
+            .duration(0.5)
+    };
+    let specs = [
+        full(0.5),
+        ragged(1.0),
+        full(1.0),
+        ragged(2.0),
+        full(2.0),
+        ragged(4.0),
+        full(8.0),
+    ];
+    let jobs: Vec<(&ScenarioSpec, u64)> = specs.iter().map(|s| (s, 7)).collect();
+    let outs = SimdFluidBackend::new(model_config(Effort::Full)).run_batch(&jobs);
+    let pins: [&[u64]; 7] = [
+        // BBRv2/CUBIC drop-tail, 0.5 BDP
+        &[
+            0x3fee43d74b523757, // jain
+            0x39c7b546ff2f6179, // loss %
+            0x3fcc32542393d818, // occupancy %
+            0x40582b0abb723ecb, // utilization %
+            0x3f727957a0568d22, // jitter ms
+            0x400d4e5aa39863fc, // tput flow 0
+            0x40012285e1075253, // tput flow 1
+            0x400f0640a2f51948, // tput flow 2
+            0x3fcc32542393d818, // link 0 occupancy
+            0x40582b0abb723ecb, // link 0 utilization
+        ],
+        // BBRv1/RENO RED, 1 BDP
+        &[
+            0x3fe51e11aaac93a2, // jain
+            0x3fce540bf16dee7a, // loss %
+            0x3fc25b6ecf4deea8, // occupancy %
+            0x4050a31150eb42d9, // utilization %
+            0x3f48314146bee7c2, // jitter ms
+            0x403cf369a998d9b6, // tput flow 0
+            0x401304d337a31221, // tput flow 1
+            0x3fc25b6ecf4deea8, // link 0 occupancy
+            0x4050a31150eb42d9, // link 0 utilization
+        ],
+        // BBRv2/CUBIC drop-tail, 1 BDP
+        &[
+            0x3fee9710b9f7ef2b, // jain
+            0x399495a548c985ec, // loss %
+            0x3fb1d206bfaffd70, // occupancy %
+            0x4056faced83b703f, // utilization %
+            0x3f76a10881690d95, // jitter ms
+            0x400b9366a2be1f27, // tput flow 0
+            0x4001231e21b17661, // tput flow 1
+            0x400cef457338b53c, // tput flow 2
+            0x3fb1d206bfaffd70, // link 0 occupancy
+            0x4056faced83b703f, // link 0 utilization
+        ],
+        // BBRv1/RENO RED, 2 BDP
+        &[
+            0x3fe51dec407c70b8, // jain
+            0x3fc2f0f7fab861f3, // loss %
+            0x3fb6ee13a3d13be0, // occupancy %
+            0x4050a31150eb42d9, // utilization %
+            0x3f50b37714c2c33c, // jitter ms
+            0x403cf369a998d9b6, // tput flow 0
+            0x401304407575fd1b, // tput flow 1
+            0x3fb6ee13a3d13be0, // link 0 occupancy
+            0x4050a31150eb42d9, // link 0 utilization
+        ],
+        // BBRv2/CUBIC drop-tail, 2 BDP
+        &[
+            0x3feeb728e91dcc6b, // jain
+            0x3858f50771ab40e9, // loss %
+            0x3fa1ee7961a7b76f, // occupancy %
+            0x405693b0f10afdaf, // utilization %
+            0x3f76d3df2a70be94, // jitter ms
+            0x400b9366a2be1f27, // tput flow 0
+            0x4001231ce0c55d31, // tput flow 1
+            0x400b9ddc31acb6f7, // tput flow 2
+            0x3fa1ee7961a7b76f, // link 0 occupancy
+            0x405693b0f10afdaf, // link 0 utilization
+        ],
+        // BBRv1/RENO RED, 4 BDP
+        &[
+            0x3fe51dd3d830b276, // jain
+            0x3fb56d02146f0d72, // loss %
+            0x3fa9f02253e4593a, // occupancy %
+            0x4050a31150eb42d9, // utilization %
+            0x3f54011d32f2e1a0, // jitter ms
+            0x403cf369a998d9b6, // tput flow 0
+            0x401303e0b913a6ca, // tput flow 1
+            0x3fa9f02253e4593a, // link 0 occupancy
+            0x4050a31150eb42d9, // link 0 utilization
+        ],
+        // BBRv2/CUBIC drop-tail, 8 BDP
+        &[
+            0x3feeb728e91dcc6b, // jain
+            0x35d8f50771ab40ee, // loss %
+            0x3f81ee7961a7b76f, // occupancy %
+            0x405693b0f10afdaf, // utilization %
+            0x3f76d3df2a70be94, // jitter ms
+            0x400b9366a2be1f27, // tput flow 0
+            0x4001231ce0c55d31, // tput flow 1
+            0x400b9ddc31acb6f7, // tput flow 2
+            0x3f81ee7961a7b76f, // link 0 occupancy
+            0x405693b0f10afdaf, // link 0 utilization
+        ],
+    ];
+    assert_eq!(outs.len(), pins.len());
+    for ((spec, out), pin) in specs.iter().zip(&outs).zip(pins) {
+        assert_eq!(out.backend, "fluid-simd");
+        assert_eq!(
+            bits(out),
+            pin,
+            "{:?}: fluid-simd pack drifted",
+            spec.topology
+        );
+    }
 }
