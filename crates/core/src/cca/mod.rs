@@ -56,26 +56,29 @@ impl ScenarioHint {
     }
 }
 
-/// Per-step network feedback handed to a CCA model.
+/// Per-step network feedback handed to a CCA model. `V` is the
+/// [`Lanes`](crate::lanes::Lanes) type: `f64` for one scenario, or
+/// [`F64x4`](crate::lanes::F64x4) for a pack of four that share the
+/// time, the step and the propagation RTT.
 #[derive(Debug, Clone, Copy)]
-pub struct AgentInputs {
+pub struct AgentInputs<V = f64> {
     /// Current time (s).
     pub t: f64,
     /// Integration step (s).
     pub dt: f64,
     /// Current path RTT `τ_i(t)` including queuing delay, Eq. (3).
-    pub tau: f64,
+    pub tau: V,
     /// Delayed RTT sample `τ_i(t − d^p_i)` arriving at the sender now.
-    pub tau_fb: f64,
+    pub tau_fb: V,
     /// Delayed path loss probability `p_{π_i}(t − d^p_i)`, Eq. (7).
-    pub loss_fb: f64,
+    pub loss_fb: V,
     /// Delivery-rate estimate per Eq. (17).
-    pub x_dlv: f64,
+    pub x_dlv: V,
     /// The agent's own delayed sending rate `x_i(t − d^p_i)`.
-    pub x_fb: f64,
+    pub x_fb: V,
     /// The agent's current sending rate `x_i(t)` (as computed from the
     /// pre-step state; used for the inflight integration, Eq. (19)).
-    pub x_cur: f64,
+    pub x_cur: V,
     /// Propagation RTT of the path (s).
     pub prop_rtt: f64,
 }

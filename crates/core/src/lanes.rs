@@ -56,63 +56,10 @@ pub struct F64x4(pub [f64; LANES]);
 pub struct M64x4(pub [u64; LANES]);
 
 impl F64x4 {
-    /// All four lanes set to `v`.
-    #[inline(always)]
-    pub fn splat(v: f64) -> Self {
-        Self([v; LANES])
-    }
-
     /// All lanes zero.
     #[inline(always)]
     pub fn zero() -> Self {
         Self::splat(0.0)
-    }
-
-    /// Lane `i`'s value.
-    #[inline(always)]
-    pub fn lane(&self, i: usize) -> f64 {
-        self.0[i]
-    }
-
-    /// Lane-wise `f64::min` (same NaN/zero semantics as the scalar
-    /// method: returns the other operand if one is NaN).
-    #[inline(always)]
-    pub fn min(self, o: Self) -> Self {
-        let mut r = [0.0; LANES];
-        for i in 0..LANES {
-            r[i] = self.0[i].min(o.0[i]);
-        }
-        Self(r)
-    }
-
-    /// Lane-wise `f64::max`.
-    #[inline(always)]
-    pub fn max(self, o: Self) -> Self {
-        let mut r = [0.0; LANES];
-        for i in 0..LANES {
-            r[i] = self.0[i].max(o.0[i]);
-        }
-        Self(r)
-    }
-
-    /// Lane-wise `f64::clamp(lo, hi)`.
-    #[inline(always)]
-    pub fn clamp(self, lo: f64, hi: f64) -> Self {
-        let mut r = [0.0; LANES];
-        for i in 0..LANES {
-            r[i] = self.0[i].clamp(lo, hi);
-        }
-        Self(r)
-    }
-
-    /// Lane-wise `f64::abs`.
-    #[inline(always)]
-    pub fn abs(self) -> Self {
-        let mut r = [0.0; LANES];
-        for i in 0..LANES {
-            r[i] = self.0[i].abs();
-        }
-        Self(r)
     }
 
     /// Lane-wise **unfused** multiply-add: `self * a + b` as two rounded
@@ -126,16 +73,6 @@ impl F64x4 {
             r[i] = self.0[i] * a.0[i] + b.0[i];
         }
         Self(r)
-    }
-
-    /// Lane-wise `self > o`.
-    #[inline(always)]
-    pub fn gt(self, o: Self) -> M64x4 {
-        let mut r = [0u64; LANES];
-        for i in 0..LANES {
-            r[i] = if self.0[i] > o.0[i] { u64::MAX } else { 0 };
-        }
-        M64x4(r)
     }
 
     /// Lane-wise `self >= o`.
@@ -313,6 +250,162 @@ impl Not for M64x4 {
             r[i] = !self.0[i];
         }
         M64x4(r)
+    }
+}
+
+/// A value of [`Lanes::WIDTH`] independent `f64` lanes: `f64` itself
+/// (one lane) or [`F64x4`] (four). The fluid step stages, agent inputs
+/// and metrics accumulator are written once against this trait. Each
+/// method is the scalar op applied per lane, so for `f64` it *is* the
+/// scalar op and for `F64x4` the bit-exactness contract above carries
+/// every stage's bits from one lane type to the other.
+pub trait Lanes:
+    Copy
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + Mul<f64, Output = Self>
+    + Div<f64, Output = Self>
+{
+    /// Number of lanes.
+    const WIDTH: usize;
+    /// Per-lane truth value of a comparison.
+    type Mask: Copy + BitOr<Output = Self::Mask>;
+    /// Every lane set to `v`.
+    fn splat(v: f64) -> Self;
+    /// Lane `j` set to `f(j)`.
+    fn from_fn(f: impl FnMut(usize) -> f64) -> Self;
+    /// Lane `j`'s value.
+    fn lane(self, j: usize) -> f64;
+    /// Lane-wise `f64::min`.
+    fn min(self, o: Self) -> Self;
+    /// Lane-wise `f64::max`.
+    fn max(self, o: Self) -> Self;
+    /// Lane-wise `f64::clamp`.
+    fn clamp(self, lo: f64, hi: f64) -> Self;
+    /// Lane-wise `f64::abs`.
+    fn abs(self) -> Self;
+    /// Lane-wise `self > o`.
+    fn gt(self, o: Self) -> Self::Mask;
+    /// `a` in the lanes where `m` holds, `b` elsewhere.
+    fn select(m: Self::Mask, a: Self, b: Self) -> Self;
+}
+
+impl Lanes for f64 {
+    const WIDTH: usize = 1;
+    type Mask = bool;
+    #[inline(always)]
+    fn splat(v: f64) -> Self {
+        v
+    }
+    #[inline(always)]
+    fn from_fn(mut f: impl FnMut(usize) -> f64) -> Self {
+        f(0)
+    }
+    #[inline(always)]
+    fn lane(self, _: usize) -> f64 {
+        self
+    }
+    #[inline(always)]
+    fn min(self, o: Self) -> Self {
+        f64::min(self, o)
+    }
+    #[inline(always)]
+    fn max(self, o: Self) -> Self {
+        f64::max(self, o)
+    }
+    #[inline(always)]
+    fn clamp(self, lo: f64, hi: f64) -> Self {
+        f64::clamp(self, lo, hi)
+    }
+    #[inline(always)]
+    fn abs(self) -> Self {
+        f64::abs(self)
+    }
+    #[inline(always)]
+    fn gt(self, o: Self) -> bool {
+        self > o
+    }
+    #[inline(always)]
+    fn select(m: bool, a: Self, b: Self) -> Self {
+        if m {
+            a
+        } else {
+            b
+        }
+    }
+}
+
+impl Lanes for F64x4 {
+    const WIDTH: usize = LANES;
+    type Mask = M64x4;
+
+    #[inline(always)]
+    fn splat(v: f64) -> Self {
+        Self([v; LANES])
+    }
+
+    #[inline(always)]
+    fn from_fn(f: impl FnMut(usize) -> f64) -> Self {
+        Self(std::array::from_fn(f))
+    }
+
+    #[inline(always)]
+    fn lane(self, j: usize) -> f64 {
+        self.0[j]
+    }
+
+    /// Lane-wise `f64::min` (same NaN/zero semantics as the scalar
+    /// method: returns the other operand if one is NaN).
+    #[inline(always)]
+    fn min(self, o: Self) -> Self {
+        let mut r = [0.0; LANES];
+        for i in 0..LANES {
+            r[i] = self.0[i].min(o.0[i]);
+        }
+        Self(r)
+    }
+
+    #[inline(always)]
+    fn max(self, o: Self) -> Self {
+        let mut r = [0.0; LANES];
+        for i in 0..LANES {
+            r[i] = self.0[i].max(o.0[i]);
+        }
+        Self(r)
+    }
+
+    #[inline(always)]
+    fn clamp(self, lo: f64, hi: f64) -> Self {
+        let mut r = [0.0; LANES];
+        for i in 0..LANES {
+            r[i] = self.0[i].clamp(lo, hi);
+        }
+        Self(r)
+    }
+
+    #[inline(always)]
+    fn abs(self) -> Self {
+        let mut r = [0.0; LANES];
+        for i in 0..LANES {
+            r[i] = self.0[i].abs();
+        }
+        Self(r)
+    }
+
+    #[inline(always)]
+    fn gt(self, o: Self) -> M64x4 {
+        let mut r = [0u64; LANES];
+        for i in 0..LANES {
+            r[i] = if self.0[i] > o.0[i] { u64::MAX } else { 0 };
+        }
+        M64x4(r)
+    }
+
+    #[inline(always)]
+    fn select(m: M64x4, a: Self, b: Self) -> Self {
+        m.select(a, b)
     }
 }
 

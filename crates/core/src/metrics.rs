@@ -1,6 +1,7 @@
 //! Aggregate performance metrics (paper §4.3): Jain fairness, loss rate,
 //! buffer occupancy, bottleneck utilization, and jitter.
 
+use crate::lanes::Lanes;
 pub use crate::math::jain as jain_fairness;
 
 /// Aggregated metrics of one simulation run.
@@ -28,27 +29,34 @@ pub struct AggregateMetrics {
     pub per_link_utilization: Vec<f64>,
 }
 
-/// Streaming accumulator for [`AggregateMetrics`].
+/// Streaming accumulator for [`AggregateMetrics`], over one scenario
+/// (`V = f64`) or a pack of them in [`Lanes`] (`V = F64x4`). The jitter
+/// sampling clock is shared by a pack's lanes: it depends only on time.
 #[derive(Debug, Clone)]
-pub struct MetricsAccumulator {
+pub struct MetricsAccumulator<V = f64> {
     n_agents: usize,
     n_links: usize,
     observed_link: usize,
     /// Virtual packet interval for jitter sampling (s).
     jitter_interval: f64,
     elapsed: f64,
-    rate_integral: Vec<f64>,
-    lost: f64,
-    arrived: f64,
-    occupancy_integral: Vec<f64>,
-    delivered: Vec<f64>,
-    last_tau: Vec<f64>,
+    rate_integral: Vec<V>,
+    lost: V,
+    arrived: V,
+    occupancy_integral: Vec<V>,
+    delivered: Vec<V>,
+    last_tau: Vec<V>,
+    /// Whether `last_tau` holds a sample yet. A flag rather than a NaN
+    /// sentinel, so the latch is shared by a pack's lanes; the two agree
+    /// because every τ sample is finite (propagation RTT plus queue over
+    /// a positive capacity).
+    has_last: Vec<bool>,
     next_jitter_sample: Vec<f64>,
-    jitter_sum: Vec<f64>,
+    jitter_sum: Vec<V>,
     jitter_count: Vec<u64>,
 }
 
-impl MetricsAccumulator {
+impl<V: Lanes> MetricsAccumulator<V> {
     /// `observed_link` is the link whose occupancy/utilization become the
     /// headline numbers; `jitter_interval` is the virtual packet spacing
     /// `g·N/C_ℓ` of §4.3.5.
@@ -58,20 +66,22 @@ impl MetricsAccumulator {
         observed_link: usize,
         jitter_interval: f64,
     ) -> Self {
+        let zero = V::splat(0.0);
         Self {
             n_agents,
             n_links,
             observed_link,
             jitter_interval: jitter_interval.max(1e-6),
             elapsed: 0.0,
-            rate_integral: vec![0.0; n_agents],
-            lost: 0.0,
-            arrived: 0.0,
-            occupancy_integral: vec![0.0; n_links],
-            delivered: vec![0.0; n_links],
-            last_tau: vec![f64::NAN; n_agents],
+            rate_integral: vec![zero; n_agents],
+            lost: zero,
+            arrived: zero,
+            occupancy_integral: vec![zero; n_links],
+            delivered: vec![zero; n_links],
+            last_tau: vec![zero; n_agents],
+            has_last: vec![false; n_agents],
             next_jitter_sample: vec![0.0; n_agents],
-            jitter_sum: vec![0.0; n_agents],
+            jitter_sum: vec![zero; n_agents],
             jitter_count: vec![0; n_agents],
         }
     }
@@ -98,65 +108,68 @@ impl MetricsAccumulator {
         &mut self,
         t: f64,
         dt: f64,
-        rates: &[f64],
-        taus: &[f64],
-        y: &[f64],
-        p: &[f64],
-        rel_q: &[f64],
-        service: &[f64],
+        rates: &[V],
+        taus: &[V],
+        y: &[V],
+        p: &[V],
+        rel_q: &[V],
+        service: &[V],
     ) {
         self.elapsed += dt;
         for i in 0..self.n_agents {
-            self.rate_integral[i] += rates[i] * dt;
+            self.rate_integral[i] = self.rate_integral[i] + rates[i] * dt;
             if t >= self.next_jitter_sample[i] {
-                if self.last_tau[i].is_finite() {
-                    self.jitter_sum[i] += (taus[i] - self.last_tau[i]).abs();
+                if self.has_last[i] {
+                    self.jitter_sum[i] = self.jitter_sum[i] + (taus[i] - self.last_tau[i]).abs();
                     self.jitter_count[i] += 1;
                 }
                 self.last_tau[i] = taus[i];
+                self.has_last[i] = true;
                 self.next_jitter_sample[i] = t + self.jitter_interval;
             }
         }
         for l in 0..self.n_links {
-            self.lost += p[l] * y[l] * dt;
-            self.arrived += y[l] * dt;
-            self.occupancy_integral[l] += rel_q[l] * dt;
-            self.delivered[l] += service[l] * dt;
+            self.lost = self.lost + p[l] * y[l] * dt;
+            self.arrived = self.arrived + y[l] * dt;
+            self.occupancy_integral[l] = self.occupancy_integral[l] + rel_q[l] * dt;
+            self.delivered[l] = self.delivered[l] + service[l] * dt;
         }
     }
 
-    /// Finalize into [`AggregateMetrics`]; `link_capacities` in Mbit/s.
-    pub fn finalize(&self, link_capacities: &[f64]) -> AggregateMetrics {
+    /// Finalize lane `j` into [`AggregateMetrics`]; `link_capacities` in
+    /// Mbit/s.
+    pub fn finalize_lane(&self, j: usize, link_capacities: &[f64]) -> AggregateMetrics {
         let t = self.elapsed.max(1e-12);
-        let mean_rates: Vec<f64> = self.rate_integral.iter().map(|r| r / t).collect();
+        let mean_rates: Vec<f64> = self.rate_integral.iter().map(|r| r.lane(j) / t).collect();
         let per_link_occupancy: Vec<f64> = self
             .occupancy_integral
             .iter()
-            .map(|o| 100.0 * o / t)
+            .map(|o| 100.0 * o.lane(j) / t)
             .collect();
         let per_link_utilization: Vec<f64> = self
             .delivered
             .iter()
             .zip(link_capacities)
-            .map(|(d, c)| 100.0 * d / (c * t))
+            .map(|(d, c)| 100.0 * d.lane(j) / (c * t))
             .collect();
         let jitter_per_agent: Vec<f64> = self
             .jitter_sum
             .iter()
             .zip(&self.jitter_count)
-            .map(|(s, c)| if *c > 0 { s / *c as f64 } else { 0.0 })
+            .map(|(s, c)| if *c > 0 { s.lane(j) / *c as f64 } else { 0.0 })
             .collect();
         let jitter_ms = if jitter_per_agent.is_empty() {
             0.0
         } else {
             1000.0 * jitter_per_agent.iter().sum::<f64>() / jitter_per_agent.len() as f64
         };
+        let (lost, arrived) = (self.lost.lane(j), self.arrived.lane(j));
         AggregateMetrics {
             duration: self.elapsed,
             jain: jain_fairness(&mean_rates),
             mean_rates,
-            loss_percent: if self.arrived > 0.0 {
-                100.0 * self.lost / self.arrived
+            loss_percent: if arrived > 0.0 {
+                100.0 * lost / arrived
             } else {
                 0.0
             },
@@ -166,6 +179,13 @@ impl MetricsAccumulator {
             per_link_occupancy,
             per_link_utilization,
         }
+    }
+}
+
+impl MetricsAccumulator {
+    /// Finalize into [`AggregateMetrics`]; `link_capacities` in Mbit/s.
+    pub fn finalize(&self, link_capacities: &[f64]) -> AggregateMetrics {
+        self.finalize_lane(0, link_capacities)
     }
 }
 

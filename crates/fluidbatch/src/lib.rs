@@ -1,16 +1,23 @@
-//! Batched structure-of-arrays fluid backend: whole sweep grids
-//! integrated in lockstep, bit-identical to the scalar `FluidBackend`.
+//! Batched structure-of-arrays fluid backends: whole sweep grids
+//! integrated in lockstep by one engine over two lane types.
 //!
 //! The paper's fluid-model results come from sweeping many (CCA, qdisc,
 //! topology, RTT, flow-count) configurations; the scalar backend
 //! integrates one scenario at a time, so the dominant sweep cost is the
 //! per-scenario stepper overhead repeated once per cell. This crate
-//! packs N scenarios into contiguous per-flow/per-link lanes
-//! ([`sim::BatchedFluidSim`]) and advances them all through one shared
-//! step loop, with per-lane termination masks and per-flow activation
-//! masks (flow churn) so heterogeneous specs — different flow counts,
-//! durations, churn windows, and topologies across the
-//! dumbbell/parking-lot/chain families — batch together.
+//! packs N scenarios into contiguous per-flow/per-link lanes and
+//! advances them all through one shared step loop, with per-lane
+//! termination masks and per-flow activation masks (flow churn) so
+//! heterogeneous specs — different flow counts, durations, churn
+//! windows, and topologies across the dumbbell/parking-lot/chain
+//! families — batch together.
+//!
+//! The engine is generic over its lane type. [`BatchedFluidBackend`]
+//! runs it over `f64`, one scenario per lane, bit-identical to the
+//! scalar `FluidBackend`. [`SimdFluidBackend`] runs it over `F64x4`,
+//! four same-structure scenarios per lane (see [`packed`]). The step
+//! loop, history arena, metrics and wave runner are the same code for
+//! both; only the agents, the queue kernels and tracing differ.
 //!
 //! # Identity contract
 //!
@@ -39,22 +46,32 @@
 //! ```
 
 pub mod packed;
-pub mod sim;
+mod sim;
 
 use bbr_fluid_core::backend::outcome_from_metrics;
 use bbr_fluid_core::config::ModelConfig;
 use bbr_scenario::{BatchSimBackend, RunOutcome, ScenarioSpec, SimBackend};
 use rayon::prelude::*;
 
-use crate::sim::BatchedFluidSim;
+use crate::sim::{BatchLane, BatchedFluidSim};
 
 pub use crate::packed::SimdFluidBackend;
 
-/// The telemetry hook is process-global, so tests that install a sink
-/// (here and in `packed`) serialize on this lock to keep each other's
-/// events out of their captures.
+/// The telemetry hook is process-global and every engine run emits
+/// `Wave` events into it, so each unit test here and in `packed` that
+/// runs an engine holds this lock (via [`telemetry_serial`]): a test
+/// that installs a sink then captures only its own waves.
 #[cfg(test)]
 pub(crate) static TELEMETRY_TEST_SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Hold [`TELEMETRY_TEST_SERIAL`]; a test that panicked while holding it
+/// does not fail the others.
+#[cfg(test)]
+pub(crate) fn telemetry_serial() -> std::sync::MutexGuard<'static, ()> {
+    TELEMETRY_TEST_SERIAL
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+}
 
 /// Default cap on the summed flow count of one lockstep wave.
 ///
@@ -118,7 +135,7 @@ impl BatchedFluidBackend {
     /// cache-residency cap alone can yield fewer waves than threads and
     /// leave cores idle. Wave splitting is result-invariant (every lane
     /// is independent), so this only moves work, never bits.
-    fn waves<'a>(&self, jobs: &'a [(&'a ScenarioSpec, u64)]) -> Vec<&'a [(&'a ScenarioSpec, u64)]> {
+    fn waves(&self, jobs: &[(&ScenarioSpec, u64)]) -> Vec<Vec<usize>> {
         let total: usize = jobs.iter().map(|(spec, _)| spec.n_flows()).sum();
         let threads = rayon::current_num_threads().max(1);
         let budget = self.wave_flow_budget.min(total.div_ceil(threads)).max(1);
@@ -128,14 +145,14 @@ impl BatchedFluidBackend {
         for (idx, (spec, _)) in jobs.iter().enumerate() {
             let f = spec.n_flows();
             if idx > start && flows + f > budget {
-                waves.push(&jobs[start..idx]);
+                waves.push((start..idx).collect());
                 start = idx;
                 flows = 0;
             }
             flows += f;
         }
         if start < jobs.len() {
-            waves.push(&jobs[start..]);
+            waves.push((start..jobs.len()).collect());
         }
         waves
     }
@@ -169,47 +186,66 @@ impl BatchSimBackend for BatchedFluidBackend {
     /// so the seeds are ignored (as in the scalar backend); outcomes
     /// come back in job order.
     fn run_batch(&self, jobs: &[(&ScenarioSpec, u64)]) -> Vec<RunOutcome> {
-        // The scalar engine's entry points validate both the specs and
-        // the integration config (`Simulator::new` rejects e.g. a zero
-        // step size); the batch engine must refuse exactly the same
-        // inputs to keep the bit-identity contract meaningful at its
-        // boundary.
-        self.cfg.validate().expect("invalid model configuration");
-        for (spec, _) in jobs {
-            spec.validate().expect("invalid scenario spec");
-        }
-        self.waves(jobs)
-            .par_iter()
-            .map(|wave| {
-                // Wave-level telemetry: one relaxed atomic load on the
-                // no-op path; the clock is only read (and the event only
-                // built) when a sink is listening, so an uninstrumented
-                // sweep pays nothing per wave.
-                let t0 = bbr_telemetry::enabled().then(std::time::Instant::now);
-                let specs: Vec<&ScenarioSpec> = wave.iter().map(|(s, _)| *s).collect();
-                let metrics = BatchedFluidSim::new(&specs, self.cfg.clone()).run();
-                if let Some(t0) = t0 {
-                    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-                    bbr_telemetry::emit(|| bbr_telemetry::Event::Wave {
-                        lanes: specs.len(),
-                        flows: specs.iter().map(|s| s.n_flows()).sum(),
-                        // The unpacked engine runs every lane at full
-                        // width; only the SIMD engine reports < 1.0.
-                        occupancy: 1.0,
-                        wall_ms,
-                    });
-                }
-                specs
-                    .iter()
-                    .zip(&metrics)
-                    .map(|(spec, m)| outcome_from_metrics(spec, m))
-                    .collect::<Vec<RunOutcome>>()
-            })
-            .collect::<Vec<Vec<RunOutcome>>>()
-            .into_iter()
-            .flatten()
-            .collect()
+        run_waves::<f64>(&self.cfg, jobs, self.name(), self.waves(jobs))
     }
+}
+
+/// The wave runner of both backends. Each wave lists job indices, and
+/// [`BatchedFluidSim`] fills its lanes with `V::WIDTH` consecutive ones.
+/// Validates, integrates the waves across the rayon pool, reports each
+/// to the telemetry hook and returns the outcomes, named `name`, in job
+/// order.
+fn run_waves<V: BatchLane>(
+    cfg: &ModelConfig,
+    jobs: &[(&ScenarioSpec, u64)],
+    name: &'static str,
+    waves: Vec<Vec<usize>>,
+) -> Vec<RunOutcome> {
+    // The scalar engine's entry points validate both the specs and the
+    // integration config (`Simulator::new` rejects e.g. a zero step
+    // size); the batch engine must refuse exactly the same inputs to
+    // keep the bit-identity contract meaningful at its boundary.
+    cfg.validate().expect("invalid model configuration");
+    for (spec, _) in jobs {
+        spec.validate().expect("invalid scenario spec");
+    }
+    let mut done: Vec<(usize, RunOutcome)> = waves
+        .par_iter()
+        .map(|wave| {
+            // Wave-level telemetry: one relaxed atomic load on the no-op
+            // path; the clock is only read (and the event only built)
+            // when a sink is listening, so an uninstrumented sweep pays
+            // nothing per wave.
+            let t0 = bbr_telemetry::enabled().then(std::time::Instant::now);
+            let specs: Vec<&ScenarioSpec> = wave.iter().map(|&i| jobs[i].0).collect();
+            let metrics = BatchedFluidSim::<V>::new(&specs, cfg.clone()).run();
+            if let Some(t0) = t0 {
+                let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+                bbr_telemetry::emit(|| bbr_telemetry::Event::Wave {
+                    lanes: specs.len(),
+                    flows: specs.iter().map(|s| s.n_flows()).sum(),
+                    // Members over lane slots: 1.0 for `f64` lanes; a
+                    // ragged pack's padding shows up as < 1.0.
+                    occupancy: specs.len() as f64
+                        / (specs.len().div_ceil(V::WIDTH) * V::WIDTH) as f64,
+                    wall_ms,
+                });
+            }
+            wave.iter()
+                .zip(&metrics)
+                .map(|(&i, m)| {
+                    let mut out = outcome_from_metrics(jobs[i].0, m);
+                    out.backend = name;
+                    (i, out)
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect::<Vec<_>>()
+        .into_iter()
+        .flatten()
+        .collect();
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 #[cfg(test)]
@@ -237,6 +273,7 @@ mod tests {
 
     #[test]
     fn batch_is_bit_identical_to_scalar_across_families() {
+        let _serial = telemetry_serial();
         let specs = specs();
         let jobs: Vec<(&ScenarioSpec, u64)> = specs
             .iter()
@@ -252,6 +289,7 @@ mod tests {
 
     #[test]
     fn ragged_durations_terminate_lanes_independently() {
+        let _serial = telemetry_serial();
         // Same spec at three window lengths in one batch: the masks end
         // each lane on its own step count, and every lane still matches
         // its scalar run exactly.
@@ -273,6 +311,7 @@ mod tests {
 
     #[test]
     fn wave_splitting_is_invisible_in_results() {
+        let _serial = telemetry_serial();
         let specs = specs();
         let jobs: Vec<(&ScenarioSpec, u64)> = specs.iter().map(|s| (s, 0)).collect();
         let one_wave = BatchedFluidBackend::coarse()
@@ -286,6 +325,7 @@ mod tests {
 
     #[test]
     fn scalar_entry_point_and_batch_view() {
+        let _serial = telemetry_serial();
         let spec = ScenarioSpec::dumbbell(2, 50.0, 0.010, 1.0)
             .ccas(vec![CcaKind::Reno])
             .duration(0.5);
@@ -305,9 +345,7 @@ mod tests {
                 self.0.lock().unwrap().push(event.clone());
             }
         }
-        let _serial = TELEMETRY_TEST_SERIAL
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _serial = telemetry_serial();
         let capture = std::sync::Arc::new(Capture(std::sync::Mutex::new(Vec::new())));
         let specs = specs();
         let jobs: Vec<(&ScenarioSpec, u64)> = specs.iter().map(|s| (s, 0)).collect();
@@ -339,12 +377,11 @@ mod tests {
             lanes += l;
             flows += f;
         }
-        // Every job lands in exactly one wave. (Other tests running
-        // concurrently in this binary may add waves of their own while
-        // the global sink is installed, hence >= rather than ==.)
-        assert!(lanes >= jobs.len(), "{lanes} lanes < {} jobs", jobs.len());
+        // Every job lands in exactly one wave, and no other test of this
+        // binary runs an engine while the sink is installed.
+        assert_eq!(lanes, jobs.len());
         let total: usize = specs.iter().map(|s| s.n_flows()).sum();
-        assert!(flows >= total, "{flows} flows < {total}");
+        assert_eq!(flows, total);
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //!
 //! # Cross-lane packing
 //!
-//! Where [`BatchedFluidSim`](crate::sim::BatchedFluidSim) lays lanes out
-//! side by side and still steps each one through scalar f64 math, this
-//! engine packs **four whole scenarios into each arithmetic lane** of an
-//! [`F64x4`]: every logical scalar of the step loop (a queue length, an
-//! RTT, a window, a CCA mode timer) becomes one packed value holding the
-//! four pack members' copies, and each stage of `step_once` executes
-//! once per *pack* instead of once per scenario.
+//! The backend runs the batch engine over `F64x4` lanes: every logical
+//! scalar of the step loop (a queue length, an RTT, a window, a CCA mode
+//! timer) becomes one packed value holding four pack members' copies,
+//! and each stage executes once per *pack* instead of once per scenario.
+//! The step loop, history arena, lookups and metrics are the `f64`
+//! backend's own code; this module holds what differs: the packed queue
+//! kernels and CCA state machines, and the grouping of jobs into packs.
 //!
 //! Packing requires the members to share every **structural** quantity —
 //! flow count, topology wiring, capacities, delays, CCA assignment,
@@ -43,27 +43,21 @@
 //!
 //! Specs whose configuration leaves the packed fast path's state space
 //! (start-up modelling, smooth reset mode, unset-`w_lo` semantics) fall
-//! back to the batched scalar engine, still reported as `"fluid-simd"`.
+//! back to `f64` lanes, still reported as `"fluid-simd"`.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use bbr_fluid_core::backend::{
-    agents_for_spec, hint_for_flow, network_for_spec, outcome_from_metrics,
-};
+use bbr_fluid_core::backend::hint_for_flow;
 use bbr_fluid_core::cca::cubic::{CUBIC_BETA, CUBIC_C};
-use bbr_fluid_core::cca::{AnyCca, ScenarioHint};
+use bbr_fluid_core::cca::{AgentInputs, AnyCca, ScenarioHint};
 use bbr_fluid_core::config::{ModelConfig, ResetMode};
-use bbr_fluid_core::history::History;
-use bbr_fluid_core::lanes::{cbrt4, exp2_4, pow4, pulse4, sigmoid4, F64x4, M64x4, LANES};
-use bbr_fluid_core::metrics::{jain_fairness, AggregateMetrics};
-use bbr_fluid_core::sim::{jitter_interval, observed_link, ActivitySchedule};
-use bbr_fluid_core::topology::{LinkId, QdiscKind};
+use bbr_fluid_core::lanes::{cbrt4, exp2_4, pow4, pulse4, sigmoid4, F64x4, Lanes, M64x4, LANES};
+use bbr_fluid_core::topology::{LinkSpec, Network, QdiscKind};
 use bbr_scenario::{BatchSimBackend, RunOutcome, ScenarioSpec, SimBackend, Topology};
-use rayon::prelude::*;
 
-use crate::sim::Lookup;
-use crate::BatchedFluidBackend;
+use crate::sim::BatchLane;
+use crate::{run_waves, BatchedFluidBackend};
 
 /// The backend name reported for every outcome of this engine (see the
 /// module docs for why it is distinct from `"fluid"`).
@@ -92,110 +86,14 @@ pub fn struct_key(spec: &ScenarioSpec) -> u64 {
 /// Whether the packed fast path covers this configuration. Outside it
 /// (start-up modelling, smooth BBRv1 reset, unset-`w_lo` semantics) the
 /// CCA state machines take branches the packed kernels do not mirror,
-/// and the backend falls back to the batched scalar engine.
+/// and the backend falls back to `f64` lanes.
 fn packable(cfg: &ModelConfig) -> bool {
     !cfg.model_startup && matches!(cfg.reset_mode, ResetMode::Discrete) && !cfg.bbr2_wlo_unset
-}
-
-/// Read a precomputed delayed lookup against a packed arena — the
-/// packed counterpart of [`Lookup::read`], same offsets, same
-/// interpolation arithmetic, applied to all four lanes at once.
-///
-/// SAFETY of the unchecked indexing: identical argument to the scalar
-/// `Lookup::read` — `off` starts a region of `region ≥ cap + 1` slots,
-/// `cur < region`, and `back_a, back_b ≤ cap − 1 ≤ cur`.
-#[inline(always)]
-fn read4(lk: &Lookup, arena: &[F64x4], cur: usize) -> F64x4 {
-    let base = lk.off as usize + cur;
-    debug_assert!(base - lk.back_b as usize >= lk.off as usize);
-    debug_assert!(base < arena.len());
-    let a = unsafe { *arena.get_unchecked(base - lk.back_a as usize) };
-    if lk.clamped {
-        a
-    } else {
-        let b = unsafe { *arena.get_unchecked(base - lk.back_b as usize) };
-        a * (1.0 - lk.frac) + b * lk.frac
-    }
-}
-
-// ---------------------------------------------------------------------
-// Packed queue kernels (mirrors of `bbr_fluid_core::queue`).
-// ---------------------------------------------------------------------
-
-/// Packed loss probability — `queue::loss_probability` with the scalar
-/// early returns turned into masks. The `0^L`/`1^L` endpoint
-/// short-circuits are preserved *exactly* (endpoint lanes bypass the
-/// `pow4` kernel), which also keeps the pinned-full/empty-queue regimes
-/// bit-identical to scalar; only mid-fill lanes go through `pow4`.
-#[inline(always)]
-fn loss_probability4(
-    qdisc: QdiscKind,
-    capacity: f64,
-    buffer: F64x4,
-    y: F64x4,
-    q: F64x4,
-    cfg: &ModelConfig,
-) -> F64x4 {
-    let zero = F64x4::zero();
-    let one = F64x4::splat(1.0);
-    match qdisc {
-        QdiscKind::DropTail => {
-            let m_ypos = y.gt(zero);
-            let fill_ratio = (q / buffer).clamp(0.0, 1.0);
-            let m_f0 = fill_ratio.eq_v(zero);
-            let m_f1 = fill_ratio.eq_v(one);
-            let ends = m_f0 | m_f1;
-            let fill = if ends.all() {
-                m_f1.select(one, zero)
-            } else {
-                // Endpoint lanes feed a harmless 0.5 into the kernel and
-                // discard its output, so `pow4`'s x > 0 precondition
-                // holds in every lane.
-                let safe = ends.select(F64x4::splat(0.5), fill_ratio);
-                m_f1.select(one, pow4(safe, cfg.drop_exp_l))
-            };
-            let gate = sigmoid4(cfg.k_rate, y - capacity);
-            let excess = (one - F64x4::splat(capacity) / y).max(zero);
-            let p = (gate * excess * fill).clamp(0.0, 1.0);
-            // y ≤ 0 or an empty queue short-circuit to exactly 0.0; the
-            // bitwise select discards whatever the masked lanes computed
-            // (even NaN from the y = 0 division).
-            (m_ypos & !m_f0).select(p, zero)
-        }
-        QdiscKind::Red => (q / buffer).clamp(0.0, 1.0),
-    }
-}
-
-/// Packed queue Euler step — `queue::step_queue` lane-wise.
-#[inline(always)]
-fn step_queue4(capacity: f64, buffer: F64x4, q: F64x4, y: F64x4, p: F64x4, dt: f64) -> F64x4 {
-    let dq = (F64x4::splat(1.0) - p) * y - capacity;
-    (q + dq * dt).max(F64x4::zero()).min(buffer)
-}
-
-/// Packed service rate — `queue::service_rate` lane-wise.
-#[inline(always)]
-fn service_rate4(capacity: f64, q: F64x4, y: F64x4, p: F64x4) -> F64x4 {
-    let cap = F64x4::splat(capacity);
-    let spill = ((F64x4::splat(1.0) - p) * y).min(cap);
-    q.gt(F64x4::splat(1e-12)).select(cap, spill)
 }
 
 // ---------------------------------------------------------------------
 // Packed CCA kernels (mirrors of `bbr_fluid_core::cca`).
 // ---------------------------------------------------------------------
-
-/// The delayed-feedback inputs of one packed agent step — `AgentInputs`
-/// for four pack members at once (`t`/`tau`/`prop_rtt` are unused by the
-/// covered state machines' `step` and omitted).
-struct PackedInputs {
-    dt: f64,
-    tau_fb: F64x4,
-    loss_fb: F64x4,
-    x_dlv: F64x4,
-    x_fb: F64x4,
-    x_cur: F64x4,
-}
 
 /// Gather one f64 field from four same-kind agents into a pack.
 #[inline]
@@ -243,7 +141,7 @@ impl PackedProbeRtt {
 }
 
 /// Packed Reno (`cca::reno`).
-struct PackedReno {
+pub(crate) struct PackedReno {
     w: F64x4,
 }
 
@@ -254,7 +152,7 @@ impl PackedReno {
     }
 
     #[inline(always)]
-    fn step4(&mut self, inp: &PackedInputs, cfg: &ModelConfig) {
+    fn step4(&mut self, inp: &AgentInputs<F64x4>, cfg: &ModelConfig) {
         let one = F64x4::splat(1.0);
         let x_pkts = inp.x_fb / cfg.mss;
         let p = inp.loss_fb.clamp(0.0, 1.0);
@@ -268,7 +166,7 @@ impl PackedReno {
 /// owned state with no `Cell` sharing hazards under multicore fan-out
 /// (replaying or recomputing `K` is equivalent either way: `cbrt4` is
 /// deterministic on input bits).
-struct PackedCubic {
+pub(crate) struct PackedCubic {
     s: F64x4,
     w_max: F64x4,
     memo_w: [u64; LANES],
@@ -307,7 +205,7 @@ impl PackedCubic {
     }
 
     #[inline(always)]
-    fn step4(&mut self, inp: &PackedInputs, cfg: &ModelConfig) {
+    fn step4(&mut self, inp: &AgentInputs<F64x4>, cfg: &ModelConfig) {
         let x_pkts = inp.x_fb / cfg.mss;
         let p = inp.loss_fb.clamp(0.0, 1.0);
         let loss_rate = x_pkts * p;
@@ -322,7 +220,7 @@ impl PackedCubic {
 /// Packed BBRv1 (`cca::bbrv1`, Discrete reset mode only — enforced by
 /// [`packable`]). The probing phase `φ_i = i mod 6` is structural (same
 /// flow index in every pack member), so it stays a scalar.
-struct PackedBbrV1 {
+pub(crate) struct PackedBbrV1 {
     prt: PackedProbeRtt,
     t_pbw: F64x4,
     x_btl: F64x4,
@@ -367,7 +265,7 @@ impl PackedBbrV1 {
     }
 
     #[inline(always)]
-    fn step4(&mut self, inp: &PackedInputs, cfg: &ModelConfig) {
+    fn step4(&mut self, inp: &AgentInputs<F64x4>, cfg: &ModelConfig) {
         let zero = F64x4::zero();
         let m_tog = self.prt.step4(inp.dt, inp.tau_fb, cfg);
         // Re-entering ProbeBW: restart the probing period.
@@ -408,7 +306,7 @@ impl PackedBbrV1 {
 /// Packed BBRv2 (`cca::bbrv2`). The period constant `2 + i/N` of
 /// Eq. (24) is structural and stays a scalar; everything else — both
 /// mode bits included — is per-lane state.
-struct PackedBbrV2 {
+pub(crate) struct PackedBbrV2 {
     prt: PackedProbeRtt,
     t_pbw: F64x4,
     x_btl: F64x4,
@@ -449,7 +347,7 @@ impl PackedBbrV2 {
     }
 
     #[inline(always)]
-    fn step4(&mut self, inp: &PackedInputs, cfg: &ModelConfig) {
+    fn step4(&mut self, inp: &AgentInputs<F64x4>, cfg: &ModelConfig) {
         let zero = F64x4::zero();
         let m_tog = self.prt.step4(inp.dt, inp.tau_fb, cfg);
         // Re-entering ProbeBW: a fresh probing period begins.
@@ -556,7 +454,7 @@ impl PackedBbrV2 {
 }
 
 /// One packed agent: four same-kind CCA state machines in lockstep.
-enum PackedCca {
+pub(crate) enum PackedCca {
     Reno(PackedReno),
     Cubic(PackedCubic),
     BbrV1(PackedBbrV1),
@@ -649,10 +547,30 @@ impl PackedCca {
             }
         }
     }
+}
+
+/// Four pack members per lane, through the packed CCA kernels above and
+/// the masked queue kernels below.
+impl BatchLane for F64x4 {
+    type Agent = PackedCca;
+    /// `fluid-simd` is trace-free: its rows are tolerance-bound, and a
+    /// trace would have to pick one member per lane.
+    const TRACED: bool = false;
+
+    /// Transpose each flow's four same-kind scalar agents into packed
+    /// state (the pack key guarantees same kinds).
+    fn agents(members: Vec<Vec<AnyCca>>, net: &Network) -> Vec<PackedCca> {
+        (0..net.n_agents())
+            .map(|i| {
+                let lanes: [&AnyCca; LANES] = std::array::from_fn(|j| &members[j][i]);
+                PackedCca::from_lanes(&lanes, &hint_for_flow(net, i))
+            })
+            .collect()
+    }
 
     #[inline(always)]
-    fn rate4(&mut self, tau: F64x4, cfg: &ModelConfig) -> F64x4 {
-        match self {
+    fn rate(agent: &mut PackedCca, tau: F64x4, cfg: &ModelConfig) -> F64x4 {
+        match agent {
             PackedCca::Reno(a) => a.rate4(tau, cfg),
             PackedCca::Cubic(a) => a.rate4(tau, cfg),
             PackedCca::BbrV1(a) => a.rate4(tau, cfg),
@@ -661,513 +579,67 @@ impl PackedCca {
     }
 
     #[inline(always)]
-    fn step4(&mut self, inp: &PackedInputs, cfg: &ModelConfig) {
-        match self {
+    fn step(agent: &mut PackedCca, inp: &AgentInputs<F64x4>, cfg: &ModelConfig) {
+        match agent {
             PackedCca::Reno(a) => a.step4(inp, cfg),
             PackedCca::Cubic(a) => a.step4(inp, cfg),
             PackedCca::BbrV1(a) => a.step4(inp, cfg),
             PackedCca::BbrV2(a) => a.step4(inp, cfg),
         }
     }
-}
 
-// ---------------------------------------------------------------------
-// The pack integrator.
-// ---------------------------------------------------------------------
+    fn cwnd(_: &PackedCca) -> f64 {
+        unreachable!("fluid-simd lanes are never traced")
+    }
 
-/// Per-flow packed feedback program — `FlowFeedback` with per-pack
-/// lookups (geometry is structural, shared by all members).
-struct PackedFlow {
-    tau_fb: Lookup,
-    x_fb: Lookup,
-    x_num: Lookup,
-    y_b: Lookup,
-    q_b: Lookup,
-    bneck_cap: f64,
-    prop_rtt: f64,
-    x_off: u32,
-    tau_off: u32,
-    activity: ActivitySchedule,
-    path: std::ops::Range<usize>,
-}
-
-/// Per-link packed state: structural spec plus the one per-lane datum
-/// (buffer depth).
-struct PackedLink {
-    qdisc: QdiscKind,
-    capacity: f64,
-    buffer: F64x4,
-    users: std::ops::Range<usize>,
-    p_off: u32,
-    q_off: u32,
-    y_off: u32,
-}
-
-/// Packed metrics accumulator — `MetricsAccumulator` with every
-/// accumulated quantity widened to four lanes. The jitter sampling
-/// clock (`t`, the interval, the first-sample latch) is structural, so
-/// it stays scalar and all lanes sample on the same steps.
-struct PackedMetrics {
-    n_agents: usize,
-    n_links: usize,
-    observed_link: usize,
-    jitter_interval: f64,
-    elapsed: f64,
-    rate_integral: Vec<F64x4>,
-    lost: F64x4,
-    arrived: F64x4,
-    occupancy_integral: Vec<F64x4>,
-    delivered: Vec<F64x4>,
-    last_tau: Vec<F64x4>,
-    has_last: Vec<bool>,
-    next_jitter_sample: Vec<f64>,
-    jitter_sum: Vec<F64x4>,
-    jitter_count: Vec<u64>,
-}
-
-impl PackedMetrics {
-    fn new(n_agents: usize, n_links: usize, observed_link: usize, jitter_interval: f64) -> Self {
-        Self {
-            n_agents,
-            n_links,
-            observed_link,
-            jitter_interval: jitter_interval.max(1e-6),
-            elapsed: 0.0,
-            rate_integral: vec![F64x4::zero(); n_agents],
-            lost: F64x4::zero(),
-            arrived: F64x4::zero(),
-            occupancy_integral: vec![F64x4::zero(); n_links],
-            delivered: vec![F64x4::zero(); n_links],
-            last_tau: vec![F64x4::zero(); n_agents],
-            has_last: vec![false; n_agents],
-            next_jitter_sample: vec![0.0; n_agents],
-            jitter_sum: vec![F64x4::zero(); n_agents],
-            jitter_count: vec![0; n_agents],
+    /// `queue::loss_probability` with the scalar early returns turned
+    /// into masks. The `0^L`/`1^L` endpoint short-circuits are preserved
+    /// *exactly* (endpoint lanes bypass the `pow4` kernel), which also
+    /// keeps the pinned-full/empty-queue regimes bit-identical to scalar;
+    /// only mid-fill lanes go through `pow4`.
+    #[inline(always)]
+    fn loss_probability(
+        link: &LinkSpec,
+        buffer: F64x4,
+        y: F64x4,
+        q: F64x4,
+        cfg: &ModelConfig,
+    ) -> F64x4 {
+        let zero = F64x4::zero();
+        let one = F64x4::splat(1.0);
+        match link.qdisc {
+            QdiscKind::DropTail => {
+                let m_ypos = y.gt(zero);
+                let fill_ratio = (q / buffer).clamp(0.0, 1.0);
+                let m_f0 = fill_ratio.eq_v(zero);
+                let m_f1 = fill_ratio.eq_v(one);
+                let ends = m_f0 | m_f1;
+                let fill = if ends.all() {
+                    m_f1.select(one, zero)
+                } else {
+                    // Endpoint lanes feed a harmless 0.5 into the kernel
+                    // and discard its output, so `pow4`'s x > 0
+                    // precondition holds in every lane.
+                    let safe = ends.select(F64x4::splat(0.5), fill_ratio);
+                    m_f1.select(one, pow4(safe, cfg.drop_exp_l))
+                };
+                let gate = sigmoid4(cfg.k_rate, y - link.capacity);
+                let excess = (one - F64x4::splat(link.capacity) / y).max(zero);
+                let p = (gate * excess * fill).clamp(0.0, 1.0);
+                // y ≤ 0 or an empty queue short-circuit to exactly 0.0;
+                // the bitwise select discards whatever the masked lanes
+                // computed (even NaN from the y = 0 division).
+                (m_ypos & !m_f0).select(p, zero)
+            }
+            QdiscKind::Red => (q / buffer).clamp(0.0, 1.0),
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn record4(
-        &mut self,
-        t: f64,
-        dt: f64,
-        rates: &[F64x4],
-        taus: &[F64x4],
-        y: &[F64x4],
-        p: &[F64x4],
-        rel_q: &[F64x4],
-        service: &[F64x4],
-    ) {
-        self.elapsed += dt;
-        for i in 0..self.n_agents {
-            self.rate_integral[i] = self.rate_integral[i] + rates[i] * dt;
-            if t >= self.next_jitter_sample[i] {
-                if self.has_last[i] {
-                    self.jitter_sum[i] = self.jitter_sum[i] + (taus[i] - self.last_tau[i]).abs();
-                    self.jitter_count[i] += 1;
-                }
-                self.last_tau[i] = taus[i];
-                self.has_last[i] = true;
-                self.next_jitter_sample[i] = t + self.jitter_interval;
-            }
-        }
-        for l in 0..self.n_links {
-            self.lost = self.lost + p[l] * y[l] * dt;
-            self.arrived = self.arrived + y[l] * dt;
-            self.occupancy_integral[l] = self.occupancy_integral[l] + rel_q[l] * dt;
-            self.delivered[l] = self.delivered[l] + service[l] * dt;
-        }
-    }
-
-    /// Finalize one pack member's lane into `AggregateMetrics`, mirroring
-    /// `MetricsAccumulator::finalize` expression for expression.
-    fn finalize_lane(&self, j: usize, link_capacities: &[f64]) -> AggregateMetrics {
-        let t = self.elapsed.max(1e-12);
-        let mean_rates: Vec<f64> = self.rate_integral.iter().map(|r| r.lane(j) / t).collect();
-        let per_link_occupancy: Vec<f64> = self
-            .occupancy_integral
-            .iter()
-            .map(|o| 100.0 * o.lane(j) / t)
-            .collect();
-        let per_link_utilization: Vec<f64> = self
-            .delivered
-            .iter()
-            .zip(link_capacities)
-            .map(|(d, c)| 100.0 * d.lane(j) / (c * t))
-            .collect();
-        let jitter_per_agent: Vec<f64> = self
-            .jitter_sum
-            .iter()
-            .zip(&self.jitter_count)
-            .map(|(s, c)| if *c > 0 { s.lane(j) / *c as f64 } else { 0.0 })
-            .collect();
-        let jitter_ms = if jitter_per_agent.is_empty() {
-            0.0
-        } else {
-            1000.0 * jitter_per_agent.iter().sum::<f64>() / jitter_per_agent.len() as f64
-        };
-        AggregateMetrics {
-            duration: self.elapsed,
-            jain: jain_fairness(&mean_rates),
-            mean_rates,
-            loss_percent: if self.arrived.lane(j) > 0.0 {
-                100.0 * self.lost.lane(j) / self.arrived.lane(j)
-            } else {
-                0.0
-            },
-            occupancy_percent: per_link_occupancy[self.observed_link],
-            utilization_percent: per_link_utilization[self.observed_link],
-            jitter_ms,
-            per_link_occupancy,
-            per_link_utilization,
-        }
-    }
-}
-
-/// One pack of up to [`LANES`] structurally identical scenarios advanced
-/// in lockstep through packed arithmetic. Stage-for-stage the scalar
-/// `Simulator::step_once` / `BatchedFluidSim::step_once`, with every
-/// per-scenario scalar widened to an [`F64x4`].
-pub struct PackSim {
-    cfg: ModelConfig,
-    n_members: usize,
-    steps_total: u64,
-    step: u64,
-    t: f64,
-    cap: usize,
-    region: usize,
-    cur: usize,
-    hist_offs: Vec<u32>,
-    flows: Vec<PackedFlow>,
-    ccas: Vec<PackedCca>,
-    links: Vec<PackedLink>,
-    path_links: Vec<u32>,
-    lk_loss: Vec<Lookup>,
-    lk_user: Vec<Lookup>,
-    x: Vec<F64x4>,
-    tau: Vec<F64x4>,
-    q: Vec<F64x4>,
-    y: Vec<F64x4>,
-    p: Vec<F64x4>,
-    rel_q: Vec<F64x4>,
-    service: Vec<F64x4>,
-    arena: Vec<F64x4>,
-    metrics: PackedMetrics,
-    caps: Vec<f64>,
-}
-
-impl PackSim {
-    /// Pack 1..=[`LANES`] structurally identical specs (equal
-    /// [`struct_key`]; the caller groups). Partial packs replicate
-    /// member 0 into the padding lanes, whose outputs are discarded.
-    pub fn new(specs: &[&ScenarioSpec], cfg: ModelConfig) -> Self {
-        let n_members = specs.len();
-        assert!(
-            (1..=LANES).contains(&n_members),
-            "a pack holds 1..={LANES} members"
-        );
-        debug_assert!(
-            specs.iter().all(|s| struct_key(s) == struct_key(specs[0])),
-            "pack members must share the structural key"
-        );
-        let member = |j: usize| specs[if j < n_members { j } else { 0 }];
-        let nets: Vec<_> = (0..LANES).map(|j| network_for_spec(member(j))).collect();
-        let net = &nets[0];
-        net.validate().expect("validated spec must build");
-        let dt = cfg.dt;
-        let n = net.n_agents();
-        let m = net.links.len();
-
-        // Same construction sites as the scalar/batched backends, one
-        // scalar agent set per lane, transposed into packs below.
-        let agents: Vec<Vec<AnyCca>> = (0..LANES)
-            .map(|j| agents_for_spec(member(j), &nets[j], &cfg))
-            .collect();
-
-        let prop_rtt: Vec<f64> = (0..n).map(|i| net.prop_rtt(i)).collect();
-        let max_rtt = prop_rtt.iter().cloned().fold(0.0, f64::max);
-        let cap = History::capacity_for(max_rtt, dt);
-        let region = 2 * cap;
-        let activity: Vec<ActivitySchedule> = (0..n)
-            .map(|i| ActivitySchedule::from_windows(&member(0).windows_of(i), dt))
-            .collect();
-
-        // Initial rates are per-lane: BBRv2's buffer-dependent w_hi can
-        // bind the initial window, so x(0) differs across buffer lanes.
-        let x0: Vec<F64x4> = (0..n)
-            .map(|i| {
-                F64x4(std::array::from_fn(|j| {
-                    if activity[i].contains(0) {
-                        agents[j][i].rate(prop_rtt[i], &cfg)
-                    } else {
-                        0.0
-                    }
-                }))
-            })
-            .collect();
-        let users: Vec<Vec<(usize, usize)>> = (0..m).map(|l| net.users_of(LinkId(l))).collect();
-        let y0: Vec<F64x4> = (0..m)
-            .map(|l| {
-                users[l]
-                    .iter()
-                    .map(|(i, _)| x0[*i])
-                    .fold(F64x4::zero(), |a, b| a + b)
-            })
-            .collect();
-
-        // Histories: per flow x then tau, per link p, q, y — the exact
-        // region layout of `BatchedFluidSim::push_lane`, with packed
-        // slots.
-        let mut arena: Vec<F64x4> = Vec::with_capacity((2 * n + 3 * m) * region);
-        let mut hist_offs = Vec::with_capacity(2 * n + 3 * m);
-        let mut alloc = |initial: F64x4, arena: &mut Vec<F64x4>| -> usize {
-            let off = arena.len();
-            arena.extend(std::iter::repeat_n(initial, cap));
-            arena.extend(std::iter::repeat_n(F64x4::zero(), region - cap));
-            hist_offs.push(off as u32);
-            off
-        };
-        let x_offs: Vec<usize> = (0..n).map(|i| alloc(x0[i], &mut arena)).collect();
-        let tau_offs: Vec<usize> = (0..n)
-            .map(|i| alloc(F64x4::splat(prop_rtt[i]), &mut arena))
-            .collect();
-        let p_offs: Vec<usize> = (0..m).map(|_| alloc(F64x4::zero(), &mut arena)).collect();
-        let q_offs: Vec<usize> = (0..m).map(|_| alloc(F64x4::zero(), &mut arena)).collect();
-        let y_offs: Vec<usize> = (0..m).map(|l| alloc(y0[l], &mut arena)).collect();
-        assert!(
-            arena.len() <= u32::MAX as usize,
-            "pack history arena exceeds u32 offsets"
-        );
-
-        let mut links = Vec::with_capacity(m);
-        let mut lk_user = Vec::new();
-        for l in 0..m {
-            let start = lk_user.len();
-            for &(i, pos) in &users[l] {
-                lk_user.push(Lookup::new(x_offs[i], cap, net.fwd_delay(i, pos), dt));
-            }
-            links.push(PackedLink {
-                qdisc: net.links[l].qdisc,
-                capacity: net.links[l].capacity,
-                buffer: F64x4(std::array::from_fn(|j| nets[j].links[l].buffer)),
-                users: start..lk_user.len(),
-                p_off: p_offs[l] as u32,
-                q_off: q_offs[l] as u32,
-                y_off: y_offs[l] as u32,
-            });
-        }
-
-        let mut flows = Vec::with_capacity(n);
-        let mut ccas = Vec::with_capacity(n);
-        let mut path_links = Vec::new();
-        let mut lk_loss = Vec::new();
-        for i in 0..n {
-            let d_p = prop_rtt[i];
-            let pos = net.bottleneck_pos(i);
-            let l_b = net.paths[i].links[pos].0;
-            let d_b = net.bwd_delay(i, pos);
-            let start = lk_loss.len();
-            for (pos, link_id) in net.paths[i].links.iter().enumerate() {
-                let l = link_id.0;
-                path_links.push(l as u32);
-                lk_loss.push(Lookup::new(p_offs[l], cap, net.bwd_delay(i, pos), dt));
-            }
-            flows.push(PackedFlow {
-                tau_fb: Lookup::new(tau_offs[i], cap, d_p, dt),
-                x_fb: Lookup::new(x_offs[i], cap, d_p, dt),
-                x_num: Lookup::new(x_offs[i], cap, d_p + dt, dt),
-                y_b: Lookup::new(y_offs[l_b], cap, d_b, dt),
-                q_b: Lookup::new(q_offs[l_b], cap, d_b, dt),
-                bneck_cap: net.links[l_b].capacity,
-                prop_rtt: d_p,
-                x_off: x_offs[i] as u32,
-                tau_off: tau_offs[i] as u32,
-                activity: activity[i].clone(),
-                path: start..lk_loss.len(),
-            });
-            let lane_refs: [&AnyCca; LANES] = std::array::from_fn(|j| &agents[j][i]);
-            ccas.push(PackedCca::from_lanes(&lane_refs, &hint_for_flow(net, i)));
-        }
-
-        let observed = observed_link(net);
-        let caps: Vec<f64> = net.links.iter().map(|l| l.capacity).collect();
-        Self {
-            metrics: PackedMetrics::new(n, m, observed, jitter_interval(&cfg, n, caps[observed])),
-            steps_total: (member(0).duration / dt).round() as u64,
-            step: 0,
-            t: 0.0,
-            cap,
-            region,
-            cur: cap - 1,
-            hist_offs,
-            flows,
-            ccas,
-            links,
-            path_links,
-            lk_loss,
-            lk_user,
-            x: vec![F64x4::zero(); n],
-            tau: vec![F64x4::zero(); n],
-            q: vec![F64x4::zero(); m],
-            y: vec![F64x4::zero(); m],
-            p: vec![F64x4::zero(); m],
-            rel_q: vec![F64x4::zero(); m],
-            service: vec![F64x4::zero(); m],
-            arena,
-            caps,
-            cfg,
-            n_members,
-        }
-    }
-
-    /// One packed time step — the eight stages of the scalar
-    /// `step_once`, each executed once per pack.
-    fn step_once(&mut self) {
-        let PackSim {
-            cfg,
-            flows,
-            ccas,
-            links,
-            path_links,
-            lk_loss,
-            lk_user,
-            x,
-            tau,
-            q,
-            y,
-            p,
-            rel_q,
-            service,
-            arena,
-            metrics,
-            hist_offs,
-            cap,
-            region,
-            cur,
-            step,
-            t,
-            ..
-        } = self;
-        let dt = cfg.dt;
-        let cur_idx = *cur;
-        let step_now = *step;
-        let n = flows.len();
-        let m = links.len();
-
-        // 1. Link arrival rates, Eq. (1): delayed sending rates.
-        for l in 0..m {
-            let mut acc = F64x4::zero();
-            for lk in &lk_user[links[l].users.clone()] {
-                acc = acc + read4(lk, arena, cur_idx);
-            }
-            y[l] = acc;
-        }
-
-        // 2. Loss probabilities, Eqs. (4)/(6), and service rates.
-        for l in 0..m {
-            let link = &links[l];
-            p[l] = loss_probability4(link.qdisc, link.capacity, link.buffer, y[l], q[l], cfg);
-            rel_q[l] = q[l] / link.buffer;
-            service[l] = service_rate4(link.capacity, q[l], y[l], p[l]);
-        }
-
-        // 3. Path RTTs, Eq. (3).
-        for i in 0..n {
-            let mut acc = F64x4::splat(flows[i].prop_rtt);
-            for &l in &path_links[flows[i].path.clone()] {
-                let l = l as usize;
-                acc = acc + q[l] / links[l].capacity;
-            }
-            tau[i] = acc;
-        }
-
-        // 4. Current sending rates from pre-step CCA state (activity
-        // windows are structural, so the churn mask stays scalar).
-        for i in 0..n {
-            let fb = &flows[i];
-            x[i] = if fb.activity.contains(step_now) {
-                ccas[i].rate4(tau[i], cfg)
-            } else {
-                F64x4::zero()
-            };
-        }
-
-        // 5. Metrics.
-        metrics.record4(*t, dt, x, tau, y, p, rel_q, service);
-
-        // 6. Assemble delayed feedback and step the agents.
-        for i in 0..n {
-            let fb = &flows[i];
-            if !fb.activity.contains(step_now) {
-                continue;
-            }
-            let tau_fb = read4(&fb.tau_fb, arena, cur_idx);
-            let x_fb = read4(&fb.x_fb, arena, cur_idx);
-            let mut loss_fb = F64x4::zero();
-            for lk in &lk_loss[fb.path.clone()] {
-                loss_fb = loss_fb + read4(lk, arena, cur_idx);
-            }
-            let loss_fb = loss_fb.clamp(0.0, 1.0);
-            // Delivery rate, Eq. (17), measured at the bottleneck.
-            let y_b = read4(&fb.y_b, arena, cur_idx).max(F64x4::splat(1e-9));
-            let q_b = read4(&fb.q_b, arena, cur_idx);
-            let cap4 = F64x4::splat(fb.bneck_cap);
-            let x_num = read4(&fb.x_num, arena, cur_idx);
-            let share = (x_num / y_b).min(F64x4::splat(1.0));
-            let m_dlv = q_b.gt(F64x4::splat(1e-9)) | y_b.gt(cap4);
-            let x_dlv = m_dlv.select(share * cap4, x_num);
-            let inputs = PackedInputs {
-                dt,
-                tau_fb,
-                loss_fb,
-                x_dlv,
-                x_fb,
-                x_cur: x[i],
-            };
-            ccas[i].step4(&inputs, cfg);
-        }
-
-        // 7. Push histories (values at time t).
-        let mut next = cur_idx + 1;
-        if next == *region {
-            for &off in hist_offs.iter() {
-                let off = off as usize;
-                arena.copy_within(off + *region - *cap..off + *region, off);
-            }
-            next = *cap;
-        }
-        *cur = next;
-        for i in 0..n {
-            let fb = &flows[i];
-            arena[fb.x_off as usize + next] = x[i];
-            arena[fb.tau_off as usize + next] = tau[i];
-        }
-        for l in 0..m {
-            arena[links[l].p_off as usize + next] = p[l];
-            arena[links[l].q_off as usize + next] = q[l];
-            arena[links[l].y_off as usize + next] = y[l];
-        }
-
-        // 8. Queue dynamics, Eq. (2).
-        for l in 0..m {
-            q[l] = step_queue4(links[l].capacity, links[l].buffer, q[l], y[l], p[l], dt);
-        }
-
-        *t += dt;
-        *step += 1;
-    }
-
-    /// Integrate to the shared window end (duration is structural) and
-    /// return the members' aggregate metrics, in member order; padding
-    /// lanes are discarded here.
-    pub fn run(mut self) -> Vec<AggregateMetrics> {
-        while self.step < self.steps_total {
-            self.step_once();
-        }
-        (0..self.n_members)
-            .map(|j| self.metrics.finalize_lane(j, &self.caps))
-            .collect()
+    /// `queue::step_queue` lane-wise.
+    #[inline(always)]
+    fn step_queue(link: &LinkSpec, buffer: F64x4, q: F64x4, y: F64x4, p: F64x4, dt: f64) -> F64x4 {
+        let dq = (F64x4::splat(1.0) - p) * y - link.capacity;
+        (q + dq * dt).max(F64x4::zero()).min(buffer)
     }
 }
 
@@ -1177,9 +649,10 @@ impl PackSim {
 
 /// The SIMD-packed fluid integrator as a [`SimBackend`] /
 /// [`BatchSimBackend`], name `"fluid-simd"`. Groups jobs into packs of
-/// up to [`LANES`] structurally identical specs, fans the packs out
-/// across the rayon pool, and falls back to [`BatchedFluidBackend`] for
-/// configurations outside the packed fast path.
+/// up to [`LANES`] structurally identical specs, runs one pack per wave
+/// on the batch engine's `F64x4` lanes, and falls back to its `f64`
+/// lanes (the [`BatchedFluidBackend`] waves) for configurations outside
+/// the packed fast path.
 #[derive(Debug, Clone)]
 pub struct SimdFluidBackend {
     cfg: ModelConfig,
@@ -1223,21 +696,14 @@ impl BatchSimBackend for SimdFluidBackend {
     /// pool. The fluid model is deterministic and ignores seeds;
     /// outcomes come back in job order.
     fn run_batch(&self, jobs: &[(&ScenarioSpec, u64)]) -> Vec<RunOutcome> {
-        self.cfg.validate().expect("invalid model configuration");
-        for (spec, _) in jobs {
-            spec.validate().expect("invalid scenario spec");
-        }
         if !packable(&self.cfg) {
-            let mut outs = BatchedFluidBackend::new(self.cfg.clone()).run_batch(jobs);
-            for out in &mut outs {
-                out.backend = SIMD_BACKEND_NAME;
-            }
-            return outs;
+            let waves = BatchedFluidBackend::new(self.cfg.clone()).waves(jobs);
+            return run_waves::<f64>(&self.cfg, jobs, SIMD_BACKEND_NAME, waves);
         }
-
         // Greedy grouping: jobs join the open pack of their structural
         // key, packs close at LANES members; first-seen order is kept
-        // so the fan-out work list mirrors the job list's locality.
+        // so the fan-out work list mirrors the job list's locality. One
+        // pack is one wave.
         let mut packs: Vec<Vec<usize>> = Vec::new();
         let mut open: HashMap<u64, usize> = HashMap::new();
         for (idx, (spec, _)) in jobs.iter().enumerate() {
@@ -1255,46 +721,7 @@ impl BatchSimBackend for SimdFluidBackend {
                 }
             }
         }
-
-        let done: Vec<Vec<(usize, RunOutcome)>> = packs
-            .par_iter()
-            .map(|members| {
-                // Pack-level telemetry, mirroring the batch engine's
-                // wave events: free when no sink listens. Occupancy is
-                // the pack's fill fraction — padding lanes replicate
-                // member 0 and burn vector slots without producing
-                // results, so a ragged tail shows up as < 1.0.
-                let t0 = bbr_telemetry::enabled().then(std::time::Instant::now);
-                let specs: Vec<&ScenarioSpec> = members.iter().map(|&i| jobs[i].0).collect();
-                let metrics = PackSim::new(&specs, self.cfg.clone()).run();
-                if let Some(t0) = t0 {
-                    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-                    bbr_telemetry::emit(|| bbr_telemetry::Event::Wave {
-                        lanes: specs.len(),
-                        flows: specs.iter().map(|s| s.n_flows()).sum(),
-                        occupancy: specs.len() as f64 / LANES as f64,
-                        wall_ms,
-                    });
-                }
-                members
-                    .iter()
-                    .zip(&metrics)
-                    .map(|(&i, metric)| {
-                        let mut out = outcome_from_metrics(jobs[i].0, metric);
-                        out.backend = SIMD_BACKEND_NAME;
-                        (i, out)
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut slots: Vec<Option<RunOutcome>> = (0..jobs.len()).map(|_| None).collect();
-        for (i, out) in done.into_iter().flatten() {
-            slots[i] = Some(out);
-        }
-        slots
-            .into_iter()
-            .map(|o| o.expect("every job produces exactly one outcome"))
-            .collect()
+        run_waves::<F64x4>(&self.cfg, jobs, SIMD_BACKEND_NAME, packs)
     }
 }
 
@@ -1343,6 +770,7 @@ mod tests {
 
     #[test]
     fn simd_agrees_with_scalar_across_families() {
+        let _serial = crate::telemetry_serial();
         let specs = families();
         let jobs: Vec<(&ScenarioSpec, u64)> = specs.iter().map(|s| (s, 0)).collect();
         let simd = SimdFluidBackend::coarse().run_batch(&jobs);
@@ -1368,6 +796,7 @@ mod tests {
 
     #[test]
     fn pack_composition_is_invisible() {
+        let _serial = crate::telemetry_serial();
         // Four buffer variants of one structural shape: grouped into one
         // pack vs run one at a time (each a partial pack padded with
         // itself) — element-wise kernels make the results bitwise equal.
@@ -1389,6 +818,7 @@ mod tests {
 
     #[test]
     fn grouping_preserves_job_order_with_interleaved_keys() {
+        let _serial = crate::telemetry_serial();
         // Alternate two structural shapes so pack membership is
         // non-contiguous in job order; outcomes must still come back in
         // job order, matching per-spec individual runs bit for bit.
@@ -1420,6 +850,7 @@ mod tests {
 
     #[test]
     fn unpackable_config_falls_back_to_batch_engine() {
+        let _serial = crate::telemetry_serial();
         let cfg = ModelConfig {
             bbr2_wlo_unset: true,
             ..ModelConfig::coarse()
@@ -1443,9 +874,7 @@ mod tests {
                 self.0.lock().unwrap().push(event.clone());
             }
         }
-        let _serial = crate::TELEMETRY_TEST_SERIAL
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _serial = crate::telemetry_serial();
         // Three buffer variants of one structural shape: one ragged
         // pack of 3 members out of LANES = 4 slots.
         let specs: Vec<ScenarioSpec> = [0.5, 1.0, 2.0]
@@ -1499,6 +928,7 @@ mod tests {
 
     #[test]
     fn entry_points() {
+        let _serial = crate::telemetry_serial();
         let b = SimdFluidBackend::coarse();
         assert_eq!(b.name(), "fluid-simd");
         assert!(b.as_batch().is_some());

@@ -1,16 +1,32 @@
-//! The structure-of-arrays lockstep integrator behind
-//! [`BatchedFluidBackend`](crate::BatchedFluidBackend).
+//! The structure-of-arrays lockstep integrator behind both batch
+//! backends: [`BatchedFluidBackend`](crate::BatchedFluidBackend) runs it
+//! over `f64` lanes, [`SimdFluidBackend`](crate::SimdFluidBackend) over
+//! `F64x4` lanes.
 //!
-//! [`BatchedFluidSim`] packs N scenarios ("lanes") into flat per-flow and
-//! per-link arrays and advances every lane by one shared time step per
-//! iteration of the outer loop. Heterogeneous lanes (different flow
+//! [`BatchedFluidSim`] packs batch lanes into flat per-flow and per-link
+//! arrays and advances every lane by one shared time step per iteration
+//! of the outer loop. A batch lane holds 1..=`V::WIDTH` structurally
+//! identical scenarios, its *members*: one for `f64`, one `struct_key`
+//! pack of up to four for `F64x4`. Heterogeneous lanes (different flow
 //! counts, topologies, durations) batch together; lanes whose
 //! integration window is over are masked out and the rest keep stepping.
 //!
-//! # Bit-identity to the scalar `Simulator`
+//! # Two lane types, one step loop
 //!
-//! Every per-lane number this integrator produces is the result of the
-//! *same floating-point expressions, in the same order*, as
+//! The history arena, the delayed lookups, the eight step stages, the
+//! termination mask, the activity schedules and the metrics are written
+//! once over [`Lanes`]. Only [`BatchLane`] differs per lane type: the
+//! agents (`AnyCca` or the packed state machines), the queue kernels
+//! (libm with early returns, or the masked `pow4`/`sigmoid4`), and
+//! whether a lane samples into the flight recorder (only `f64` does).
+//! Every primitive `F64x4` op is the scalar op in each lane, bit for bit
+//! (`bbr_fluid_core::lanes`), so sharing the stage code moves no bit of
+//! either backend.
+//!
+//! # Bit-identity of `f64` lanes to the scalar `Simulator`
+//!
+//! Every per-lane number of an `f64` batch is the result of the *same
+//! floating-point expressions, in the same order*, as
 //! `bbr_fluid_core::sim::Simulator` — batching only re-organizes state
 //! and dispatch, never arithmetic:
 //!
@@ -35,12 +51,75 @@ use bbr_fluid_core::backend::{agents_for_spec, network_for_spec};
 use bbr_fluid_core::cca::{AgentInputs, AnyCca};
 use bbr_fluid_core::config::ModelConfig;
 use bbr_fluid_core::history::History;
+use bbr_fluid_core::lanes::Lanes;
 use bbr_fluid_core::metrics::{AggregateMetrics, MetricsAccumulator};
-use bbr_fluid_core::queue::{loss_probability, service_rate, step_queue};
+use bbr_fluid_core::queue::{loss_probability, step_queue};
 use bbr_fluid_core::sim::{jitter_interval, observed_link, ActivitySchedule};
-use bbr_fluid_core::topology::{LinkId, LinkSpec};
+use bbr_fluid_core::topology::{LinkId, LinkSpec, Network};
 use bbr_scenario::ScenarioSpec;
 use bbr_trace::{Recorder, TraceEvent};
+
+/// What differs between the lane types the engine runs. Everything else
+/// is the same code for both (see the module docs).
+pub(crate) trait BatchLane: Lanes {
+    /// One flow's agent across the lane's members.
+    type Agent;
+    /// Whether the lane samples into an installed flight recorder.
+    const TRACED: bool;
+    /// One agent per flow from each member's scalar agents
+    /// (`members[j][i]` is member `j`'s flow `i`, padding included).
+    fn agents(members: Vec<Vec<AnyCca>>, net: &Network) -> Vec<Self::Agent>;
+    /// The agent's sending rate at path RTT `tau`.
+    fn rate(agent: &mut Self::Agent, tau: Self, cfg: &ModelConfig) -> Self;
+    /// Advance the agent by one step on its delayed feedback.
+    fn step(agent: &mut Self::Agent, inp: &AgentInputs<Self>, cfg: &ModelConfig);
+    /// A traced agent's window (Mbit).
+    fn cwnd(agent: &Self::Agent) -> f64;
+    /// Loss probability, Eqs. (4)/(6); `buffer` holds each member's
+    /// buffer of `link`, the one link quantity members may differ in.
+    fn loss_probability(link: &LinkSpec, buffer: Self, y: Self, q: Self, cfg: &ModelConfig)
+        -> Self;
+    /// One Euler step of the queue, Eq. (2).
+    fn step_queue(link: &LinkSpec, buffer: Self, q: Self, y: Self, p: Self, dt: f64) -> Self;
+}
+
+/// One scenario per lane, through the scalar model's own agents and
+/// queue kernels. A one-member lane's buffer is `link.buffer`.
+impl BatchLane for f64 {
+    type Agent = AnyCca;
+    const TRACED: bool = true;
+
+    fn agents(members: Vec<Vec<AnyCca>>, _: &Network) -> Vec<AnyCca> {
+        members
+            .into_iter()
+            .next()
+            .expect("an f64 lane has one member")
+    }
+
+    #[inline(always)]
+    fn rate(agent: &mut AnyCca, tau: f64, cfg: &ModelConfig) -> f64 {
+        agent.rate(tau, cfg)
+    }
+
+    #[inline(always)]
+    fn step(agent: &mut AnyCca, inp: &AgentInputs, cfg: &ModelConfig) {
+        agent.step(inp, cfg)
+    }
+
+    fn cwnd(agent: &AnyCca) -> f64 {
+        agent.cwnd()
+    }
+
+    #[inline(always)]
+    fn loss_probability(link: &LinkSpec, _: f64, y: f64, q: f64, cfg: &ModelConfig) -> f64 {
+        loss_probability(link, y, q, cfg)
+    }
+
+    #[inline(always)]
+    fn step_queue(link: &LinkSpec, _: f64, q: f64, y: f64, p: f64, dt: f64) -> f64 {
+        step_queue(link, q, y, p, dt)
+    }
+}
 
 /// One precomputed delayed lookup: which history region to read and how
 /// far back, resolved once from a constant delay.
@@ -51,22 +130,22 @@ use bbr_trace::{Recorder, TraceEvent};
 /// which case the interpolation is skipped, as the ring buffer skips
 /// it, so even a `-0.0` sample round-trips bit-exactly).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Lookup {
+struct Lookup {
     /// Arena offset of the history region this lookup reads.
-    pub(crate) off: u32,
+    off: u32,
     /// Whole steps back for the two interpolation endpoints.
-    pub(crate) back_a: u32,
-    pub(crate) back_b: u32,
+    back_a: u32,
+    back_b: u32,
     /// Interpolation fraction between the endpoints.
-    pub(crate) frac: f64,
+    frac: f64,
     /// Delay at/beyond the retention horizon: return the oldest sample.
-    pub(crate) clamped: bool,
+    clamped: bool,
 }
 
 impl Lookup {
     /// Resolve `delay` against a history of `cap` retained samples,
     /// replicating the `at_delay` decomposition bit for bit.
-    pub(crate) fn new(off: usize, cap: usize, delay: f64, dt: f64) -> Self {
+    fn new(off: usize, cap: usize, delay: f64, dt: f64) -> Self {
         debug_assert!(delay >= 0.0, "delay must be non-negative");
         let steps = delay / dt;
         let lo = steps.floor() as usize;
@@ -97,15 +176,17 @@ impl Lookup {
     /// of `region ≥ cap + 1` arena slots, `cur < region` by the cursor
     /// invariant, and `back_a, back_b ≤ cap - 1 ≤ cur` (the cursor never
     /// drops below `cap - 1`), so both indices stay inside the region.
-    #[inline]
-    pub(crate) fn read(&self, arena: &[f64], cur: usize) -> f64 {
+    #[inline(always)]
+    fn read<V: Lanes>(&self, arena: &[V], cur: usize) -> V {
         let base = self.off as usize + cur;
         debug_assert!(base - self.back_b as usize >= self.off as usize);
         debug_assert!(base < arena.len());
+        // SAFETY: both indices lie in this lookup's region (see above).
         let a = unsafe { *arena.get_unchecked(base - self.back_a as usize) };
         if self.clamped {
             a
         } else {
+            // SAFETY: as for `a`.
             let b = unsafe { *arena.get_unchecked(base - self.back_b as usize) };
             a * (1.0 - self.frac) + b * self.frac
         }
@@ -113,7 +194,8 @@ impl Lookup {
 }
 
 /// The per-flow delayed-feedback program of the agent-step stage, packed
-/// contiguously so stage 6 walks one array instead of six.
+/// contiguously so stage 6 walks one array instead of six. Delays are
+/// structural, so one program serves every member of a lane.
 #[derive(Debug, Clone)]
 struct FlowFeedback {
     /// Own RTT delayed by the propagation RTT (`τ(t − d_p)`).
@@ -143,11 +225,14 @@ struct FlowFeedback {
 
 /// Per-lane bookkeeping: where the lane's flows/links live in the flat
 /// arrays, its history geometry, and its private metrics stream.
-struct Lane {
+struct Lane<V> {
     /// Flat flow index range.
     flows: std::ops::Range<usize>,
     /// Flat link index range.
     links: std::ops::Range<usize>,
+    /// Scenarios in the lane; the `V::WIDTH − members` padding lanes
+    /// replicate member 0 and are discarded.
+    members: usize,
     /// Integration steps this lane runs (`(duration / dt).round()`).
     steps_total: u64,
     /// Retained samples per history (identical for every history of a
@@ -161,16 +246,16 @@ struct Lane {
     /// Arena offsets of every history region of this lane (for the
     /// slide-back copy when `cur` reaches the region end).
     hist_offs: Vec<u32>,
-    metrics: MetricsAccumulator,
+    metrics: MetricsAccumulator<V>,
     /// Link capacities, for metric finalization.
     caps: Vec<f64>,
 }
 
 /// A batch of fluid scenarios advanced in lockstep. See the module docs
 /// for the layout and the bit-identity argument.
-pub struct BatchedFluidSim {
+pub(crate) struct BatchedFluidSim<V: BatchLane> {
     cfg: ModelConfig,
-    lanes: Vec<Lane>,
+    lanes: Vec<Lane<V>>,
     /// Lanes still integrating, in lane order (the termination mask).
     active: Vec<usize>,
     /// Steps taken so far — identical for every active lane, since all
@@ -181,13 +266,13 @@ pub struct BatchedFluidSim {
     /// re-evaluating at deadlines.
     next_deadline: u64,
     t: f64,
-    /// Flight recorder installed when the batch was built, and its
-    /// sample grid in steps.
+    /// Flight recorder installed when the batch was built (traced lane
+    /// types only), and its sample grid in steps.
     recorder: Option<Recorder>,
     trace_stride: u64,
 
     // ---- flat per-flow state (lane-contiguous) ----
-    agents: Vec<AnyCca>,
+    agents: Vec<V::Agent>,
     feedback: Vec<FlowFeedback>,
     /// Per-flow range into `path_links` / `lk_loss`.
     path_range: Vec<std::ops::Range<usize>>,
@@ -196,13 +281,16 @@ pub struct BatchedFluidSim {
     /// Delayed loss-probability lookups, aligned with `path_links`.
     lk_loss: Vec<Lookup>,
     /// Scratch: current sending rate / RTT per flow.
-    x: Vec<f64>,
-    tau: Vec<f64>,
+    x: Vec<V>,
+    tau: Vec<V>,
 
     // ---- flat per-link state (lane-contiguous) ----
+    /// Member 0's link specs; every field but the buffer is structural.
     link_spec: Vec<LinkSpec>,
+    /// Each member's buffer per link (Mbit).
+    buffer: Vec<V>,
     /// Queue length per link (Mbit).
-    q: Vec<f64>,
+    q: Vec<V>,
     /// Per-link range into `lk_user`.
     user_range: Vec<std::ops::Range<usize>>,
     /// Delayed sending-rate lookups of each link's users, in user order.
@@ -212,32 +300,39 @@ pub struct BatchedFluidSim {
     q_off: Vec<u32>,
     y_off: Vec<u32>,
     /// Scratch: arrival rate, loss probability, relative queue, service.
-    y: Vec<f64>,
-    p: Vec<f64>,
-    rel_q: Vec<f64>,
-    service: Vec<f64>,
+    y: Vec<V>,
+    p: Vec<V>,
+    rel_q: Vec<V>,
+    service: Vec<V>,
 
     /// One arena holding every history region of every lane.
-    arena: Vec<f64>,
+    arena: Vec<V>,
 }
 
-impl BatchedFluidSim {
-    /// Pack `specs` into one lockstep batch. Every spec must already be
-    /// validated (the backend validates before building).
-    pub fn new(specs: &[&ScenarioSpec], cfg: ModelConfig) -> Self {
+impl<V: BatchLane> BatchedFluidSim<V> {
+    /// Pack `specs` into one lockstep batch, `V::WIDTH` consecutive specs
+    /// per lane (the members of a lane must share `struct_key`). Every
+    /// spec must already be validated (the backends validate before
+    /// building).
+    pub(crate) fn new(specs: &[&ScenarioSpec], cfg: ModelConfig) -> Self {
         // Capacity hints so building a wave does not realloc-churn: the
         // per-flow totals are exact, the per-link and path-flattened
         // ones are dumbbell-shaped floors (multi-hop lanes may still
         // grow once). Matters when the backend fans many small waves
         // out per sweep — construction is on the hot path there.
-        let flows: usize = specs.iter().map(|s| s.n_flows()).sum();
-        let links = flows + 2 * specs.len();
-        let recorder = bbr_trace::installed();
+        let n_lanes = specs.len().div_ceil(V::WIDTH);
+        let flows: usize = specs.chunks(V::WIDTH).map(|c| c[0].n_flows()).sum();
+        let links = flows + 2 * n_lanes;
+        let recorder = if V::TRACED {
+            bbr_trace::installed()
+        } else {
+            None
+        };
         let trace_stride = recorder.as_ref().map_or(1, |rec| rec.stride(cfg.dt));
         let mut sim = Self {
             cfg,
-            lanes: Vec::with_capacity(specs.len()),
-            active: (0..specs.len()).collect(),
+            lanes: Vec::with_capacity(n_lanes),
+            active: (0..n_lanes).collect(),
             step_count: 0,
             next_deadline: u64::MAX,
             t: 0.0,
@@ -251,6 +346,7 @@ impl BatchedFluidSim {
             x: Vec::with_capacity(flows),
             tau: Vec::with_capacity(flows),
             link_spec: Vec::with_capacity(links),
+            buffer: Vec::with_capacity(links),
             q: Vec::with_capacity(links),
             user_range: Vec::with_capacity(links),
             lk_user: Vec::with_capacity(2 * flows),
@@ -263,8 +359,8 @@ impl BatchedFluidSim {
             service: Vec::with_capacity(links),
             arena: Vec::new(),
         };
-        for spec in specs {
-            sim.push_lane(spec);
+        for members in specs.chunks(V::WIDTH) {
+            sim.push_lane(members);
         }
         // Degenerate windows round to zero steps; such lanes finalize
         // empty, exactly as a scalar `run` of the same duration would.
@@ -279,18 +375,23 @@ impl BatchedFluidSim {
         sim
     }
 
-    /// Append one lane: translate the spec exactly as the scalar backend
-    /// does, lay its histories into the arena, and resolve every delayed
-    /// lookup of its step loop.
-    fn push_lane(&mut self, spec: &ScenarioSpec) {
+    /// Append one lane of `members`: translate each spec exactly as the
+    /// scalar backend does, lay the lane's histories into the arena, and
+    /// resolve every delayed lookup of its step loop.
+    fn push_lane(&mut self, members: &[&ScenarioSpec]) {
         let cfg = self.cfg.clone();
         let dt = cfg.dt;
-        let net = network_for_spec(spec);
+        // Padding lanes replicate member 0.
+        let member = |j: usize| members[if j < members.len() { j } else { 0 }];
+        let nets: Vec<Network> = (0..V::WIDTH).map(|j| network_for_spec(member(j))).collect();
+        let net = &nets[0];
         net.validate().expect("validated spec must build");
-        let mut agents = agents_for_spec(spec, &net, &cfg);
+        let agents: Vec<Vec<AnyCca>> = (0..V::WIDTH)
+            .map(|j| agents_for_spec(member(j), &nets[j], &cfg))
+            .collect();
         let n = net.n_agents();
         let m = net.links.len();
-        let flow0 = self.agents.len();
+        let flow0 = self.feedback.len();
         let link0 = self.link_spec.len();
 
         let prop_rtt: Vec<f64> = (0..n).map(|i| net.prop_rtt(i)).collect();
@@ -303,45 +404,51 @@ impl BatchedFluidSim {
         // Per-flow activity schedules, resolved exactly as the scalar
         // `Simulator::for_spec` resolves them.
         let activity: Vec<ActivitySchedule> = (0..n)
-            .map(|i| ActivitySchedule::from_windows(&spec.windows_of(i), dt))
+            .map(|i| ActivitySchedule::from_windows(&member(0).windows_of(i), dt))
             .collect();
 
         // Initial conditions, exactly as `Simulator::new`:
         // agents send at their initial rate (zero for flows that have
         // not started yet), queues are empty, RTTs equal the
-        // propagation delay.
-        let x0: Vec<f64> = agents
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                if activity[i].contains(0) {
-                    a.rate(prop_rtt[i], &cfg)
-                } else {
-                    0.0
-                }
+        // propagation delay. The rates come from each member's scalar
+        // agents: BBRv2's buffer-dependent w_hi can bind the initial
+        // window, so x(0) differs across a pack's buffer lanes.
+        let x0: Vec<V> = (0..n)
+            .map(|i| {
+                V::from_fn(|j| {
+                    if activity[i].contains(0) {
+                        agents[j][i].rate(prop_rtt[i], &cfg)
+                    } else {
+                        0.0
+                    }
+                })
             })
             .collect();
         let users: Vec<Vec<(usize, usize)>> = (0..m).map(|l| net.users_of(LinkId(l))).collect();
-        let y0: Vec<f64> = (0..m)
-            .map(|l| users[l].iter().map(|(i, _)| x0[*i]).sum())
+        let y0: Vec<V> = (0..m)
+            .map(|l| users[l].iter().fold(V::splat(0.0), |y, (i, _)| y + x0[*i]))
             .collect();
 
         // Histories: per flow x then tau, per link p, q, y — prefilled
         // with the same initial signal values as the ring buffers.
         let mut hist_offs = Vec::with_capacity(2 * n + 3 * m);
-        let mut alloc = |initial: f64, arena: &mut Vec<f64>| -> usize {
+        let mut alloc = |initial: V, arena: &mut Vec<V>| -> usize {
             let off = arena.len();
             arena.extend(std::iter::repeat_n(initial, cap));
-            arena.extend(std::iter::repeat_n(0.0, region - cap));
+            arena.extend(std::iter::repeat_n(V::splat(0.0), region - cap));
             hist_offs.push(off as u32);
             off
         };
         let x_offs: Vec<usize> = (0..n).map(|i| alloc(x0[i], &mut self.arena)).collect();
         let tau_offs: Vec<usize> = (0..n)
-            .map(|i| alloc(prop_rtt[i], &mut self.arena))
+            .map(|i| alloc(V::splat(prop_rtt[i]), &mut self.arena))
             .collect();
-        let p_offs: Vec<usize> = (0..m).map(|_| alloc(0.0, &mut self.arena)).collect();
-        let q_offs: Vec<usize> = (0..m).map(|_| alloc(0.0, &mut self.arena)).collect();
+        let p_offs: Vec<usize> = (0..m)
+            .map(|_| alloc(V::splat(0.0), &mut self.arena))
+            .collect();
+        let q_offs: Vec<usize> = (0..m)
+            .map(|_| alloc(V::splat(0.0), &mut self.arena))
+            .collect();
         let y_offs: Vec<usize> = (0..m).map(|l| alloc(y0[l], &mut self.arena)).collect();
         // Lookups store arena offsets as u32; a batch big enough to
         // overflow that (32 GiB of history regions) must fail loudly
@@ -355,7 +462,8 @@ impl BatchedFluidSim {
         // (each user's sending rate delayed by its forward delay).
         for l in 0..m {
             self.link_spec.push(net.links[l].clone());
-            self.q.push(0.0);
+            self.buffer.push(V::from_fn(|j| nets[j].links[l].buffer));
+            self.q.push(V::splat(0.0));
             let start = self.lk_user.len();
             for &(i, pos) in &users[l] {
                 let delay = net.fwd_delay(i, pos);
@@ -365,10 +473,10 @@ impl BatchedFluidSim {
             self.p_off.push(p_offs[l] as u32);
             self.q_off.push(q_offs[l] as u32);
             self.y_off.push(y_offs[l] as u32);
-            self.y.push(0.0);
-            self.p.push(0.0);
-            self.rel_q.push(0.0);
-            self.service.push(0.0);
+            self.y.push(V::splat(0.0));
+            self.p.push(V::splat(0.0));
+            self.rel_q.push(V::splat(0.0));
+            self.service.push(V::splat(0.0));
         }
 
         // Per-flow flats: feedback lookups, path structure, scratch.
@@ -397,17 +505,18 @@ impl BatchedFluidSim {
                     .push(Lookup::new(p_offs[l], cap, net.bwd_delay(i, pos), dt));
             }
             self.path_range.push(start..self.lk_loss.len());
-            self.x.push(0.0);
-            self.tau.push(0.0);
+            self.x.push(V::splat(0.0));
+            self.tau.push(V::splat(0.0));
         }
-        self.agents.append(&mut agents);
+        self.agents.extend(V::agents(agents, net));
 
-        let observed = observed_link(&net);
+        let observed = observed_link(net);
         let caps: Vec<f64> = net.links.iter().map(|l| l.capacity).collect();
         self.lanes.push(Lane {
             flows: flow0..flow0 + n,
             links: link0..link0 + m,
-            steps_total: (spec.duration / dt).round() as u64,
+            members: members.len(),
+            steps_total: (member(0).duration / dt).round() as u64,
             cap,
             region,
             cur: cap - 1,
@@ -436,27 +545,33 @@ impl BatchedFluidSim {
 
             // 1. Link arrival rates, Eq. (1): delayed sending rates.
             for l in lr.clone() {
-                let mut y = 0.0;
+                let mut y = V::splat(0.0);
                 for lk in &self.lk_user[self.user_range[l].clone()] {
-                    y += lk.read(&self.arena, cur);
+                    y = y + lk.read(&self.arena, cur);
                 }
                 self.y[l] = y;
             }
 
-            // 2. Loss probabilities, Eqs. (4)/(6), and service rates.
+            // 2. Loss probabilities, Eqs. (4)/(6), and service rates
+            // (`queue::service_rate`: capacity while a queue exists,
+            // else the post-loss arrival rate capped at capacity).
             for l in lr.clone() {
-                let link = &self.link_spec[l];
-                self.p[l] = loss_probability(link, self.y[l], self.q[l], &self.cfg);
-                self.rel_q[l] = self.q[l] / link.buffer;
-                self.service[l] = service_rate(link, self.q[l], self.y[l], self.p[l]);
+                let (link, buffer) = (&self.link_spec[l], self.buffer[l]);
+                let (y, q) = (self.y[l], self.q[l]);
+                let p = V::loss_probability(link, buffer, y, q, &self.cfg);
+                let cap = V::splat(link.capacity);
+                let spill = ((V::splat(1.0) - p) * y).min(cap);
+                self.p[l] = p;
+                self.rel_q[l] = q / buffer;
+                self.service[l] = V::select(q.gt(V::splat(1e-12)), cap, spill);
             }
 
             // 3. Path RTTs, Eq. (3).
             for i in fr.clone() {
-                let mut tau = self.feedback[i].prop_rtt;
+                let mut tau = V::splat(self.feedback[i].prop_rtt);
                 for &l in &self.path_links[self.path_range[i].clone()] {
                     let l = l as usize;
-                    tau += self.q[l] / self.link_spec[l].capacity;
+                    tau = tau + self.q[l] / self.link_spec[l].capacity;
                 }
                 self.tau[i] = tau;
             }
@@ -466,9 +581,9 @@ impl BatchedFluidSim {
             for i in fr.clone() {
                 let fb = &self.feedback[i];
                 self.x[i] = if fb.activity.contains(step) {
-                    self.agents[i].rate(self.tau[i], &self.cfg)
+                    V::rate(&mut self.agents[i], self.tau[i], &self.cfg)
                 } else {
-                    0.0
+                    V::splat(0.0)
                 };
             }
 
@@ -485,9 +600,11 @@ impl BatchedFluidSim {
             );
 
             // 5b. Advisory flight-recorder samples on the recorder's
-            // grid. Pure reads of this step's already-computed flat-array
-            // state; indices are lane-local so a lane's flow and link
-            // samples match the scalar stepper's for the same spec.
+            // grid (only traced lane types ever hold a recorder, and
+            // their lanes have one member). Pure reads of this step's
+            // already-computed flat-array state; indices are lane-local
+            // so a lane's flow and link samples match the scalar
+            // stepper's for the same spec.
             if let Some(rec) = &self.recorder {
                 if step.is_multiple_of(self.trace_stride) {
                     let t = self.t;
@@ -497,9 +614,9 @@ impl BatchedFluidSim {
                                 lane: ln,
                                 flow: i - fr.start,
                                 t,
-                                rate_mbps: self.x[i],
-                                inflight_pkts: self.agents[i].cwnd() / self.cfg.mss,
-                                rtt_s: self.tau[i],
+                                rate_mbps: self.x[i].lane(0),
+                                inflight_pkts: V::cwnd(&self.agents[i]) / self.cfg.mss,
+                                rtt_s: self.tau[i].lane(0),
                             });
                         }
                     }
@@ -509,9 +626,9 @@ impl BatchedFluidSim {
                                 lane: ln,
                                 link: l - lr.start,
                                 t,
-                                queue_frac: self.rel_q[l],
-                                util_frac: self.y[l] / self.link_spec[l].capacity,
-                                loss_frac: self.p[l],
+                                queue_frac: self.rel_q[l].lane(0),
+                                util_frac: self.y[l].lane(0) / self.link_spec[l].capacity,
+                                loss_frac: self.p[l].lane(0),
                             });
                         }
                     }
@@ -528,22 +645,19 @@ impl BatchedFluidSim {
                 }
                 let tau_fb = fb.tau_fb.read(&self.arena, cur);
                 let x_fb = fb.x_fb.read(&self.arena, cur);
-                let mut loss_fb = 0.0;
+                let mut loss_fb = V::splat(0.0);
                 for lk in &self.lk_loss[self.path_range[i].clone()] {
-                    loss_fb += lk.read(&self.arena, cur);
+                    loss_fb = loss_fb + lk.read(&self.arena, cur);
                 }
                 let loss_fb = loss_fb.clamp(0.0, 1.0);
                 // Delivery rate, Eq. (17), measured at the bottleneck.
-                let y_b = fb.y_b.read(&self.arena, cur).max(1e-9);
+                let y_b = fb.y_b.read(&self.arena, cur).max(V::splat(1e-9));
                 let q_b = fb.q_b.read(&self.arena, cur);
                 let cap = fb.bneck_cap;
                 let x_num = fb.x_num.read(&self.arena, cur);
-                let share = (x_num / y_b).min(1.0);
-                let x_dlv = if q_b > 1e-9 || y_b > cap {
-                    share * cap
-                } else {
-                    x_num
-                };
+                let share = (x_num / y_b).min(V::splat(1.0));
+                let queued = q_b.gt(V::splat(1e-9)) | y_b.gt(V::splat(cap));
+                let x_dlv = V::select(queued, share * cap, x_num);
                 let inputs = AgentInputs {
                     t: self.t,
                     dt,
@@ -555,7 +669,7 @@ impl BatchedFluidSim {
                     x_cur: self.x[i],
                     prop_rtt: fb.prop_rtt,
                 };
-                self.agents[i].step(&inputs, &self.cfg);
+                V::step(&mut self.agents[i], &inputs, &self.cfg);
             }
 
             // 7. Push histories (values at time t): one shared cursor
@@ -584,7 +698,14 @@ impl BatchedFluidSim {
 
             // 8. Queue dynamics, Eq. (2).
             for l in lr {
-                self.q[l] = step_queue(&self.link_spec[l], self.q[l], self.y[l], self.p[l], dt);
+                self.q[l] = V::step_queue(
+                    &self.link_spec[l],
+                    self.buffer[l],
+                    self.q[l],
+                    self.y[l],
+                    self.p[l],
+                    dt,
+                );
             }
         }
 
@@ -604,15 +725,15 @@ impl BatchedFluidSim {
         }
     }
 
-    /// Integrate every lane to the end of its window and return the
-    /// per-lane aggregate metrics, in lane order.
-    pub fn run(mut self) -> Vec<AggregateMetrics> {
+    /// Integrate every lane to the end of its window and return each
+    /// member's aggregate metrics, in spec order (padding discarded).
+    pub(crate) fn run(mut self) -> Vec<AggregateMetrics> {
         while !self.active.is_empty() {
             self.step_once();
         }
         self.lanes
             .iter()
-            .map(|lane| lane.metrics.finalize(&lane.caps))
+            .flat_map(|lane| (0..lane.members).map(|j| lane.metrics.finalize_lane(j, &lane.caps)))
             .collect()
     }
 }
