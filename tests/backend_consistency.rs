@@ -229,23 +229,44 @@ fn churn_is_honored_consistently_across_backends() {
 
 #[test]
 fn dumbbell_lowerings_carry_bit_equal_delays() {
-    // Both engines lower a dumbbell through the one shared RTT spread:
-    // each fluid path and packet flow gets the same access delay and the
-    // same return delay, to the bit.
+    // Both engines lower a spec through the one shared delay
+    // derivation: each fluid path and packet flow gets the same access
+    // delay and the same return delay, to the bit. Dumbbells (default
+    // and custom RTT spread), chains, and Custom specs (an explicit
+    // access dumbbell and a generated universe cell). The parking lot is
+    // left out: its flows 0 and 2 split their delays differently on the
+    // two engines (ROADMAP item 5, "Parking-lot RTTs differ").
     use bbr_repro::fluid::backend::network_for_spec;
     use bbr_repro::packetsim::backend::path_network_for_spec;
+    use bbr_repro::scenario::universe::generate_scenario;
+    let mut specs = Vec::new();
     for n in [1, 5] {
         let default = ScenarioSpec::dumbbell(n, 100.0, 0.010, 2.0);
-        let custom = default.clone().rtt_range(0.021, 0.077);
-        for spec in [default, custom] {
-            let net = network_for_spec(&spec);
-            let path = path_network_for_spec(&spec);
-            assert_eq!(net.paths.len(), n);
-            assert_eq!(path.flows.len(), n);
-            for (p, f) in net.paths.iter().zip(&path.flows) {
-                assert_eq!(p.extra_fwd_delay.to_bits(), f.access_delay.to_bits());
-                assert_eq!(p.extra_bwd_delay.to_bits(), f.bwd_delay.to_bits());
-            }
+        specs.push(default.clone().rtt_range(0.021, 0.077));
+        specs.push(default);
+    }
+    specs.push(ScenarioSpec::chain(3, 100.0, 0.010, 2.0));
+    specs.push(ScenarioSpec::chain(4, 80.0, 0.007, 1.0));
+    specs.push(ScenarioSpec::dumbbell_with_access(
+        100.0,
+        0.010,
+        1.0,
+        &[0.0056, 0.013, 0.0],
+    ));
+    specs.push(generate_scenario(1, 25).spec);
+    for spec in &specs {
+        let net = network_for_spec(spec);
+        let path = path_network_for_spec(spec);
+        assert_eq!(net.paths.len(), spec.n_flows(), "{:?}", spec.topology);
+        assert_eq!(path.flows.len(), spec.n_flows(), "{:?}", spec.topology);
+        for (i, (p, f)) in net.paths.iter().zip(&path.flows).enumerate() {
+            let what = format!("flow {i} of {:?}", spec.topology);
+            assert_eq!(
+                p.extra_fwd_delay.to_bits(),
+                f.access_delay.to_bits(),
+                "{what}"
+            );
+            assert_eq!(p.extra_bwd_delay.to_bits(), f.bwd_delay.to_bits(), "{what}");
         }
     }
 }
