@@ -430,8 +430,11 @@ impl<V: BatchLane> BatchedFluidSim<V> {
             .collect();
 
         // Histories: per flow x then tau, per link p, q, y — prefilled
-        // with the same initial signal values as the ring buffers.
+        // with the same initial signal values as the ring buffers. At a
+        // fine step a lane's regions run to megabytes: reserve them in
+        // one allocation rather than regrowing the arena per region.
         let mut hist_offs = Vec::with_capacity(2 * n + 3 * m);
+        self.arena.reserve((2 * n + 3 * m) * region);
         let mut alloc = |initial: V, arena: &mut Vec<V>| -> usize {
             let off = arena.len();
             arena.extend(std::iter::repeat_n(initial, cap));
