@@ -12,20 +12,36 @@
 //! and a ragged pack at `model_config(Effort::Full)` through one
 //! `run_batch` call with interleaved jobs.
 //!
+//! `FluidBackend` is pinned at `model_config(Effort::Full)` on the §4.3
+//! N = 10 dumbbells. `Simulator` is pinned on what only its API offers:
+//! explicit agents (`Simulator::new` with insight 5's
+//! `BbrV2::with_whi_init`), an open-ended `run → reset_metrics → run`,
+//! and a recorded trace (event counts per kind plus a hash of its
+//! `trace/v1` lines).
+//!
 //! The packed engine gets its own expected vector: its transcendental
 //! kernels are tolerance-bound, not bit-bound, against libm, and the
 //! generated cell already differs from the scalar engine in the last
 //! bits of its loss. If a deliberate engine change moves these numbers,
 //! re-pin them in the same commit and say why.
 
+use std::sync::Arc;
+
 use bbr_repro::experiments::aggregate::model_config;
+use bbr_repro::experiments::scenarios::{CampaignParams, COMBOS};
+use bbr_repro::experiments::tracefmt::TraceRecord;
 use bbr_repro::experiments::Effort;
-use bbr_repro::fluid::backend::FluidBackend;
+use bbr_repro::fluid::backend::{hint_for_flow, network_for_spec, FluidBackend};
+use bbr_repro::fluid::cca::{AnyCca, BbrV2, WhiInit};
+use bbr_repro::fluid::config::ModelConfig;
+use bbr_repro::fluid::metrics::AggregateMetrics;
+use bbr_repro::fluid::sim::Simulator;
 use bbr_repro::fluidbatch::SimdFluidBackend;
 use bbr_repro::scenario::universe::generate_scenario;
 use bbr_repro::scenario::{
     BatchSimBackend, CcaKind, QdiscKind, RunOutcome, ScenarioSpec, SimBackend,
 };
+use bbr_trace::{MemorySink, Recorder, TraceConfig};
 
 /// The field layout of `tests/packet_path_pins.rs`.
 fn bits(outcome: &RunOutcome) -> Vec<u64> {
@@ -432,4 +448,230 @@ fn full_effort_packs_are_pinned() {
             spec.topology
         );
     }
+}
+
+/// The `bits` layout for a `Simulator`'s `AggregateMetrics`, led by the
+/// measured duration.
+fn metric_bits(m: &AggregateMetrics) -> Vec<u64> {
+    let mut v = vec![
+        m.duration.to_bits(),
+        m.jain.to_bits(),
+        m.loss_percent.to_bits(),
+        m.occupancy_percent.to_bits(),
+        m.utilization_percent.to_bits(),
+        m.jitter_ms.to_bits(),
+    ];
+    v.extend(m.mean_rates.iter().map(|x| x.to_bits()));
+    v.extend(m.per_link_occupancy.iter().map(|x| x.to_bits()));
+    v.extend(m.per_link_utilization.iter().map(|x| x.to_bits()));
+    v
+}
+
+/// `FluidBackend` at `model_config(Effort::Full)` (a 20 µs step) on the
+/// §4.3 N = 10 dumbbells that `tests/fluidbatch_equivalence.rs` checks
+/// the batch engine against: one per qdisc.
+#[test]
+fn full_effort_paper_dumbbells_are_pinned() {
+    let p = CampaignParams::default_rtt();
+    let specs = [
+        p.dumbbell_spec(&COMBOS[2], 2.0, QdiscKind::DropTail),
+        p.dumbbell_spec(&COMBOS[6], 2.0, QdiscKind::Red),
+    ]
+    .map(|spec| spec.duration(0.3).warmup(0.1));
+    let pins: [&[u64]; 2] = [
+        // COMBOS[2], drop-tail, 2 BDP
+        &[
+            0x3fedef72d578cef5, // jain
+            0x0000000000000000, // loss %
+            0x0000000000000000, // occupancy %
+            0x4054355db1861c12, // utilization %
+            0x0000000000000000, // jitter ms
+            0x40250001a186fed5, // tput flow 0
+            0x4017fef88df4db55, // tput flow 1
+            0x4024b4237fa89f5b, // tput flow 2
+            0x4017f66c76baa9e6, // tput flow 3
+            0x40246846ff5147f9, // tput flow 4
+            0x4017ee9331d2fa74, // tput flow 5
+            0x40243fcb25ea1872, // tput flow 6
+            0x4017e75466d0266a, // tput flow 7
+            0x40240000000027de, // tput flow 8
+            0x4017e09c3c378b60, // tput flow 9
+            0x0000000000000000, // link 0 occupancy
+            0x4054355db1861c12, // link 0 utilization
+        ],
+        // COMBOS[6], RED, 2 BDP
+        &[
+            0x3fec070ec3647698, // jain
+            0x0000000000000000, // loss %
+            0x0000000000000000, // occupancy %
+            0x4052e69561809ca3, // utilization %
+            0x0000000000000000, // jitter ms
+            0x4024bd32af86f521, // tput flow 0
+            0x401662b3d9eb0eb5, // tput flow 1
+            0x4024accd59d15d29, // tput flow 2
+            0x4014754d1dfe215a, // tput flow 3
+            0x4025140e5955768f, // tput flow 4
+            0x4012d2bef13d0c57, // tput flow 5
+            0x4024f703e6843b2f, // tput flow 6
+            0x40116ba00d8ccc66, // tput flow 7
+            0x4024de21754b9270, // tput flow 8
+            0x4010346aea956289, // tput flow 9
+            0x0000000000000000, // link 0 occupancy
+            0x4052e69561809ca3, // link 0 utilization
+        ],
+    ];
+    let backend = FluidBackend::new(model_config(Effort::Full));
+    for (spec, pin) in specs.iter().zip(pins) {
+        assert_eq!(
+            bits(&backend.run(spec, 1000)),
+            pin,
+            "{:?}: Full-effort fluid drifted",
+            spec.qdisc
+        );
+    }
+}
+
+/// `Simulator::new` on explicit agents, as insight 5 builds them: ten
+/// BBRv2 flows whose `inflight_hi` starts tight or unset, under the
+/// reference implementation's unset-`inflight_lo` semantics.
+#[test]
+fn explicit_whi_init_agents_are_pinned() {
+    let cfg = ModelConfig {
+        bbr2_wlo_unset: true,
+        ..ModelConfig::coarse()
+    };
+    let net =
+        network_for_spec(&ScenarioSpec::dumbbell(10, 100.0, 0.010, 6.0).rtt_range(0.030, 0.040));
+    let pins: [(WhiInit, &[u64]); 2] = [
+        (
+            WhiInit::Tight { factor: 1.25 },
+            &[
+                0x3feffffffffffcb3, // duration s
+                0x3fefffa79d3a0847, // jain
+                0x3c14cc49dbe73efb, // loss %
+                0x4015bc1677ee9c57, // occupancy %
+                0x4059000000000680, // utilization %
+                0x3f93dab2118e0a51, // jitter ms
+                0x4023d8452321ba79, // tput flow 0
+                0x4023e7231f1d6485, // tput flow 1
+                0x4023effcb1382111, // tput flow 2
+                0x4023fd2e2979dfb2, // tput flow 3
+                0x40240cff2c91062c, // tput flow 4
+                0x402418e69642d84a, // tput flow 5
+                0x40242348d0df657b, // tput flow 6
+                0x40242d9890975014, // tput flow 7
+                0x402433a5c138b2fd, // tput flow 8
+                0x40244094305bb8b4, // tput flow 9
+                0x4015bc1677ee9c57, // link 0 occupancy
+                0x4059000000000680, // link 0 utilization
+            ],
+        ),
+        (
+            WhiInit::Unset,
+            &[
+                0x3feffffffffffcb3, // duration s
+                0x3feff9f67fdb1795, // jain
+                0x3ed2928246f006ed, // loss %
+                0x4048813f566281e2, // occupancy %
+                0x4059000000000680, // utilization %
+                0x3fabe24f6564a990, // jitter ms
+                0x4024f93a62542a4b, // tput flow 0
+                0x4023e4dbed510a64, // tput flow 1
+                0x4023ec7157a782a2, // tput flow 2
+                0x40242e050579ca84, // tput flow 3
+                0x40246e5e8dca89cf, // tput flow 4
+                0x4024ad5bbca7ce33, // tput flow 5
+                0x4024ea54ec577313, // tput flow 6
+                0x402525a67a6c9521, // tput flow 7
+                0x40255f693451334a, // tput flow 8
+                0x402597727be19970, // tput flow 9
+                0x4048813f566281e2, // link 0 occupancy
+                0x4059000000000680, // link 0 utilization
+            ],
+        ),
+    ];
+    for (init, pin) in pins {
+        let agents = (0..10)
+            .map(|i| AnyCca::BbrV2(BbrV2::with_whi_init(&hint_for_flow(&net, i), &cfg, init)))
+            .collect();
+        let mut sim = Simulator::new(net.clone(), cfg.clone(), agents, &[]).unwrap();
+        assert_eq!(metric_bits(&sim.run(1.0)), pin, "{init:?} drifted");
+    }
+}
+
+/// An open-ended `Simulator` run in two windows: the second `run` after
+/// `reset_metrics` measures only its own 0.4 s, from the state the first
+/// left behind.
+#[test]
+fn run_reset_run_is_pinned() {
+    let spec = ScenarioSpec::dumbbell(2, 50.0, 0.010, 2.0)
+        .ccas(vec![CcaKind::BbrV1, CcaKind::Cubic])
+        .rtt_range(0.020, 0.030);
+    let mut sim = Simulator::for_spec(&spec, ModelConfig::coarse()).unwrap();
+    let first = sim.run(0.6);
+    sim.reset_metrics();
+    let second = sim.run(0.4);
+    assert_eq!(
+        metric_bits(&first),
+        &[
+            0x3fe3333333333173, // duration s
+            0x3febf0ab68d3100b, // jain
+            0x3e29c3c3ea4470af, // loss %
+            0x40243eb60d91cec9, // occupancy %
+            0x4057194f71ebcd6c, // utilization %
+            0x3f945db4f5d52d0a, // jitter ms
+            0x40402d4ad4d78cd5, // tput flow 0
+            0x402cfd9e848c0a45, // tput flow 1
+            0x40243eb60d91cec9, // link 0 occupancy
+            0x4057194f71ebcd6c, // link 0 utilization
+        ],
+        "first window drifted"
+    );
+    assert_eq!(
+        metric_bits(&second),
+        &[
+            0x3fd99999999997a6, // duration s
+            0x3fe9090d7a1bcfe7, // jain
+            0x3fa558b6074b7eb5, // loss %
+            0x40509d36c87137ad, // occupancy %
+            0x4059000000000253, // utilization %
+            0x3fa1518d0acca25c, // jitter ms
+            0x40436d7499d383c6, // tput flow 0
+            0x40280ac607a1e29d, // tput flow 1
+            0x40509d36c87137ad, // link 0 occupancy
+            0x4059000000000253, // link 0 utilization
+        ],
+        "window after reset drifted"
+    );
+}
+
+/// A `Simulator::record` run at `TraceConfig::default()`: the count of
+/// each event kind, and an FNV-1a hash over the `trace/v1` lines in
+/// recording order.
+#[test]
+fn recorded_trace_is_pinned() {
+    let spec = ScenarioSpec::dumbbell(4, 50.0, 0.010, 2.0).ccas(vec![
+        CcaKind::BbrV1,
+        CcaKind::BbrV2,
+        CcaKind::Reno,
+        CcaKind::Cubic,
+    ]);
+    let mut sim = Simulator::for_spec(&spec, ModelConfig::coarse()).unwrap();
+    let sink = Arc::new(MemorySink::new());
+    sim.record(Recorder::new(TraceConfig::default(), sink.clone()));
+    sim.run(1.0);
+    let events = sink.take();
+    let count = |kind: &str| events.iter().filter(|e| e.kind() == kind).count();
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for e in &events {
+        for b in TraceRecord::from_event(e).to_line().bytes().chain([b'\n']) {
+            hash = (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(
+        ["flow", "link", "phase", "signal"].map(count),
+        [400, 100, 0, 3000],
+        "event counts per kind drifted"
+    );
+    assert_eq!(hash, 0xcdf36d1ec5d58d43, "trace lines drifted");
 }
