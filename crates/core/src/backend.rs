@@ -67,10 +67,9 @@ impl SimBackend for FluidBackend {
     }
 }
 
-/// The [`Network`] a [`ScenarioSpec`] describes — the one shared
-/// translation both the scalar [`FluidBackend`] and the batched
-/// integrator (`bbr-fluidbatch`) build from, which is what makes their
-/// results bit-identical by construction rather than by accident.
+/// The [`Network`] a [`ScenarioSpec`] describes — the one translation
+/// every fluid entry point builds from ([`Simulator::for_spec`] and the
+/// lockstep waves of `bbr-fluidbatch`).
 pub fn network_for_spec(spec: &ScenarioSpec) -> Network {
     match &spec.topology {
         &Topology::Dumbbell {
@@ -245,7 +244,7 @@ fn custom_network(spec: &ScenarioSpec) -> Network {
 
 /// Reshape fluid [`AggregateMetrics`] into the backend-agnostic
 /// [`RunOutcome`] (labelled `"fluid"`; shared with `bbr-fluidbatch`,
-/// whose outcomes are bit-identical and therefore carry the same name).
+/// whose `f64` waves run the same engine and so carry the same name).
 pub fn outcome_from_metrics(spec: &ScenarioSpec, m: &AggregateMetrics) -> RunOutcome {
     let flows = m
         .mean_rates

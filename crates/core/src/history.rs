@@ -1,11 +1,12 @@
 //! Fixed-step ring-buffer histories for the delayed terms of the delay
 //! differential equations (method of steps, cf. Erneux §1.1.2).
 //!
-//! Every state variable that appears with a delayed argument in the model
-//! (sending rates in Eq. (1), loss probabilities in Eq. (7), queue sizes
-//! and arrival rates in Eq. (17), RTTs in Eq. (9)) is sampled once per
-//! integration step into a [`History`]; delayed lookups interpolate
-//! linearly between the two neighbouring samples.
+//! A [`History`] samples a signal once per integration step; delayed
+//! lookups interpolate linearly between the two neighbouring samples.
+//! It is the reference layout: the lockstep engine (`crate::sim`) keeps
+//! its histories in sliding arena regions that retain exactly the
+//! samples of a `History` of the same capacity and answer every delayed
+//! lookup with the bits of [`History::at_delay`].
 
 /// Ring buffer holding the last `capacity` samples of a scalar signal
 /// sampled every `dt` seconds.
@@ -32,9 +33,9 @@ impl History {
     }
 
     /// The number of samples a history retains for lookups up to
-    /// `max_delay` at step `dt` — exposed so alternative storage layouts
-    /// (the batched integrator's sliding arena) retain exactly as much
-    /// and clamp deep lookups at exactly the same horizon.
+    /// `max_delay` at step `dt` — exposed so the lockstep engine's
+    /// sliding arena retains exactly as much and clamps deep lookups at
+    /// exactly the same horizon.
     pub fn capacity_for(max_delay: f64, dt: f64) -> usize {
         (max_delay / dt).ceil() as usize + 2
     }

@@ -6,7 +6,8 @@
 //! The crate implements the paper's §2 network fluid model (links with
 //! capacity, buffer, and propagation delay; drop-tail and RED loss models)
 //! and the §3 congestion-control fluid models, integrated with the method
-//! of steps over ring-buffer histories of the delayed quantities.
+//! of steps by one lockstep engine ([`sim`]): [`sim::Simulator`] runs one
+//! scenario on it, `bbr-fluidbatch` whole grids.
 //!
 //! # Quick example
 //!

@@ -182,13 +182,6 @@ impl<V: Lanes> MetricsAccumulator<V> {
     }
 }
 
-impl MetricsAccumulator {
-    /// Finalize into [`AggregateMetrics`]; `link_capacities` in Mbit/s.
-    pub fn finalize(&self, link_capacities: &[f64]) -> AggregateMetrics {
-        self.finalize_lane(0, link_capacities)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,7 +204,7 @@ mod tests {
             );
             t += dt;
         }
-        let m = acc.finalize(&[100.0]);
+        let m = acc.finalize_lane(0, &[100.0]);
         assert!((m.duration - 1.0).abs() < 1e-9);
         assert!((m.mean_rates[0] - 30.0).abs() < 1e-9);
         assert!((m.mean_rates[1] - 60.0).abs() < 1e-9);
@@ -235,7 +228,7 @@ mod tests {
             acc.record(t, dt, &[10.0], &[tau], &[10.0], &[0.0], &[0.0], &[10.0]);
             t += dt;
         }
-        let m = acc.finalize(&[100.0]);
+        let m = acc.finalize_lane(0, &[100.0]);
         assert!((m.jitter_ms - 1.0).abs() < 0.05, "jitter = {}", m.jitter_ms);
     }
 
@@ -244,15 +237,15 @@ mod tests {
         let mut acc = MetricsAccumulator::new(1, 1, 0, 0.01);
         acc.record(0.0, 1.0, &[50.0], &[0.04], &[50.0], &[0.5], &[1.0], &[50.0]);
         acc.reset();
-        let m = acc.finalize(&[100.0]);
+        let m = acc.finalize_lane(0, &[100.0]);
         assert_eq!(m.duration, 0.0);
         assert_eq!(m.loss_percent, 0.0);
     }
 
     #[test]
     fn zero_arrivals_give_zero_loss() {
-        let acc = MetricsAccumulator::new(1, 1, 0, 0.01);
-        let m = acc.finalize(&[100.0]);
+        let acc: MetricsAccumulator = MetricsAccumulator::new(1, 1, 0, 0.01);
+        let m = acc.finalize_lane(0, &[100.0]);
         assert_eq!(m.loss_percent, 0.0);
     }
 }

@@ -1,6 +1,7 @@
 //! Queue dynamics and loss models (paper §2, Eqs. (2), (4)–(6)).
 
 use crate::config::ModelConfig;
+use crate::lanes::Lanes;
 use crate::math::sigmoid;
 use crate::topology::{LinkSpec, QdiscKind};
 
@@ -48,14 +49,16 @@ pub fn step_queue(link: &LinkSpec, q: f64, y: f64, p: f64, dt: f64) -> f64 {
 
 /// Instantaneous service (departure) rate of the link: `C` while a queue
 /// exists, otherwise the (post-loss) arrival rate capped at `C`. Used for
-/// the utilization metric and the delivery-rate model.
-#[inline]
-pub fn service_rate(link: &LinkSpec, q: f64, y: f64, p: f64) -> f64 {
-    if q > 1e-12 {
-        link.capacity
-    } else {
-        ((1.0 - p) * y).min(link.capacity)
-    }
+/// the utilization metric. Lane-wise, so one definition serves every
+/// lane type of the step loop.
+#[inline(always)]
+pub fn service_rate<V: Lanes>(link: &LinkSpec, q: V, y: V, p: V) -> V {
+    let cap = V::splat(link.capacity);
+    V::select(
+        q.gt(V::splat(1e-12)),
+        cap,
+        ((V::splat(1.0) - p) * y).min(cap),
+    )
 }
 
 #[cfg(test)]

@@ -1,6 +1,40 @@
-//! The fluid-model simulator: integrates the coupled delay differential
-//! equations of the network (§2) and the per-agent CCA models (§3) with
+//! The fluid-model integrator: the coupled delay differential equations
+//! of the network (§2) and the per-agent CCA models (§3), integrated with
 //! the method of steps at a fixed step size (§4.1.1).
+//!
+//! One engine does the integrating. [`LockstepSim`] packs *lanes* into
+//! flat per-flow and per-link arrays and advances every lane by one
+//! shared time step per iteration of its outer loop. A lane holds
+//! 1..=`WIDTH` structurally identical scenarios, its *members*: one on
+//! `f64`, one `struct_key` pack of up to four on `F64x4`
+//! (`bbr-fluidbatch`). Heterogeneous lanes (different flow counts,
+//! topologies, durations) batch together; lanes whose integration window
+//! is over are masked out and the rest keep stepping. [`Simulator`] is
+//! the engine's one-lane `f64` instance: an explicit network with
+//! explicit agents, stepped for as long as its caller runs it.
+//!
+//! # Two lane types, one step loop
+//!
+//! The history arena, the delayed lookups, the eight step stages, the
+//! termination mask, the activity schedules and the metrics are written
+//! once over [`Lanes`]. Only [`LaneAgent`] differs per lane type: the
+//! agents ([`AnyCca`] or the packed state machines), the queue kernels
+//! (libm with early returns, or masked polynomial kernels), and whether a
+//! lane samples into a flight recorder (only `f64` lanes do). Every
+//! primitive `F64x4` op is the scalar op in each lane, bit for bit
+//! ([`crate::lanes`]), so sharing the stage code moves no bit of either.
+//!
+//! # Histories
+//!
+//! Every state variable that appears with a delayed argument (sending
+//! rates in Eq. (1), loss probabilities in Eq. (7), queues and arrival
+//! rates in Eq. (17), RTTs in Eq. (9)) is sampled once per step into a
+//! sliding region of one arena, retaining exactly the samples a
+//! [`History`] of the same capacity holds. Every delayed lookup uses a
+//! *constant* delay, so the `delay/dt → (whole steps, fraction)`
+//! decomposition that [`History::at_delay`] recomputes on every call is
+//! resolved once, when a lane is built (the private `Lookup` type); the
+//! interpolation arithmetic on the two retained samples is the same.
 
 use bbr_scenario::{FlowWindow, ScenarioSpec};
 use bbr_trace::{Recorder, TraceEvent};
@@ -9,15 +43,95 @@ use crate::backend::{agents_for_spec, network_for_spec};
 use crate::cca::{AgentInputs, AnyCca};
 use crate::config::ModelConfig;
 use crate::history::History;
+use crate::lanes::Lanes;
 use crate::metrics::{AggregateMetrics, MetricsAccumulator};
 use crate::queue::{loss_probability, service_rate, step_queue};
-use crate::topology::Network;
+use crate::topology::{LinkId, LinkSpec, Network};
+
+/// One flow's agent across a lane's members, and what else differs with
+/// the lane type. Everything else is the same code for every lane type
+/// (see the module docs).
+pub trait LaneAgent: Sized {
+    /// The lane's number type: one `f64` per member.
+    type V: Lanes;
+    /// Whether lanes of this agent sample into a flight recorder.
+    const TRACED: bool;
+    /// One agent per flow of `net` from each member's scalar agents
+    /// (`members[j][i]` is member `j`'s flow `i`, padding included).
+    fn agents(members: Vec<Vec<AnyCca>>, net: &Network) -> Vec<Self>;
+    /// The agent's sending rate at path RTT `tau`.
+    fn rate(agent: &mut Self, tau: Self::V, cfg: &ModelConfig) -> Self::V;
+    /// Advance the agent by one step on its delayed feedback.
+    fn step(agent: &mut Self, inp: &AgentInputs<Self::V>, cfg: &ModelConfig);
+    /// A traced agent's window (Mbit).
+    fn cwnd(agent: &Self) -> f64;
+    /// A traced agent's model variables ([`AnyCca::telemetry`]).
+    fn telemetry(agent: &Self, out: &mut Vec<(&'static str, f64)>);
+    /// Loss probability, Eqs. (4)/(6); `buffer` holds each member's
+    /// buffer of `link`, the one link quantity members may differ in.
+    fn loss_probability(
+        link: &LinkSpec,
+        buffer: Self::V,
+        y: Self::V,
+        q: Self::V,
+        cfg: &ModelConfig,
+    ) -> Self::V;
+    /// One Euler step of the queue, Eq. (2).
+    fn step_queue(
+        link: &LinkSpec,
+        buffer: Self::V,
+        q: Self::V,
+        y: Self::V,
+        p: Self::V,
+        dt: f64,
+    ) -> Self::V;
+}
+
+/// One scenario per lane, through the model's own agents and queue
+/// kernels. A one-member lane's buffer is `link.buffer`.
+impl LaneAgent for AnyCca {
+    type V = f64;
+    const TRACED: bool = true;
+
+    fn agents(members: Vec<Vec<AnyCca>>, _: &Network) -> Vec<AnyCca> {
+        members
+            .into_iter()
+            .next()
+            .expect("an f64 lane has one member")
+    }
+
+    #[inline(always)]
+    fn rate(agent: &mut AnyCca, tau: f64, cfg: &ModelConfig) -> f64 {
+        agent.rate(tau, cfg)
+    }
+
+    #[inline(always)]
+    fn step(agent: &mut AnyCca, inp: &AgentInputs, cfg: &ModelConfig) {
+        agent.step(inp, cfg)
+    }
+
+    fn cwnd(agent: &AnyCca) -> f64 {
+        agent.cwnd()
+    }
+
+    fn telemetry(agent: &AnyCca, out: &mut Vec<(&'static str, f64)>) {
+        agent.telemetry(out)
+    }
+
+    #[inline(always)]
+    fn loss_probability(link: &LinkSpec, _: f64, y: f64, q: f64, cfg: &ModelConfig) -> f64 {
+        loss_probability(link, y, q, cfg)
+    }
+
+    #[inline(always)]
+    fn step_queue(link: &LinkSpec, _: f64, q: f64, y: f64, p: f64, dt: f64) -> f64 {
+        step_queue(link, q, y, p, dt)
+    }
+}
 
 /// The link whose occupancy/utilization become a run's headline metrics:
-/// the minimum-capacity link of the network. Shared by [`Simulator`] and
-/// the batched integrator (`bbr-fluidbatch`) so both observe the same
-/// link (including the same tie-breaking on equal capacities).
-pub fn observed_link(net: &Network) -> usize {
+/// the minimum-capacity link of the network (the first on ties).
+fn observed_link(net: &Network) -> usize {
     (0..net.links.len())
         .min_by(|a, b| {
             net.links[*a]
@@ -28,37 +142,14 @@ pub fn observed_link(net: &Network) -> usize {
         .unwrap()
 }
 
-/// Virtual packet interval for the jitter metric (§4.3.5): `g·N/C` at
-/// the observed link. One definition shared by every fluid integrator.
-pub fn jitter_interval(cfg: &ModelConfig, n_agents: usize, observed_capacity: f64) -> f64 {
-    cfg.mss * n_agents as f64 / observed_capacity
-}
-
-/// A [`FlowWindow`] as integration-step bounds: the flow is active on
-/// steps `start_step <= step < stop_step`. Uses the same
-/// `(time / dt).round()` convention as the run-length computation, and
-/// the one shared decomposition keeps the scalar [`Simulator`] and the
-/// batched integrator (`bbr-fluidbatch`) bit-identical under churn.
-pub fn activity_steps(w: &FlowWindow, dt: f64) -> (u64, u64) {
-    let start = (w.start / dt).round() as u64;
-    let stop = if w.stop.is_finite() {
-        (w.stop / dt).round() as u64
-    } else {
-        u64::MAX
-    };
-    (start, stop)
-}
-
-/// A flow's full multi-interval activity schedule as integration-step
-/// bounds — the generalization of a single [`activity_steps`] pair. The
-/// first window is stored unboxed so the single-window case (all specs
-/// before multi-interval schedules existed) pays exactly the historical
-/// two-comparison gate; extra windows live in `rest`. An empty window
-/// list becomes the never-active `(0, 0)` pair. Shared by the scalar
-/// [`Simulator`] and the batched integrators (`bbr-fluidbatch`), which
-/// keeps them bit-identical under any schedule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ActivitySchedule {
+/// A flow's activity windows as integration-step bounds: the flow sends
+/// (and its agent steps) on the steps `start <= step < stop` of some
+/// window, each bound `(time / dt).round()`, the run-length convention.
+/// The first window is stored unboxed, so the churn-free default (one
+/// always-active window) costs two comparisons; an empty window list
+/// becomes the never-active `(0, 0)`.
+#[derive(Debug, Clone)]
+struct ActivitySchedule {
     first: (u64, u64),
     rest: Vec<(u64, u64)>,
 }
@@ -66,74 +157,728 @@ pub struct ActivitySchedule {
 impl ActivitySchedule {
     /// Decompose a window list (ordered, non-overlapping; see
     /// `bbr_scenario::FlowSchedule`) into step bounds at step size `dt`.
-    pub fn from_windows(windows: &[FlowWindow], dt: f64) -> Self {
+    fn from_windows(windows: &[FlowWindow], dt: f64) -> Self {
+        let steps = |w: &FlowWindow| {
+            let stop = if w.stop.is_finite() {
+                (w.stop / dt).round() as u64
+            } else {
+                u64::MAX
+            };
+            ((w.start / dt).round() as u64, stop)
+        };
         match windows {
             [] => Self {
                 first: (0, 0),
                 rest: Vec::new(),
             },
             [first, rest @ ..] => Self {
-                first: activity_steps(first, dt),
-                rest: rest.iter().map(|w| activity_steps(w, dt)).collect(),
+                first: steps(first),
+                rest: rest.iter().map(steps).collect(),
             },
-        }
-    }
-
-    /// The always-active schedule (the churn-free default).
-    pub fn always() -> Self {
-        Self {
-            first: (0, u64::MAX),
-            rest: Vec::new(),
         }
     }
 
     /// Whether the flow is active at integration step `step`.
     #[inline]
-    pub fn contains(&self, step: u64) -> bool {
+    fn contains(&self, step: u64) -> bool {
         (self.first.0 <= step && step < self.first.1)
             || (!self.rest.is_empty() && self.rest.iter().any(|&(a, b)| a <= step && step < b))
     }
 }
 
-/// The fluid-model simulator.
-pub struct Simulator {
+/// One precomputed delayed lookup: which history region to read and how
+/// far back, resolved once from a constant delay.
+///
+/// Mirrors `History::at_delay` exactly: `steps = delay / dt`,
+/// `back_a = ⌊steps⌋`, `frac` the fractional remainder, with lookups at
+/// or beyond the retention horizon clamped to the oldest sample (in
+/// which case the interpolation is skipped, as the ring buffer skips
+/// it, so even a `-0.0` sample round-trips bit-exactly).
+#[derive(Debug, Clone, Copy)]
+struct Lookup {
+    /// Arena offset of the history region this lookup reads.
+    off: u32,
+    /// Whole steps back for the two interpolation endpoints.
+    back_a: u32,
+    back_b: u32,
+    /// Interpolation fraction between the endpoints.
+    frac: f64,
+    /// Delay at/beyond the retention horizon: return the oldest sample.
+    clamped: bool,
+}
+
+impl Lookup {
+    /// Resolve `delay` against a history of `cap` retained samples,
+    /// replicating the `at_delay` decomposition bit for bit.
+    fn new(off: usize, cap: usize, delay: f64, dt: f64) -> Self {
+        debug_assert!(delay >= 0.0, "delay must be non-negative");
+        let steps = delay / dt;
+        let lo = steps.floor() as usize;
+        let frac = steps - steps.floor();
+        let max_back = cap - 1;
+        if lo >= max_back {
+            Self {
+                off: off as u32,
+                back_a: max_back as u32,
+                back_b: max_back as u32,
+                frac: 0.0,
+                clamped: true,
+            }
+        } else {
+            Self {
+                off: off as u32,
+                back_a: lo as u32,
+                back_b: (lo + 1) as u32,
+                frac,
+                clamped: false,
+            }
+        }
+    }
+
+    /// Read the lookup against the lane's current cursor.
+    ///
+    /// SAFETY of the unchecked indexing: `off` is the start of a region
+    /// of `region ≥ cap + 1` arena slots, `cur < region` by the cursor
+    /// invariant, and `back_a, back_b ≤ cap - 1 ≤ cur` (the cursor never
+    /// drops below `cap - 1`), so both indices stay inside the region.
+    #[inline(always)]
+    fn read<V: Lanes>(&self, arena: &[V], cur: usize) -> V {
+        let base = self.off as usize + cur;
+        debug_assert!(base - self.back_b as usize >= self.off as usize);
+        debug_assert!(base < arena.len());
+        // SAFETY: both indices lie in this lookup's region (see above).
+        let a = unsafe { *arena.get_unchecked(base - self.back_a as usize) };
+        if self.clamped {
+            a
+        } else {
+            // SAFETY: as for `a`.
+            let b = unsafe { *arena.get_unchecked(base - self.back_b as usize) };
+            a * (1.0 - self.frac) + b * self.frac
+        }
+    }
+}
+
+/// The per-flow delayed-feedback program of the agent-step stage, packed
+/// contiguously so stage 6 walks one array instead of six. Delays are
+/// structural, so one program serves every member of a lane.
+#[derive(Debug, Clone)]
+struct FlowFeedback {
+    /// Own RTT delayed by the propagation RTT (`τ(t − d_p)`).
+    tau_fb: Lookup,
+    /// Own sending rate delayed by the propagation RTT.
+    x_fb: Lookup,
+    /// Own sending rate one step deeper (numerator of Eq. (17)).
+    x_num: Lookup,
+    /// Bottleneck arrival rate / queue delayed by the feedback delay.
+    y_b: Lookup,
+    q_b: Lookup,
+    /// Bottleneck capacity of this flow's path (Mbit/s).
+    bneck_cap: f64,
+    /// Propagation RTT (s).
+    prop_rtt: f64,
+    /// Arena offsets of this flow's x and τ histories (for the pushes).
+    x_off: u32,
+    tau_off: u32,
+    /// When the flow sends and its agent steps (flow churn).
+    activity: ActivitySchedule,
+}
+
+/// Per-lane bookkeeping: where the lane's flows/links live in the flat
+/// arrays, its history geometry, and its private metrics stream.
+struct Lane<V> {
+    /// Member 0's network.
     net: Network,
+    /// Flat flow index range.
+    flows: std::ops::Range<usize>,
+    /// Flat link index range.
+    links: std::ops::Range<usize>,
+    /// Scenarios in the lane; the `V::WIDTH − members` padding lanes
+    /// replicate member 0 and are discarded.
+    members: usize,
+    /// Integration steps this lane runs (`u64::MAX`: open-ended).
+    steps_total: u64,
+    /// Retained samples per history (identical for every history of a
+    /// lane: all are sized for the lane's largest RTT).
+    cap: usize,
+    /// Region length per history (`cap` + slack written before sliding).
+    region: usize,
+    /// Region-relative index of the most recent sample (shared by every
+    /// history of the lane — they all record once per step).
+    cur: usize,
+    /// Arena offsets of every history region of this lane (for the
+    /// slide-back copy when `cur` reaches the region end).
+    hist_offs: Vec<u32>,
+    metrics: MetricsAccumulator<V>,
+}
+
+impl<V: Lanes> Lane<V> {
+    /// Member `j`'s metrics over everything recorded so far.
+    fn finalize(&self, j: usize) -> AggregateMetrics {
+        let caps: Vec<f64> = self.net.links.iter().map(|l| l.capacity).collect();
+        self.metrics.finalize_lane(j, &caps)
+    }
+}
+
+/// The lockstep fluid engine: lanes of scenarios advanced one shared
+/// time step at a time. See the module docs for the layout.
+pub struct LockstepSim<A: LaneAgent> {
     cfg: ModelConfig,
-    agents: Vec<AnyCca>,
-    /// Queue length per link (Mbit).
-    q: Vec<f64>,
-    x_hist: Vec<History>,
-    tau_hist: Vec<History>,
-    p_hist: Vec<History>,
-    q_hist: Vec<History>,
-    y_hist: Vec<History>,
+    lanes: Vec<Lane<A::V>>,
+    /// Lanes still integrating, in lane order (the termination mask).
+    active: Vec<usize>,
+    /// Steps taken so far — identical for every lane, since all lanes
+    /// start together and step in lockstep.
+    step_count: u64,
+    /// The next `step_count` at which some lane's window ends (u64::MAX
+    /// while none is due): the termination mask only needs
+    /// re-evaluating at deadlines.
+    next_deadline: u64,
     t: f64,
-    // Cached topology constants.
-    prop_rtt: Vec<f64>,
-    /// users_of each link: (agent, position on the agent's path).
-    users: Vec<Vec<(usize, usize)>>,
-    fwd: Vec<Vec<f64>>,
-    bwd: Vec<Vec<f64>>,
-    bneck_pos: Vec<usize>,
-    /// Per-agent activity schedule in integration steps; the flow sends
-    /// (and its CCA model steps) only inside one of its windows. The
-    /// always-active schedule — the churn-free default — takes the exact
-    /// historical code path.
-    activity: Vec<ActivitySchedule>,
-    metrics: MetricsAccumulator,
-    /// Flight recorder and its sample grid in steps (see [`Self::record`]).
+    /// Flight recorder (traced agent types only), and its sample grid
+    /// in steps.
     recorder: Option<Recorder>,
     trace_stride: u64,
-    step_count: u64,
-    // Scratch buffers reused across steps.
-    scratch_y: Vec<f64>,
-    scratch_p: Vec<f64>,
-    scratch_tau: Vec<f64>,
-    scratch_x: Vec<f64>,
-    scratch_rel_q: Vec<f64>,
-    scratch_service: Vec<f64>,
-    scratch_telemetry: Vec<(&'static str, f64)>,
+
+    // ---- flat per-flow state (lane-contiguous) ----
+    agents: Vec<A>,
+    feedback: Vec<FlowFeedback>,
+    /// Per-flow range into `path_links` / `lk_loss`.
+    path_range: Vec<std::ops::Range<usize>>,
+    /// Flat link indices of each flow's path, in path order.
+    path_links: Vec<u32>,
+    /// Delayed loss-probability lookups, aligned with `path_links`.
+    lk_loss: Vec<Lookup>,
+    /// Scratch: current sending rate / RTT per flow.
+    x: Vec<A::V>,
+    tau: Vec<A::V>,
+
+    // ---- flat per-link state (lane-contiguous) ----
+    /// Member 0's link specs; every field but the buffer is structural.
+    link_spec: Vec<LinkSpec>,
+    /// Each member's buffer per link (Mbit).
+    buffer: Vec<A::V>,
+    /// Queue length per link (Mbit).
+    q: Vec<A::V>,
+    /// Per-link range into `lk_user`.
+    user_range: Vec<std::ops::Range<usize>>,
+    /// Delayed sending-rate lookups of each link's users, in user order.
+    lk_user: Vec<Lookup>,
+    /// History region offsets for the per-step pushes.
+    p_off: Vec<u32>,
+    q_off: Vec<u32>,
+    y_off: Vec<u32>,
+    /// Scratch: arrival rate, loss probability, relative queue, service.
+    y: Vec<A::V>,
+    p: Vec<A::V>,
+    rel_q: Vec<A::V>,
+    service: Vec<A::V>,
+
+    /// One arena holding every history region of every lane.
+    arena: Vec<A::V>,
 }
+
+impl<A: LaneAgent> LockstepSim<A> {
+    /// An engine without lanes, its vectors sized for `flows` flows in
+    /// `lanes` lanes: the per-flow hints are exact, the per-link and
+    /// path-flattened ones dumbbell-shaped floors (multi-hop lanes may
+    /// still grow once). Building a wave is on the hot path when a
+    /// backend fans many small waves out per sweep. A traced agent type
+    /// takes the process-wide recorder, if one is installed.
+    fn with_capacity(cfg: ModelConfig, flows: usize, lanes: usize) -> Self {
+        let links = flows + 2 * lanes;
+        let recorder = if A::TRACED {
+            bbr_trace::installed()
+        } else {
+            None
+        };
+        let trace_stride = recorder.as_ref().map_or(1, |rec| rec.stride(cfg.dt));
+        Self {
+            cfg,
+            lanes: Vec::with_capacity(lanes),
+            active: Vec::with_capacity(lanes),
+            step_count: 0,
+            next_deadline: u64::MAX,
+            t: 0.0,
+            recorder,
+            trace_stride,
+            agents: Vec::with_capacity(flows),
+            feedback: Vec::with_capacity(flows),
+            path_range: Vec::with_capacity(flows),
+            path_links: Vec::with_capacity(2 * flows),
+            lk_loss: Vec::with_capacity(2 * flows),
+            x: Vec::with_capacity(flows),
+            tau: Vec::with_capacity(flows),
+            link_spec: Vec::with_capacity(links),
+            buffer: Vec::with_capacity(links),
+            q: Vec::with_capacity(links),
+            user_range: Vec::with_capacity(links),
+            lk_user: Vec::with_capacity(2 * flows),
+            p_off: Vec::with_capacity(links),
+            q_off: Vec::with_capacity(links),
+            y_off: Vec::with_capacity(links),
+            y: Vec::with_capacity(links),
+            p: Vec::with_capacity(links),
+            rel_q: Vec::with_capacity(links),
+            service: Vec::with_capacity(links),
+            arena: Vec::new(),
+        }
+    }
+
+    /// Pack `specs` into one lockstep batch, `WIDTH` consecutive specs
+    /// per lane (the members of a lane must share `struct_key`), each
+    /// lane running for its spec's duration. Every spec must already be
+    /// validated.
+    pub fn for_specs(specs: &[&ScenarioSpec], cfg: ModelConfig) -> Self {
+        let width = A::V::WIDTH;
+        let flows = specs.chunks(width).map(|c| c[0].n_flows()).sum();
+        let mut sim = Self::with_capacity(cfg, flows, specs.len().div_ceil(width));
+        for members in specs.chunks(width) {
+            // Padding lanes replicate member 0.
+            let member = |j: usize| members[if j < members.len() { j } else { 0 }];
+            let nets: Vec<Network> = (0..width).map(|j| network_for_spec(member(j))).collect();
+            let agents = (0..width)
+                .map(|j| agents_for_spec(member(j), &nets[j], &sim.cfg))
+                .collect();
+            let schedules: Vec<_> = (0..nets[0].n_agents())
+                .map(|i| member(0).windows_of(i))
+                .collect();
+            let steps = (member(0).duration / sim.cfg.dt).round() as u64;
+            sim.push_lane(nets, agents, &schedules, members.len(), steps);
+        }
+        sim
+    }
+
+    /// Append one lane of `members` scenarios: member `j`'s network and
+    /// agents are `nets[j]` and `agents[j]` (`WIDTH` of each, padding
+    /// included), `schedules` the members' shared activity windows per
+    /// flow (a missing entry is always active), and the lane runs
+    /// `steps_total` steps (`u64::MAX`: until its caller stops). Lays the
+    /// lane's histories into the arena and resolves every delayed lookup
+    /// of its step loop.
+    fn push_lane(
+        &mut self,
+        mut nets: Vec<Network>,
+        agents: Vec<Vec<AnyCca>>,
+        schedules: &[Vec<FlowWindow>],
+        members: usize,
+        steps_total: u64,
+    ) {
+        let cfg = self.cfg.clone();
+        let dt = cfg.dt;
+        let net = &nets[0];
+        net.validate().expect("validated spec must build");
+        let n = net.n_agents();
+        let m = net.links.len();
+        let flow0 = self.feedback.len();
+        let link0 = self.link_spec.len();
+
+        let prop_rtt: Vec<f64> = (0..n).map(|i| net.prop_rtt(i)).collect();
+        let max_rtt = prop_rtt.iter().cloned().fold(0.0, f64::max);
+        let cap = History::capacity_for(max_rtt, dt);
+        // Slack before a region slides back; one region's worth keeps the
+        // amortized copy under one sample per push.
+        let region = 2 * cap;
+
+        let activity: Vec<ActivitySchedule> = (0..n)
+            .map(|i| {
+                let windows = schedules
+                    .get(i)
+                    .map_or(&[FlowWindow::ALWAYS][..], Vec::as_slice);
+                ActivitySchedule::from_windows(windows, dt)
+            })
+            .collect();
+
+        // Initial conditions: agents send at their initial rate (zero for
+        // flows that have not started yet), queues are empty, RTTs equal
+        // the propagation delay. The rates come from each member's scalar
+        // agents: BBRv2's buffer-dependent w_hi can bind the initial
+        // window, so x(0) differs across a pack's buffer lanes.
+        let x0: Vec<A::V> = (0..n)
+            .map(|i| {
+                A::V::from_fn(|j| {
+                    if activity[i].contains(0) {
+                        agents[j][i].rate(prop_rtt[i], &cfg)
+                    } else {
+                        0.0
+                    }
+                })
+            })
+            .collect();
+        let users: Vec<Vec<(usize, usize)>> = (0..m).map(|l| net.users_of(LinkId(l))).collect();
+        let y0: Vec<A::V> = (0..m)
+            .map(|l| {
+                users[l]
+                    .iter()
+                    .fold(A::V::splat(0.0), |y, (i, _)| y + x0[*i])
+            })
+            .collect();
+
+        // Histories: per flow x then tau, per link p, q, y — prefilled
+        // with the initial signal values (the DDE history on t < 0). At
+        // a fine step a lane's regions run to megabytes: reserve them in
+        // one allocation rather than regrowing the arena per region.
+        let mut hist_offs = Vec::with_capacity(2 * n + 3 * m);
+        self.arena.reserve((2 * n + 3 * m) * region);
+        let mut alloc = |initial: A::V, arena: &mut Vec<A::V>| -> usize {
+            let off = arena.len();
+            arena.extend(std::iter::repeat_n(initial, cap));
+            arena.extend(std::iter::repeat_n(A::V::splat(0.0), region - cap));
+            hist_offs.push(off as u32);
+            off
+        };
+        let x_offs: Vec<usize> = (0..n).map(|i| alloc(x0[i], &mut self.arena)).collect();
+        let tau_offs: Vec<usize> = (0..n)
+            .map(|i| alloc(A::V::splat(prop_rtt[i]), &mut self.arena))
+            .collect();
+        let p_offs: Vec<usize> = (0..m)
+            .map(|_| alloc(A::V::splat(0.0), &mut self.arena))
+            .collect();
+        let q_offs: Vec<usize> = (0..m)
+            .map(|_| alloc(A::V::splat(0.0), &mut self.arena))
+            .collect();
+        let y_offs: Vec<usize> = (0..m).map(|l| alloc(y0[l], &mut self.arena)).collect();
+        // Lookups store arena offsets as u32; a batch big enough to
+        // overflow that (32 GiB of history regions) must fail loudly
+        // rather than wrap into another lane's region.
+        assert!(
+            self.arena.len() <= u32::MAX as usize,
+            "batch history arena exceeds u32 offsets; split the batch into smaller waves"
+        );
+
+        // Per-link flats: specs, queues, and the arrival-rate lookups
+        // (each user's sending rate delayed by its forward delay).
+        for l in 0..m {
+            self.link_spec.push(net.links[l].clone());
+            self.buffer.push(A::V::from_fn(|j| nets[j].links[l].buffer));
+            self.q.push(A::V::splat(0.0));
+            let start = self.lk_user.len();
+            for &(i, pos) in &users[l] {
+                let delay = net.fwd_delay(i, pos);
+                self.lk_user.push(Lookup::new(x_offs[i], cap, delay, dt));
+            }
+            self.user_range.push(start..self.lk_user.len());
+            self.p_off.push(p_offs[l] as u32);
+            self.q_off.push(q_offs[l] as u32);
+            self.y_off.push(y_offs[l] as u32);
+            self.y.push(A::V::splat(0.0));
+            self.p.push(A::V::splat(0.0));
+            self.rel_q.push(A::V::splat(0.0));
+            self.service.push(A::V::splat(0.0));
+        }
+
+        // Per-flow flats: feedback lookups, path structure, scratch.
+        for (i, activity) in activity.into_iter().enumerate() {
+            let d_p = prop_rtt[i];
+            let pos = net.bottleneck_pos(i);
+            let l_b = net.paths[i].links[pos].0;
+            let d_b = net.bwd_delay(i, pos);
+            self.feedback.push(FlowFeedback {
+                tau_fb: Lookup::new(tau_offs[i], cap, d_p, dt),
+                x_fb: Lookup::new(x_offs[i], cap, d_p, dt),
+                x_num: Lookup::new(x_offs[i], cap, d_p + dt, dt),
+                y_b: Lookup::new(y_offs[l_b], cap, d_b, dt),
+                q_b: Lookup::new(q_offs[l_b], cap, d_b, dt),
+                bneck_cap: net.links[l_b].capacity,
+                prop_rtt: d_p,
+                x_off: x_offs[i] as u32,
+                tau_off: tau_offs[i] as u32,
+                activity,
+            });
+            let start = self.lk_loss.len();
+            for (pos, link_id) in net.paths[i].links.iter().enumerate() {
+                let l = link_id.0;
+                self.path_links.push((link0 + l) as u32);
+                self.lk_loss
+                    .push(Lookup::new(p_offs[l], cap, net.bwd_delay(i, pos), dt));
+            }
+            self.path_range.push(start..self.lk_loss.len());
+            self.x.push(A::V::splat(0.0));
+            self.tau.push(A::V::splat(0.0));
+        }
+        self.agents.extend(A::agents(agents, net));
+
+        // Virtual packet interval of the jitter metric (§4.3.5): g·N/C at
+        // the observed link.
+        let observed = observed_link(net);
+        let jitter_interval = cfg.mss * n as f64 / net.links[observed].capacity;
+        let metrics = MetricsAccumulator::new(n, m, observed, jitter_interval);
+        // Degenerate windows round to zero steps; such lanes finalize
+        // empty, exactly as a run of the same duration would.
+        if steps_total > 0 {
+            self.active.push(self.lanes.len());
+            self.next_deadline = self.next_deadline.min(steps_total);
+        }
+        self.lanes.push(Lane {
+            net: nets.swap_remove(0),
+            flows: flow0..flow0 + n,
+            links: link0..link0 + m,
+            members,
+            steps_total,
+            cap,
+            region,
+            cur: cap - 1,
+            hist_offs,
+            metrics,
+        });
+    }
+
+    /// Path loss feedback of flow `i`: the link loss probabilities along
+    /// its path, each delayed by its feedback delay, summed and clamped
+    /// to a probability (Eq. (7)).
+    #[inline(always)]
+    fn loss_feedback(&self, i: usize, cur: usize) -> A::V {
+        let mut loss = A::V::splat(0.0);
+        for lk in &self.lk_loss[self.path_range[i].clone()] {
+            loss = loss + lk.read(&self.arena, cur);
+        }
+        loss.clamp(0.0, 1.0)
+    }
+
+    /// Delivery-rate estimate of flow `i` per Eq. (17), evaluated at the
+    /// bottleneck link of its path.
+    ///
+    /// Two robustness refinements over the printed equation: (a) the
+    /// numerator is sampled one step deeper so that it refers to exactly
+    /// the epoch contained in the delayed arrival rate (the arrival-rate
+    /// history itself holds rates delayed by one step), preventing
+    /// one-sample share spikes at probing-pulse edges that the running
+    /// max filter would latch; (b) the share `x/y` is clamped to 1 — a
+    /// flow cannot contribute more than the whole arrival rate.
+    #[inline(always)]
+    fn delivery_rate(&self, i: usize, cur: usize) -> A::V {
+        let fb = &self.feedback[i];
+        let y_b = fb.y_b.read(&self.arena, cur).max(A::V::splat(1e-9));
+        let q_b = fb.q_b.read(&self.arena, cur);
+        let cap = fb.bneck_cap;
+        let x_num = fb.x_num.read(&self.arena, cur);
+        let share = (x_num / y_b).min(A::V::splat(1.0));
+        let queued = q_b.gt(A::V::splat(1e-9)) | y_b.gt(A::V::splat(cap));
+        A::V::select(queued, share * cap, x_num)
+    }
+
+    /// Advance every still-active lane by one shared time step.
+    pub fn step_once(&mut self) {
+        let dt = self.cfg.dt;
+        // Every lane starts at step 0 and the active set only ever
+        // shrinks, so the global count is every lane's own step index:
+        // the churn masks fire on the same step in any batch.
+        let step = self.step_count;
+        for &ln in &self.active {
+            let lane = &self.lanes[ln];
+            let (cur, fr, lr) = (lane.cur, lane.flows.clone(), lane.links.clone());
+
+            // 1. Link arrival rates, Eq. (1): delayed sending rates.
+            for l in lr.clone() {
+                let mut y = A::V::splat(0.0);
+                for lk in &self.lk_user[self.user_range[l].clone()] {
+                    y = y + lk.read(&self.arena, cur);
+                }
+                self.y[l] = y;
+            }
+
+            // 2. Loss probabilities, Eqs. (4)/(6), and service rates.
+            for l in lr.clone() {
+                let (link, buffer) = (&self.link_spec[l], self.buffer[l]);
+                let (y, q) = (self.y[l], self.q[l]);
+                let p = A::loss_probability(link, buffer, y, q, &self.cfg);
+                self.p[l] = p;
+                self.rel_q[l] = q / buffer;
+                self.service[l] = service_rate(link, q, y, p);
+            }
+
+            // 3. Path RTTs, Eq. (3).
+            for i in fr.clone() {
+                let mut tau = A::V::splat(self.feedback[i].prop_rtt);
+                for &l in &self.path_links[self.path_range[i].clone()] {
+                    let l = l as usize;
+                    tau = tau + self.q[l] / self.link_spec[l].capacity;
+                }
+                self.tau[i] = tau;
+            }
+
+            // 4. Current sending rates from pre-step CCA state (zero
+            // outside a flow's activity window).
+            for i in fr.clone() {
+                self.x[i] = if self.feedback[i].activity.contains(step) {
+                    A::rate(&mut self.agents[i], self.tau[i], &self.cfg)
+                } else {
+                    A::V::splat(0.0)
+                };
+            }
+
+            // 5. Metrics and flight-recorder samples.
+            self.lanes[ln].metrics.record(
+                self.t,
+                dt,
+                &self.x[fr.clone()],
+                &self.tau[fr.clone()],
+                &self.y[lr.clone()],
+                &self.p[lr.clone()],
+                &self.rel_q[lr.clone()],
+                &self.service[lr.clone()],
+            );
+            if let Some(rec) = &self.recorder {
+                if step.is_multiple_of(self.trace_stride) {
+                    self.sample(rec, ln, cur);
+                }
+            }
+
+            // 6. Assemble delayed feedback and step the agents (inactive
+            // flows' models stay frozen; they resume — or start — with
+            // whatever state they hold when their window opens).
+            for i in fr.clone() {
+                let fb = &self.feedback[i];
+                if !fb.activity.contains(step) {
+                    continue;
+                }
+                let inputs = AgentInputs {
+                    t: self.t,
+                    dt,
+                    tau: self.tau[i],
+                    tau_fb: fb.tau_fb.read(&self.arena, cur),
+                    loss_fb: self.loss_feedback(i, cur),
+                    x_dlv: self.delivery_rate(i, cur),
+                    x_fb: fb.x_fb.read(&self.arena, cur),
+                    x_cur: self.x[i],
+                    prop_rtt: fb.prop_rtt,
+                };
+                A::step(&mut self.agents[i], &inputs, &self.cfg);
+            }
+
+            // 7. Push histories (values at time t): one shared cursor
+            // advance per lane, sliding every region back when the slack
+            // is exhausted.
+            let lane = &mut self.lanes[ln];
+            let mut next = cur + 1;
+            if next == lane.region {
+                for &off in &lane.hist_offs {
+                    let off = off as usize;
+                    self.arena
+                        .copy_within(off + lane.region - lane.cap..off + lane.region, off);
+                }
+                next = lane.cap;
+            }
+            lane.cur = next;
+            for i in fr {
+                let fb = &self.feedback[i];
+                self.arena[fb.x_off as usize + next] = self.x[i];
+                self.arena[fb.tau_off as usize + next] = self.tau[i];
+            }
+            for l in lr.clone() {
+                self.arena[self.p_off[l] as usize + next] = self.p[l];
+                self.arena[self.q_off[l] as usize + next] = self.q[l];
+                self.arena[self.y_off[l] as usize + next] = self.y[l];
+            }
+
+            // 8. Queue dynamics, Eq. (2).
+            for l in lr {
+                self.q[l] = A::step_queue(
+                    &self.link_spec[l],
+                    self.buffer[l],
+                    self.q[l],
+                    self.y[l],
+                    self.p[l],
+                    dt,
+                );
+            }
+        }
+
+        self.t += dt;
+        self.step_count += 1;
+        // Termination mask: drop lanes whose window just ended and find
+        // the next deadline (only ever work at a deadline step).
+        if self.step_count >= self.next_deadline {
+            let (lanes, steps) = (&self.lanes, self.step_count);
+            self.active.retain(|&ln| lanes[ln].steps_total > steps);
+            self.next_deadline = self
+                .active
+                .iter()
+                .map(|&ln| lanes[ln].steps_total)
+                .min()
+                .unwrap_or(u64::MAX);
+        }
+    }
+
+    /// Advisory flight-recorder samples of lane `ln` (one member, as
+    /// only traced agent types hold a recorder), with lane-local flow and
+    /// link indices. Pure reads of this step's flat state and of the same
+    /// delayed feedback stage 6 is about to consume: recording cannot
+    /// change any result.
+    #[cold]
+    fn sample(&self, rec: &Recorder, ln: usize, cur: usize) {
+        let (fr, lr) = (self.lanes[ln].flows.clone(), self.lanes[ln].links.clone());
+        let (cfg, t) = (rec.config(), self.t);
+        if cfg.flows {
+            for i in fr.clone() {
+                rec.record(&TraceEvent::FlowSample {
+                    lane: ln,
+                    flow: i - fr.start,
+                    t,
+                    rate_mbps: self.x[i].lane(0),
+                    inflight_pkts: A::cwnd(&self.agents[i]) / self.cfg.mss,
+                    rtt_s: self.tau[i].lane(0),
+                });
+            }
+        }
+        if cfg.links {
+            for l in lr.clone() {
+                rec.record(&TraceEvent::LinkSample {
+                    lane: ln,
+                    link: l - lr.start,
+                    t,
+                    queue_frac: self.rel_q[l].lane(0),
+                    util_frac: self.y[l].lane(0) / self.link_spec[l].capacity,
+                    loss_frac: self.p[l].lane(0),
+                });
+            }
+        }
+        if cfg.cca {
+            let mut signals = Vec::new();
+            for i in fr.clone() {
+                signals.clear();
+                signals.push(("x_dlv", self.delivery_rate(i, cur).lane(0)));
+                signals.push(("loss", self.loss_feedback(i, cur).lane(0)));
+                A::telemetry(&self.agents[i], &mut signals);
+                for &(signal, value) in signals.iter().filter(|(_, v)| v.is_finite()) {
+                    rec.record(&TraceEvent::CcaSignal {
+                        lane: ln,
+                        flow: i - fr.start,
+                        t,
+                        signal,
+                        value,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Integrate every lane to the end of its window and return each
+    /// member's aggregate metrics, in spec order (padding discarded).
+    /// Every lane must have a finite window ([`Self::for_specs`]).
+    pub fn run(mut self) -> Vec<AggregateMetrics> {
+        while !self.active.is_empty() {
+            self.step_once();
+        }
+        self.lanes
+            .iter()
+            .flat_map(|lane| (0..lane.members).map(|j| lane.finalize(j)))
+            .collect()
+    }
+}
+
+impl LockstepSim<AnyCca> {
+    /// Attach a flight recorder, replacing the one the engine took when
+    /// it was built (see [`Simulator::record`]).
+    pub fn record(&mut self, rec: Recorder) {
+        self.trace_stride = rec.stride(self.cfg.dt);
+        self.recorder = Some(rec);
+    }
+}
+
+/// The fluid-model simulator: one open-ended `f64` lane of
+/// [`LockstepSim`], built from an explicit network and its agents, and
+/// stepped for as long as its caller runs it.
+pub struct Simulator(LockstepSim<AnyCca>);
 
 impl Simulator {
     /// The simulator a [`ScenarioSpec`] describes: its network
@@ -171,106 +916,9 @@ impl Simulator {
                 net.n_agents()
             ));
         }
-        let n = agents.len();
-        let m = net.links.len();
-        let prop_rtt: Vec<f64> = (0..n).map(|i| net.prop_rtt(i)).collect();
-        let max_rtt = prop_rtt.iter().cloned().fold(0.0, f64::max);
-        let users: Vec<Vec<(usize, usize)>> = (0..m)
-            .map(|l| net.users_of(crate::topology::LinkId(l)))
-            .collect();
-        let fwd: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                (0..net.paths[i].links.len())
-                    .map(|pos| net.fwd_delay(i, pos))
-                    .collect()
-            })
-            .collect();
-        let bwd: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                (0..net.paths[i].links.len())
-                    .map(|pos| net.bwd_delay(i, pos))
-                    .collect()
-            })
-            .collect();
-        let bneck_pos: Vec<usize> = (0..n).map(|i| net.bottleneck_pos(i)).collect();
-        let observed_link = observed_link(&net);
-
-        let activity: Vec<ActivitySchedule> = (0..n)
-            .map(|i| match schedules.get(i) {
-                Some(windows) => ActivitySchedule::from_windows(windows, cfg.dt),
-                None => ActivitySchedule::always(),
-            })
-            .collect();
-
-        // Initial histories: agents send at their initial rate (zero for
-        // flows that have not started yet), queues are empty, RTTs equal
-        // the propagation delay.
-        let x0: Vec<f64> = agents
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                if activity[i].contains(0) {
-                    a.rate(prop_rtt[i], &cfg)
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let x_hist: Vec<History> = (0..n)
-            .map(|i| History::new(max_rtt, cfg.dt, x0[i]))
-            .collect();
-        let tau_hist: Vec<History> = (0..n)
-            .map(|i| History::new(max_rtt, cfg.dt, prop_rtt[i]))
-            .collect();
-        let p_hist: Vec<History> = (0..m).map(|_| History::new(max_rtt, cfg.dt, 0.0)).collect();
-        let q_hist: Vec<History> = (0..m).map(|_| History::new(max_rtt, cfg.dt, 0.0)).collect();
-        let y0: Vec<f64> = (0..m)
-            .map(|l| users[l].iter().map(|(i, _)| x0[*i]).sum())
-            .collect();
-        let y_hist: Vec<History> = (0..m)
-            .map(|l| History::new(max_rtt, cfg.dt, y0[l]))
-            .collect();
-
-        let metrics = MetricsAccumulator::new(
-            n,
-            m,
-            observed_link,
-            jitter_interval(&cfg, n, net.links[observed_link].capacity),
-        );
-
-        let mut sim = Self {
-            q: vec![0.0; m],
-            x_hist,
-            tau_hist,
-            p_hist,
-            q_hist,
-            y_hist,
-            t: 0.0,
-            prop_rtt,
-            users,
-            fwd,
-            bwd,
-            bneck_pos,
-            activity,
-            metrics,
-            recorder: None,
-            trace_stride: 1,
-            step_count: 0,
-            scratch_y: vec![0.0; m],
-            scratch_p: vec![0.0; m],
-            scratch_tau: vec![0.0; n],
-            scratch_x: vec![0.0; n],
-            scratch_rel_q: vec![0.0; m],
-            scratch_service: vec![0.0; m],
-            scratch_telemetry: Vec::new(),
-            net,
-            cfg,
-            agents,
-        };
-        if let Some(rec) = bbr_trace::installed() {
-            sim.record(rec);
-        }
-        Ok(sim)
+        let mut sim = LockstepSim::with_capacity(cfg, agents.len(), 1);
+        sim.push_lane(vec![net], vec![agents], schedules, 1, u64::MAX);
+        Ok(Self(sim))
     }
 
     /// Attach a flight recorder, replacing the one installed process-wide
@@ -280,257 +928,47 @@ impl Simulator {
     /// each flow's `x_dlv`, `loss`, and [`AnyCca::telemetry`] values
     /// as `CcaSignal`s. Advisory: recording never changes a result.
     pub fn record(&mut self, rec: Recorder) {
-        self.trace_stride = rec.stride(self.cfg.dt);
-        self.recorder = Some(rec);
+        self.0.record(rec);
     }
 
     /// Current simulation time (s).
     pub fn time(&self) -> f64 {
-        self.t
+        self.0.t
     }
 
     /// Discard metrics accumulated so far (e.g. after a warm-up phase).
     pub fn reset_metrics(&mut self) {
-        self.metrics.reset();
+        self.0.lanes[0].metrics.reset();
     }
 
     /// Immutable access to the agents (for inspecting model state).
     pub fn agents(&self) -> &[AnyCca] {
-        &self.agents
+        &self.0.agents
     }
 
     /// Current queue length of a link (Mbit).
     pub fn queue(&self, link: usize) -> f64 {
-        self.q[link]
+        self.0.q[link]
     }
 
     /// The network being simulated.
     pub fn network(&self) -> &Network {
-        &self.net
+        &self.0.lanes[0].net
     }
 
     /// Advance the simulation by `duration` seconds and return the
     /// metrics over everything accumulated since construction (or the
     /// last [`Self::reset_metrics`]).
     pub fn run(&mut self, duration: f64) -> AggregateMetrics {
-        let steps = (duration / self.cfg.dt).round() as u64;
-        for _ in 0..steps {
-            self.step_once();
+        for _ in 0..(duration / self.0.cfg.dt).round() as u64 {
+            self.0.step_once();
         }
-        let caps: Vec<f64> = self.net.links.iter().map(|l| l.capacity).collect();
-        self.metrics.finalize(&caps)
-    }
-
-    /// Delivery-rate estimate of agent `i` per Eq. (17), evaluated at
-    /// the bottleneck link of its path.
-    ///
-    /// Two robustness refinements over the printed equation: (a) the
-    /// numerator is sampled one step deeper so that it refers to exactly
-    /// the epoch contained in the delayed arrival rate (the arrival-rate
-    /// history itself holds rates delayed by one step), preventing
-    /// one-sample share spikes at probing-pulse edges that the running
-    /// max filter would latch; (b) the share `x/y` is clamped to 1 — a
-    /// flow cannot contribute more than the whole arrival rate.
-    fn delivery_rate(&self, i: usize) -> f64 {
-        let pos = self.bneck_pos[i];
-        let l = self.net.paths[i].links[pos].0;
-        let d_b = self.bwd[i][pos];
-        let d_p = self.prop_rtt[i];
-        let y_b = self.y_hist[l].at_delay(d_b).max(1e-9);
-        let q_b = self.q_hist[l].at_delay(d_b);
-        let cap = self.net.links[l].capacity;
-        let x_num = self.x_hist[i].at_delay(d_p + self.cfg.dt);
-        let share = (x_num / y_b).min(1.0);
-        if q_b > 1e-9 || y_b > cap {
-            share * cap
-        } else {
-            x_num
-        }
-    }
-
-    /// Path loss feedback of agent `i`: the link loss probabilities
-    /// along its path, each delayed by its feedback delay, summed and
-    /// clamped to a probability (Eq. (7)).
-    fn loss_feedback(&self, i: usize) -> f64 {
-        let mut loss = 0.0;
-        for (pos, link_id) in self.net.paths[i].links.iter().enumerate() {
-            loss += self.p_hist[link_id.0].at_delay(self.bwd[i][pos]);
-        }
-        loss.clamp(0.0, 1.0)
-    }
-
-    /// Whether agent `i` is inside one of its activity windows at the
-    /// current integration step.
-    #[inline]
-    fn is_active(&self, i: usize) -> bool {
-        self.activity[i].contains(self.step_count)
+        self.0.lanes[0].finalize(0)
     }
 
     /// One integration step of the coupled system.
     pub fn step_once(&mut self) {
-        let n = self.agents.len();
-        let m = self.net.links.len();
-        let dt = self.cfg.dt;
-
-        // 1. Link arrival rates, Eq. (1): delayed sending rates.
-        for l in 0..m {
-            let mut y = 0.0;
-            for &(i, pos) in &self.users[l] {
-                y += self.x_hist[i].at_delay(self.fwd[i][pos]);
-            }
-            self.scratch_y[l] = y;
-        }
-
-        // 2. Loss probabilities, Eqs. (4)/(6), and service rates.
-        for l in 0..m {
-            let link = &self.net.links[l];
-            self.scratch_p[l] = loss_probability(link, self.scratch_y[l], self.q[l], &self.cfg);
-            self.scratch_rel_q[l] = self.q[l] / link.buffer;
-            self.scratch_service[l] =
-                service_rate(link, self.q[l], self.scratch_y[l], self.scratch_p[l]);
-        }
-
-        // 3. Path RTTs, Eq. (3).
-        for i in 0..n {
-            let mut tau = self.prop_rtt[i];
-            for link_id in &self.net.paths[i].links {
-                let l = link_id.0;
-                tau += self.q[l] / self.net.links[l].capacity;
-            }
-            self.scratch_tau[i] = tau;
-        }
-
-        // 4. Current sending rates from pre-step CCA state (zero
-        // outside a flow's activity window).
-        for i in 0..n {
-            self.scratch_x[i] = if self.is_active(i) {
-                self.agents[i].rate(self.scratch_tau[i], &self.cfg)
-            } else {
-                0.0
-            };
-        }
-
-        // 5. Metrics and flight-recorder samples.
-        self.metrics.record(
-            self.t,
-            dt,
-            &self.scratch_x,
-            &self.scratch_tau,
-            &self.scratch_y,
-            &self.scratch_p,
-            &self.scratch_rel_q,
-            &self.scratch_service,
-        );
-        if self.recorder.is_some() && self.step_count.is_multiple_of(self.trace_stride) {
-            self.record_sample();
-        }
-
-        // 6. Assemble delayed feedback and step the agents (inactive
-        // flows' models stay frozen; they resume — or start — with
-        // whatever state they hold when their window opens).
-        for i in 0..n {
-            if !self.is_active(i) {
-                continue;
-            }
-            let d_p = self.prop_rtt[i];
-            let tau_fb = self.tau_hist[i].at_delay(d_p);
-            let x_fb = self.x_hist[i].at_delay(d_p);
-            let loss_fb = self.loss_feedback(i);
-            // Delivery rate, Eq. (17), measured at the bottleneck link.
-            let x_dlv = self.delivery_rate(i);
-            let inputs = AgentInputs {
-                t: self.t,
-                dt,
-                tau: self.scratch_tau[i],
-                tau_fb,
-                loss_fb,
-                x_dlv,
-                x_fb,
-                x_cur: self.scratch_x[i],
-                prop_rtt: d_p,
-            };
-            self.agents[i].step(&inputs, &self.cfg);
-        }
-
-        // 7. Push histories (values at time t).
-        for i in 0..n {
-            self.x_hist[i].push(self.scratch_x[i]);
-            self.tau_hist[i].push(self.scratch_tau[i]);
-        }
-        for l in 0..m {
-            self.p_hist[l].push(self.scratch_p[l]);
-            self.q_hist[l].push(self.q[l]);
-            self.y_hist[l].push(self.scratch_y[l]);
-        }
-
-        // 8. Queue dynamics, Eq. (2).
-        for l in 0..m {
-            self.q[l] = step_queue(
-                &self.net.links[l],
-                self.q[l],
-                self.scratch_y[l],
-                self.scratch_p[l],
-                dt,
-            );
-        }
-
-        self.t += dt;
-        self.step_count += 1;
-    }
-
-    /// Advisory flight-recorder samples on the recorder's grid. Pure
-    /// reads of this step's already-computed scratch state and of the
-    /// same delayed feedback stage 6 is about to consume: recording
-    /// cannot change any run result.
-    fn record_sample(&mut self) {
-        let Some(rec) = &self.recorder else {
-            return;
-        };
-        let cfg = rec.config();
-        let t = self.t;
-        if cfg.flows {
-            for i in 0..self.agents.len() {
-                rec.record(&TraceEvent::FlowSample {
-                    lane: 0,
-                    flow: i,
-                    t,
-                    rate_mbps: self.scratch_x[i],
-                    inflight_pkts: self.agents[i].cwnd() / self.cfg.mss,
-                    rtt_s: self.scratch_tau[i],
-                });
-            }
-        }
-        if cfg.links {
-            for l in 0..self.net.links.len() {
-                rec.record(&TraceEvent::LinkSample {
-                    lane: 0,
-                    link: l,
-                    t,
-                    queue_frac: self.scratch_rel_q[l],
-                    util_frac: self.scratch_y[l] / self.net.links[l].capacity,
-                    loss_frac: self.scratch_p[l],
-                });
-            }
-        }
-        if cfg.cca {
-            let mut signals = std::mem::take(&mut self.scratch_telemetry);
-            for i in 0..self.agents.len() {
-                signals.clear();
-                signals.push(("x_dlv", self.delivery_rate(i)));
-                signals.push(("loss", self.loss_feedback(i)));
-                self.agents[i].telemetry(&mut signals);
-                for &(signal, value) in signals.iter().filter(|(_, v)| v.is_finite()) {
-                    rec.record(&TraceEvent::CcaSignal {
-                        lane: 0,
-                        flow: i,
-                        t,
-                        signal,
-                        value,
-                    });
-                }
-            }
-            self.scratch_telemetry = signals;
-        }
+        self.0.step_once();
     }
 }
 
@@ -545,7 +983,7 @@ mod tests {
     /// Attach an in-memory recorder sampling every `stride` steps.
     fn record_every(sim: &mut Simulator, stride: usize) -> Arc<MemorySink> {
         let sink = Arc::new(MemorySink::new());
-        let interval = stride as f64 * sim.cfg.dt;
+        let interval = stride as f64 * sim.0.cfg.dt;
         sim.record(Recorder::new(
             TraceConfig {
                 interval,
@@ -710,5 +1148,96 @@ mod tests {
         let mut spec = ScenarioSpec::dumbbell(2, 100.0, 0.010, 1.0);
         spec.ccas.clear();
         assert!(Simulator::for_spec(&spec, ModelConfig::coarse()).is_err());
+    }
+
+    /// `event` with its `lane` field set to `lane`.
+    fn on_lane(event: &TraceEvent, lane: usize) -> TraceEvent {
+        let mut event = event.clone();
+        match &mut event {
+            TraceEvent::FlowSample { lane: l, .. }
+            | TraceEvent::LinkSample { lane: l, .. }
+            | TraceEvent::CcaPhase { lane: l, .. }
+            | TraceEvent::CcaSignal { lane: l, .. } => *l = lane,
+        }
+        event
+    }
+
+    #[test]
+    fn a_traced_wave_records_each_lane_as_its_own_simulator() {
+        // Three lanes of different families, windows and churn in one
+        // wave: lane k records exactly what a one-lane simulator records
+        // on spec k, CCA signals included, and nothing after its window.
+        let specs = [
+            ScenarioSpec::dumbbell(2, 50.0, 0.010, 2.0)
+                .ccas(vec![CcaKind::BbrV1, CcaKind::Cubic])
+                .duration(0.4),
+            ScenarioSpec::parking_lot(60.0, 40.0, 0.010, 1.0)
+                .ccas(vec![CcaKind::BbrV2, CcaKind::Reno])
+                .qdisc(QdiscKind::Red)
+                .duration(0.25),
+            ScenarioSpec::dumbbell(3, 40.0, 0.010, 1.0)
+                .ccas(vec![CcaKind::BbrV2])
+                .flow_window(1, 0.1, 0.2)
+                .duration(0.3),
+        ];
+        let cfg = ModelConfig::coarse();
+        let trace = TraceConfig {
+            interval: 0.005,
+            ..TraceConfig::default()
+        };
+        let sink = Arc::new(MemorySink::new());
+        let refs: Vec<&ScenarioSpec> = specs.iter().collect();
+        let mut wave = LockstepSim::<AnyCca>::for_specs(&refs, cfg.clone());
+        wave.record(Recorder::new(trace, sink.clone()));
+        wave.run();
+        let recorded = sink.take();
+        for (k, spec) in specs.iter().enumerate() {
+            let solo = Arc::new(MemorySink::new());
+            let mut sim = Simulator::for_spec(spec, cfg.clone()).unwrap();
+            sim.record(Recorder::new(trace, solo.clone()));
+            sim.run(spec.duration);
+            let want: Vec<TraceEvent> = solo.take().iter().map(|e| on_lane(e, k)).collect();
+            let got: Vec<TraceEvent> = recorded
+                .iter()
+                .filter(|e| on_lane(e, k) == **e)
+                .cloned()
+                .collect();
+            assert!(want.iter().any(|e| e.kind() == "signal"), "lane {k}");
+            assert_eq!(got, want, "lane {k}");
+        }
+    }
+
+    #[test]
+    fn lookup_matches_history_at_delay() {
+        // Drive a ring-buffer history and a sliding region side by side
+        // through pushes and wraps; precomputed lookups must reproduce
+        // `at_delay` bit for bit — including beyond-horizon clamping.
+        let dt = 1e-3;
+        let max_delay = 0.02;
+        let cap = History::capacity_for(max_delay, dt);
+        let region = 2 * cap;
+        let mut hist = History::new(max_delay, dt, 3.5);
+        let mut arena = vec![0.0; region];
+        arena[..cap].iter_mut().for_each(|v| *v = 3.5);
+        let mut cur = cap - 1;
+        let delays = [0.0, dt, 0.25 * dt, 3.7 * dt, max_delay, max_delay + 5.0];
+        let lks: Vec<Lookup> = delays.iter().map(|d| Lookup::new(0, cap, *d, dt)).collect();
+        for step in 0..200 {
+            for (d, lk) in delays.iter().zip(&lks) {
+                assert_eq!(
+                    lk.read(&arena, cur),
+                    hist.at_delay(*d),
+                    "step {step}, delay {d}"
+                );
+            }
+            let v = (step as f64 * 0.37).sin();
+            hist.push(v);
+            cur += 1;
+            if cur == region {
+                arena.copy_within(region - cap..region, 0);
+                cur = cap;
+            }
+            arena[cur] = v;
+        }
     }
 }

@@ -55,14 +55,13 @@ use crate::Effort;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// Fluid model only (fast; the paper's "Model" columns), integrated
-    /// one cell at a time by the scalar engine.
+    /// one cell at a time, each a one-lane `Simulator`.
     Fluid,
-    /// Fluid model only, integrated by the batched SoA engine
-    /// (`bbr-fluidbatch`): every cell of the grid advances in lockstep
-    /// through one step loop. Outcomes (and therefore reports, CSVs,
-    /// and store records) are byte-identical to [`Backend::Fluid`] —
-    /// this selects an execution strategy, not a different model — so
-    /// the column is still named `"fluid"`.
+    /// Fluid model only, every cell of the grid one `f64` lane of the
+    /// same lockstep engine (`bbr-fluidbatch`'s waves). Outcomes (and
+    /// therefore reports, CSVs, and store records) are byte-identical
+    /// to [`Backend::Fluid`] — this selects an execution strategy, not a
+    /// different model — so the column is still named `"fluid"`.
     FluidBatch,
     /// Fluid model only, integrated by the SIMD-packed engine
     /// (`bbr-fluidbatch`'s `SimdFluidBackend`): scenarios with the same
@@ -642,8 +641,8 @@ impl ScenarioGrid {
     /// [`compare::run_column`]: backends exposing a batch view
     /// ([`SimBackend::as_batch`]) receive *all* of their supported cells
     /// in one `run_batch` call — the whole grid integrates in lockstep —
-    /// and the rest fan out per cell. Since `run_batch` is bit-identical
-    /// to the scalar loop by contract, the report never depends on which
+    /// and the rest fan out per cell. Since `run_batch` returns the bits
+    /// per-cell `run` calls return, the report never depends on which
     /// path ran.
     pub fn run_with(&self, backends: &[Box<dyn SimBackend>]) -> SweepReport {
         let t0 = Instant::now();

@@ -1,33 +1,33 @@
-//! Batched structure-of-arrays fluid backends: whole sweep grids
-//! integrated in lockstep by one engine over two lane types.
+//! Batched fluid backends: whole sweep grids integrated in lockstep
+//! waves on the fluid engine of `bbr-fluid-core`
+//! (`bbr_fluid_core::sim::LockstepSim`).
 //!
 //! The paper's fluid-model results come from sweeping many (CCA, qdisc,
-//! topology, RTT, flow-count) configurations; the scalar backend
-//! integrates one scenario at a time, so the dominant sweep cost is the
-//! per-scenario stepper overhead repeated once per cell. This crate
-//! packs N scenarios into contiguous per-flow/per-link lanes and
-//! advances them all through one shared step loop, with per-lane
-//! termination masks and per-flow activation masks (flow churn) so
+//! topology, RTT, flow-count) configurations. This crate packs each
+//! wave of N scenarios into the engine's contiguous per-flow/per-link
+//! lanes, which advance through one shared step loop with per-lane
+//! termination masks and per-flow activation masks (flow churn), so
 //! heterogeneous specs — different flow counts, durations, churn
 //! windows, and topologies across the dumbbell/parking-lot/chain
-//! families — batch together.
+//! families — batch together, and fans the waves out across the rayon
+//! pool.
 //!
-//! The engine is generic over its lane type. [`BatchedFluidBackend`]
-//! runs it over `f64`, one scenario per lane, bit-identical to the
-//! scalar `FluidBackend`. [`SimdFluidBackend`] runs it over `F64x4`,
-//! four same-structure scenarios per lane (see [`packed`]). The step
-//! loop, history arena, metrics and wave runner are the same code for
-//! both; only the agents, the queue kernels and tracing differ.
+//! [`BatchedFluidBackend`] runs `f64` lanes, one scenario per lane.
+//! [`SimdFluidBackend`] runs `F64x4` lanes, four same-structure
+//! scenarios per lane (see [`packed`], which holds the packed agents
+//! and queue kernels). The step loop, history arena and metrics are the
+//! engine's; this crate holds the wave runner and the packing.
 //!
 //! # Identity contract
 //!
 //! [`BatchedFluidBackend`] reports the name `"fluid"`: it is an
 //! *execution strategy* over the same fluid model, not a different
-//! simulator. For every spec the sweep grid can emit, its outcomes are
-//! **byte-identical** to `FluidBackend` with the same `ModelConfig`, so
-//! result-store keys, campaign caches, and pinned hashes produced by
-//! either engine are interchangeable (`tests/fluidbatch_equivalence.rs`
-//! holds the equivalence test-matrix).
+//! simulator. Its lanes are the lanes `FluidBackend` runs one at a time,
+//! so for every spec its outcomes are **byte-identical** to
+//! `FluidBackend` with the same `ModelConfig`, and result-store keys,
+//! campaign caches, and pinned hashes produced by either are
+//! interchangeable (`tests/fluidbatch_equivalence.rs` holds the
+//! equivalence test-matrix).
 //!
 //! ```
 //! use bbr_fluid_core::backend::FluidBackend;
@@ -46,14 +46,14 @@
 //! ```
 
 pub mod packed;
-mod sim;
 
 use bbr_fluid_core::backend::outcome_from_metrics;
+use bbr_fluid_core::cca::AnyCca;
 use bbr_fluid_core::config::ModelConfig;
+use bbr_fluid_core::lanes::Lanes;
+use bbr_fluid_core::sim::{LaneAgent, LockstepSim};
 use bbr_scenario::{BatchSimBackend, RunOutcome, ScenarioSpec, SimBackend};
 use rayon::prelude::*;
-
-use crate::sim::{BatchLane, BatchedFluidSim};
 
 pub use crate::packed::SimdFluidBackend;
 
@@ -159,8 +159,8 @@ impl BatchedFluidBackend {
 }
 
 impl SimBackend for BatchedFluidBackend {
-    /// `"fluid"`, deliberately: outcomes are bit-identical to the scalar
-    /// fluid backend, so stores and reports treat them as the same
+    /// `"fluid"`, deliberately: outcomes are bit-identical to
+    /// `FluidBackend`'s, so stores and reports treat them as the same
     /// column (see the crate docs' identity contract).
     fn name(&self) -> &'static str {
         "fluid"
@@ -183,28 +183,26 @@ impl BatchSimBackend for BatchedFluidBackend {
     /// parallelizing them cannot change a bit of any outcome — and a
     /// multi-core sweep keeps its thread-level speedup on top of the
     /// batch engine's per-core one). The fluid model is deterministic,
-    /// so the seeds are ignored (as in the scalar backend); outcomes
-    /// come back in job order.
+    /// so the seeds are ignored (as in `FluidBackend`); outcomes come
+    /// back in job order.
     fn run_batch(&self, jobs: &[(&ScenarioSpec, u64)]) -> Vec<RunOutcome> {
-        run_waves::<f64>(&self.cfg, jobs, self.name(), self.waves(jobs))
+        run_waves::<AnyCca>(&self.cfg, jobs, self.name(), self.waves(jobs))
     }
 }
 
 /// The wave runner of both backends. Each wave lists job indices, and
-/// [`BatchedFluidSim`] fills its lanes with `V::WIDTH` consecutive ones.
+/// [`LockstepSim`] fills its lanes with `WIDTH` consecutive ones.
 /// Validates, integrates the waves across the rayon pool, reports each
 /// to the telemetry hook and returns the outcomes, named `name`, in job
 /// order.
-fn run_waves<V: BatchLane>(
+fn run_waves<A: LaneAgent>(
     cfg: &ModelConfig,
     jobs: &[(&ScenarioSpec, u64)],
     name: &'static str,
     waves: Vec<Vec<usize>>,
 ) -> Vec<RunOutcome> {
-    // The scalar engine's entry points validate both the specs and the
-    // integration config (`Simulator::new` rejects e.g. a zero step
-    // size); the batch engine must refuse exactly the same inputs to
-    // keep the bit-identity contract meaningful at its boundary.
+    // The same inputs `Simulator::for_spec` refuses (e.g. a zero step
+    // size), refused before any wave is built.
     cfg.validate().expect("invalid model configuration");
     for (spec, _) in jobs {
         spec.validate().expect("invalid scenario spec");
@@ -218,7 +216,7 @@ fn run_waves<V: BatchLane>(
             // nothing per wave.
             let t0 = bbr_telemetry::enabled().then(std::time::Instant::now);
             let specs: Vec<&ScenarioSpec> = wave.iter().map(|&i| jobs[i].0).collect();
-            let metrics = BatchedFluidSim::<V>::new(&specs, cfg.clone()).run();
+            let metrics = LockstepSim::<A>::for_specs(&specs, cfg.clone()).run();
             if let Some(t0) = t0 {
                 let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
                 bbr_telemetry::emit(|| bbr_telemetry::Event::Wave {
@@ -227,7 +225,7 @@ fn run_waves<V: BatchLane>(
                     // Members over lane slots: 1.0 for `f64` lanes; a
                     // ragged pack's padding shows up as < 1.0.
                     occupancy: specs.len() as f64
-                        / (specs.len().div_ceil(V::WIDTH) * V::WIDTH) as f64,
+                        / (specs.len().div_ceil(A::V::WIDTH) * A::V::WIDTH) as f64,
                     wall_ms,
                 });
             }

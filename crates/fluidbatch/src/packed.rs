@@ -3,13 +3,14 @@
 //!
 //! # Cross-lane packing
 //!
-//! The backend runs the batch engine over `F64x4` lanes: every logical
+//! The backend runs the fluid engine over `F64x4` lanes: every logical
 //! scalar of the step loop (a queue length, an RTT, a window, a CCA mode
 //! timer) becomes one packed value holding four pack members' copies,
 //! and each stage executes once per *pack* instead of once per scenario.
 //! The step loop, history arena, lookups and metrics are the `f64`
-//! backend's own code; this module holds what differs: the packed queue
-//! kernels and CCA state machines, and the grouping of jobs into packs.
+//! lanes' own code; this module holds what differs: the packed queue
+//! kernels and CCA state machines (the engine's `LaneAgent` for
+//! `F64x4`), and the grouping of jobs into packs.
 //!
 //! Packing requires the members to share every **structural** quantity —
 //! flow count, topology wiring, capacities, delays, CCA assignment,
@@ -53,10 +54,10 @@ use bbr_fluid_core::cca::cubic::{CUBIC_BETA, CUBIC_C};
 use bbr_fluid_core::cca::{AgentInputs, AnyCca, ScenarioHint};
 use bbr_fluid_core::config::{ModelConfig, ResetMode};
 use bbr_fluid_core::lanes::{cbrt4, exp2_4, pow4, pulse4, sigmoid4, F64x4, Lanes, M64x4, LANES};
+use bbr_fluid_core::sim::LaneAgent;
 use bbr_fluid_core::topology::{LinkSpec, Network, QdiscKind};
 use bbr_scenario::{BatchSimBackend, RunOutcome, ScenarioSpec, SimBackend, Topology};
 
-use crate::sim::BatchLane;
 use crate::{run_waves, BatchedFluidBackend};
 
 /// The backend name reported for every outcome of this engine (see the
@@ -551,8 +552,8 @@ impl PackedCca {
 
 /// Four pack members per lane, through the packed CCA kernels above and
 /// the masked queue kernels below.
-impl BatchLane for F64x4 {
-    type Agent = PackedCca;
+impl LaneAgent for PackedCca {
+    type V = F64x4;
     /// `fluid-simd` is trace-free: its rows are tolerance-bound, and a
     /// trace would have to pick one member per lane.
     const TRACED: bool = false;
@@ -589,6 +590,10 @@ impl BatchLane for F64x4 {
     }
 
     fn cwnd(_: &PackedCca) -> f64 {
+        unreachable!("fluid-simd lanes are never traced")
+    }
+
+    fn telemetry(_: &PackedCca, _: &mut Vec<(&'static str, f64)>) {
         unreachable!("fluid-simd lanes are never traced")
     }
 
@@ -673,7 +678,7 @@ impl SimdFluidBackend {
 
 impl SimBackend for SimdFluidBackend {
     /// `"fluid-simd"`, deliberately distinct from `"fluid"`: outcomes
-    /// are *not* bit-identical to the scalar fluid backend (packed
+    /// are *not* bit-identical to `FluidBackend`'s (packed
     /// transcendental kernels), so store keys must not alias.
     fn name(&self) -> &'static str {
         SIMD_BACKEND_NAME
@@ -698,7 +703,7 @@ impl BatchSimBackend for SimdFluidBackend {
     fn run_batch(&self, jobs: &[(&ScenarioSpec, u64)]) -> Vec<RunOutcome> {
         if !packable(&self.cfg) {
             let waves = BatchedFluidBackend::new(self.cfg.clone()).waves(jobs);
-            return run_waves::<f64>(&self.cfg, jobs, SIMD_BACKEND_NAME, waves);
+            return run_waves::<AnyCca>(&self.cfg, jobs, SIMD_BACKEND_NAME, waves);
         }
         // Greedy grouping: jobs join the open pack of their structural
         // key, packs close at LANES members; first-seen order is kept
@@ -721,7 +726,7 @@ impl BatchSimBackend for SimdFluidBackend {
                 }
             }
         }
-        run_waves::<F64x4>(&self.cfg, jobs, SIMD_BACKEND_NAME, packs)
+        run_waves::<PackedCca>(&self.cfg, jobs, SIMD_BACKEND_NAME, packs)
     }
 }
 
