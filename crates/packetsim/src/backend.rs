@@ -158,12 +158,13 @@ fn dumbbell_path_network(
 }
 
 /// The two-bottleneck parking lot as a path network: flow 0 routes over
-/// both links, flows 1 and 2 over one each. Each return path mirrors its
-/// forward path, so flow 0's propagation RTT is `2·access + 4·link_delay`
-/// and the single-hop flows' `2·access + 2·link_delay` (the fluid
-/// `parking_lot_network` gives every flow the latter). Both buffers hold `buffer_bdp` × the first link's BDP; the headline
-/// is the slower link (the first on a tie). Starts are staggered
-/// (i · 5 ms) like every other family.
+/// both links, flows 1 and 2 over one each. Access and return delays
+/// split as in the fluid `parking_lot_network`, so every flow's
+/// propagation RTT is `2·access + 2·link_delay`: flow 0's two links are
+/// its whole extra, flow 1 returns over one link's delay, and flow 2
+/// enters behind one. Both buffers hold `buffer_bdp` × the first link's
+/// BDP; the headline is the slower link (the first on a tie). Starts
+/// are staggered (i · 5 ms) like every other family.
 fn parking_lot_path_network(
     spec: &ScenarioSpec,
     c1: f64,
@@ -174,11 +175,8 @@ fn parking_lot_path_network(
     let buffer = buffer_bdp * c1 * 1e6 / 8.0 * link_delay;
     let access = PARKING_LOT_ACCESS_DELAY;
     let routes: [Vec<u32>; 3] = [vec![0, 1], vec![0], vec![1]];
-    let bwd = [
-        access + 2.0 * link_delay,
-        access + link_delay,
-        access + link_delay,
-    ];
+    let fwd = [access, access, access + link_delay];
+    let bwd = [access, access + link_delay, access];
     PathNetwork {
         links: [c1, c2]
             .iter()
@@ -192,7 +190,7 @@ fn parking_lot_path_network(
         flows: (0..3)
             .map(|i| PathFlowSpec {
                 links: routes[i].clone(),
-                access_delay: access,
+                access_delay: fwd[i],
                 bwd_delay: bwd[i],
                 cca: spec.cca_of(i),
                 start: i as f64 * 0.005,

@@ -232,10 +232,8 @@ fn dumbbell_lowerings_carry_bit_equal_delays() {
     // Both engines lower a spec through the one shared delay
     // derivation: each fluid path and packet flow gets the same access
     // delay and the same return delay, to the bit. Dumbbells (default
-    // and custom RTT spread), chains, and Custom specs (an explicit
-    // access dumbbell and a generated universe cell). The parking lot is
-    // left out: its flows 0 and 2 split their delays differently on the
-    // two engines (ROADMAP item 5, "Parking-lot RTTs differ").
+    // and custom RTT spread), parking lots, chains, and Custom specs (an
+    // explicit access dumbbell and a generated universe cell).
     use bbr_repro::fluid::backend::network_for_spec;
     use bbr_repro::packetsim::backend::path_network_for_spec;
     use bbr_repro::scenario::universe::generate_scenario;
@@ -245,6 +243,8 @@ fn dumbbell_lowerings_carry_bit_equal_delays() {
         specs.push(default.clone().rtt_range(0.021, 0.077));
         specs.push(default);
     }
+    specs.push(ScenarioSpec::parking_lot(100.0, 80.0, 0.010, 3.0));
+    specs.push(ScenarioSpec::parking_lot(40.0, 32.0, 0.007, 1.0));
     specs.push(ScenarioSpec::chain(3, 100.0, 0.010, 2.0));
     specs.push(ScenarioSpec::chain(4, 80.0, 0.007, 1.0));
     specs.push(ScenarioSpec::dumbbell_with_access(
