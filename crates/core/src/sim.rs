@@ -657,7 +657,7 @@ impl<A: LaneAgent> LockstepSim<A> {
     }
 
     /// Advance every still-active lane by one shared time step.
-    pub fn step_once(&mut self) {
+    fn step_once(&mut self) {
         let dt = self.cfg.dt;
         // Every lane starts at step 0 and the active set only ever
         // shrinks, so the global count is every lane's own step index:
@@ -869,7 +869,7 @@ impl<A: LaneAgent> LockstepSim<A> {
 impl LockstepSim<AnyCca> {
     /// Attach a flight recorder, replacing the one the engine took when
     /// it was built (see [`Simulator::record`]).
-    pub fn record(&mut self, rec: Recorder) {
+    fn record(&mut self, rec: Recorder) {
         self.trace_stride = rec.stride(self.cfg.dt);
         self.recorder = Some(rec);
     }
