@@ -1,6 +1,8 @@
-//! Benchmarks of the batched SoA fluid integrator against the scalar
-//! engine. The end-to-end numbers live in the repository benchmark
-//! (`perfbench/`, declared in `BENCHMARK.json`).
+//! Benchmarks of the fluid engine run in lockstep waves
+//! (`Backend::FluidBatch`) against one `Simulator` per cell
+//! (`Backend::Fluid`, named `scalar` below). The end-to-end numbers live
+//! in the repository benchmark (`perfbench/`, declared in
+//! `BENCHMARK.json`).
 //!
 //! Both grids are the pinned benchmark definitions of
 //! [`bbr_experiments::sweep::bench_grid`]:
@@ -8,8 +10,7 @@
 //! * `fluid_scalar_24_cells` / `fluid_batch_24_cells` — mixed-topology
 //!   coverage (dumbbell + parking lot + chain lanes in one batch);
 //! * `fluid_scalar_96_cells` / `fluid_batch_96_cells` — the §4.3-shaped
-//!   dumbbell campaign, where the acceptance bar is batch ≥ 3× scalar
-//!   cells/sec.
+//!   dumbbell campaign.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

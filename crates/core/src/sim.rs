@@ -137,9 +137,9 @@ fn observed_link(net: &Network) -> usize {
             net.links[*a]
                 .capacity
                 .partial_cmp(&net.links[*b].capacity)
-                .unwrap()
+                .expect("link capacities are not NaN")
         })
-        .unwrap()
+        .expect("a validated network has a link")
 }
 
 /// A flow's activity windows as integration-step bounds: the flow sends

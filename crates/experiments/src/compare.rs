@@ -39,7 +39,7 @@ pub struct Gates {
 /// The cross-backend consistency contract of the paper's validation
 /// (§4.3): utilization within 25 pp and Jain within 0.35. The packet
 /// engine is held to it by `tests/backend_consistency.rs`, and the
-/// `fluid-simd` engine promises it against scalar fluid. No loss bound
+/// `fluid-simd` engine promises it against `fluid`. No loss bound
 /// exists: `loss_pp` only normalizes [`Delta::score`], weighing 5 pp of
 /// loss like a full utilization tolerance.
 pub const CONSISTENCY: Gates = Gates {

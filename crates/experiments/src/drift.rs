@@ -413,7 +413,7 @@ fn diff_traces(
 }
 
 /// Run the trace-diff audit over the pinned [`drift_grid`]: every cell
-/// recorded on the scalar fluid engine and the packet engine under an
+/// recorded on the fluid engine and the packet engine under an
 /// in-memory flight recorder, series aligned per cell, divergence
 /// reduced to first-divergence time, per-phase attribution, and the
 /// worst window.

@@ -855,10 +855,10 @@ impl ScenarioGrid {
 /// * **96** — the §4.3-shaped dumbbell campaign: 6 mixes × 4 buffers ×
 ///   2 qdiscs × 2 RTT bands at N = 10 flows — the grid family the
 ///   paper's fluid results (Figs. 6–10, 13–17) are swept on, and the
-///   acceptance gauge for batched-vs-scalar fluid throughput.
+///   grid `grid-simd` times on the packed engine.
 ///
-/// Both use 1 s measurement windows so a full scalar-vs-batch
-/// comparison stays in benchmark territory (seconds, not minutes).
+/// Both use 1 s measurement windows so a full comparison of fluid
+/// backends stays in benchmark territory (seconds, not minutes).
 pub fn bench_grid(cells: usize) -> ScenarioGrid {
     let base = ScenarioGrid::new()
         .effort(Effort::Fast)

@@ -32,7 +32,7 @@
 //! Mbit/s; `inflight_pkts` and the `inflight_hi`/`inflight_lo` signals
 //! are in packets (MSS units); `rtt_s`, `rtprop`, and `t` are in
 //! seconds; the `*_frac` link fields are fractions of buffer/capacity.
-//! The scalar fluid engine's signals (`x_dlv`, `loss`, and the model
+//! The fluid engine's signals (`x_dlv`, `loss`, and the model
 //! telemetry such as `x_btl` or `w_hi`) are in the fluid model's units:
 //! Mbit/s, Mbit, seconds, probabilities (`docs/OBSERVABILITY.md` lists
 //! them). Non-finite signal values (filter resets to ±∞) are never

@@ -63,7 +63,7 @@ pub struct TraceConfig {
     /// Record per-link queue/utilization samples.
     pub links: bool,
     /// Record CCA internals: the packet CCAs' state transitions and
-    /// estimator updates, and the scalar fluid model's per-flow signals
+    /// estimator updates, and the fluid model's per-flow signals
     /// (`x_dlv`, `loss`, and every `FluidCca::telemetry` value) on the
     /// sample grid.
     pub cca: bool,

@@ -76,10 +76,10 @@ fn main() {
     );
 
     // The same grid, fluid-only, on the two fluid execution strategies:
-    // the scalar per-cell engine vs the batched SoA engine that
-    // integrates every cell in lockstep (`bbr-fluidbatch`). The CSVs
+    // one `Simulator` per cell vs lockstep waves of many cells
+    // (`bbr-fluidbatch`). Both run the one fluid engine, so the CSVs
     // must agree byte for byte — batching is not allowed to change a
-    // single bit — while the batch path finishes several times faster.
+    // single bit.
     let scalar = grid.clone().backend(Backend::Fluid).run();
     let batched = grid.clone().backend(Backend::FluidBatch).run();
     assert_eq!(
