@@ -283,6 +283,41 @@ struct FlowFeedback {
     activity: ActivitySchedule,
 }
 
+impl FlowFeedback {
+    /// Delivery-rate estimate per Eq. (17), evaluated at the bottleneck
+    /// link of the flow's path.
+    ///
+    /// Two robustness refinements over the printed equation: (a) the
+    /// numerator is sampled one step deeper so that it refers to exactly
+    /// the epoch contained in the delayed arrival rate (the arrival-rate
+    /// history itself holds rates delayed by one step), preventing
+    /// one-sample share spikes at probing-pulse edges that the running
+    /// max filter would latch; (b) the share `x/y` is clamped to 1 — a
+    /// flow cannot contribute more than the whole arrival rate.
+    #[inline(always)]
+    fn delivery_rate<V: Lanes>(&self, arena: &[V], cur: usize) -> V {
+        let y_b = self.y_b.read(arena, cur).max(V::splat(1e-9));
+        let q_b = self.q_b.read(arena, cur);
+        let cap = self.bneck_cap;
+        let x_num = self.x_num.read(arena, cur);
+        let share = (x_num / y_b).min(V::splat(1.0));
+        let queued = q_b.gt(V::splat(1e-9)) | y_b.gt(V::splat(cap));
+        V::select(queued, share * cap, x_num)
+    }
+}
+
+/// Path loss feedback: the link loss probabilities along a flow's path
+/// (`lookups`, each delayed by its feedback delay), summed and clamped
+/// to a probability (Eq. (7)).
+#[inline(always)]
+fn path_loss<V: Lanes>(lookups: &[Lookup], arena: &[V], cur: usize) -> V {
+    let mut loss = V::splat(0.0);
+    for lk in lookups {
+        loss = loss + lk.read(arena, cur);
+    }
+    loss.clamp(0.0, 1.0)
+}
+
 /// Per-lane bookkeeping: where the lane's flows/links live in the flat
 /// arrays, its history geometry, and its private metrics stream.
 struct Lane<V> {
@@ -622,40 +657,6 @@ impl<A: LaneAgent> LockstepSim<A> {
         });
     }
 
-    /// Path loss feedback of flow `i`: the link loss probabilities along
-    /// its path, each delayed by its feedback delay, summed and clamped
-    /// to a probability (Eq. (7)).
-    #[inline(always)]
-    fn loss_feedback(&self, i: usize, cur: usize) -> A::V {
-        let mut loss = A::V::splat(0.0);
-        for lk in &self.lk_loss[self.path_range[i].clone()] {
-            loss = loss + lk.read(&self.arena, cur);
-        }
-        loss.clamp(0.0, 1.0)
-    }
-
-    /// Delivery-rate estimate of flow `i` per Eq. (17), evaluated at the
-    /// bottleneck link of its path.
-    ///
-    /// Two robustness refinements over the printed equation: (a) the
-    /// numerator is sampled one step deeper so that it refers to exactly
-    /// the epoch contained in the delayed arrival rate (the arrival-rate
-    /// history itself holds rates delayed by one step), preventing
-    /// one-sample share spikes at probing-pulse edges that the running
-    /// max filter would latch; (b) the share `x/y` is clamped to 1 — a
-    /// flow cannot contribute more than the whole arrival rate.
-    #[inline(always)]
-    fn delivery_rate(&self, i: usize, cur: usize) -> A::V {
-        let fb = &self.feedback[i];
-        let y_b = fb.y_b.read(&self.arena, cur).max(A::V::splat(1e-9));
-        let q_b = fb.q_b.read(&self.arena, cur);
-        let cap = fb.bneck_cap;
-        let x_num = fb.x_num.read(&self.arena, cur);
-        let share = (x_num / y_b).min(A::V::splat(1.0));
-        let queued = q_b.gt(A::V::splat(1e-9)) | y_b.gt(A::V::splat(cap));
-        A::V::select(queued, share * cap, x_num)
-    }
-
     /// Advance every still-active lane by one shared time step.
     fn step_once(&mut self) {
         let dt = self.cfg.dt;
@@ -731,14 +732,18 @@ impl<A: LaneAgent> LockstepSim<A> {
                 if !fb.activity.contains(step) {
                     continue;
                 }
+                let tau_fb = fb.tau_fb.read(&self.arena, cur);
+                let x_fb = fb.x_fb.read(&self.arena, cur);
+                let loss_fb =
+                    path_loss(&self.lk_loss[self.path_range[i].clone()], &self.arena, cur);
                 let inputs = AgentInputs {
                     t: self.t,
                     dt,
                     tau: self.tau[i],
-                    tau_fb: fb.tau_fb.read(&self.arena, cur),
-                    loss_fb: self.loss_feedback(i, cur),
-                    x_dlv: self.delivery_rate(i, cur),
-                    x_fb: fb.x_fb.read(&self.arena, cur),
+                    tau_fb,
+                    loss_fb,
+                    x_dlv: fb.delivery_rate(&self.arena, cur),
+                    x_fb,
                     x_cur: self.x[i],
                     prop_rtt: fb.prop_rtt,
                 };
@@ -836,8 +841,10 @@ impl<A: LaneAgent> LockstepSim<A> {
             let mut signals = Vec::new();
             for i in fr.clone() {
                 signals.clear();
-                signals.push(("x_dlv", self.delivery_rate(i, cur).lane(0)));
-                signals.push(("loss", self.loss_feedback(i, cur).lane(0)));
+                let lk_loss = &self.lk_loss[self.path_range[i].clone()];
+                let x_dlv = self.feedback[i].delivery_rate(&self.arena, cur);
+                signals.push(("x_dlv", x_dlv.lane(0)));
+                signals.push(("loss", path_loss(lk_loss, &self.arena, cur).lane(0)));
                 A::telemetry(&self.agents[i], &mut signals);
                 for &(signal, value) in signals.iter().filter(|(_, v)| v.is_finite()) {
                     rec.record(&TraceEvent::CcaSignal {
