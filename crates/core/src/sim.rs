@@ -808,8 +808,9 @@ impl<A: LaneAgent> LockstepSim<A> {
     /// only traced agent types hold a recorder), with lane-local flow and
     /// link indices. Pure reads of this step's flat state and of the same
     /// delayed feedback stage 6 is about to consume: recording cannot
-    /// change any result.
-    #[cold]
+    /// change any result. Inlined into the step loop: as an out-of-line
+    /// call it slowed untraced `f64` waves by about 5%.
+    #[inline(always)]
     fn sample(&self, rec: &Recorder, ln: usize, cur: usize) {
         let (fr, lr) = (self.lanes[ln].flows.clone(), self.lanes[ln].links.clone());
         let (cfg, t) = (rec.config(), self.t);
