@@ -5,15 +5,19 @@
 //! profile_batch [reps] [scalar|batch|simd]
 //! ```
 
-use bbr_experiments::sweep::{bench_grid, Backend};
+use bbr_experiments::sweep::{backend_named, bench_grid};
+use bbr_experiments::Effort;
+use bbr_fluid_core::backend::FluidBackend;
+use bbr_scenario::SimBackend;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let reps: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(3);
-    let backend = match args.get(1).map(String::as_str) {
-        None | Some("batch") => Backend::FluidBatch,
-        Some("scalar") => Backend::Fluid,
-        Some("simd") => Backend::FluidSimd,
+    let grid = bench_grid(96);
+    let backend: Box<dyn SimBackend> = match args.get(1).map(String::as_str) {
+        None | Some("batch") => backend_named("fluid", Effort::Fast, 1).unwrap(),
+        Some("scalar") => Box::new(FluidBackend::coarse()),
+        Some("simd") => backend_named("fluid-simd", Effort::Fast, 1).unwrap(),
         Some(other) => {
             eprintln!("unknown engine: {other} (expected scalar|batch|simd)");
             std::process::exit(2);
@@ -23,9 +27,9 @@ fn main() {
         .num_threads(1)
         .build_global()
         .unwrap();
-    let grid = bench_grid(96).backend(backend);
+    let backends = [backend];
     for _ in 0..reps {
-        let r = grid.run();
+        let r = grid.run_with(&backends);
         eprintln!("{:.1} cells/s", 96.0 / r.wall_seconds);
     }
 }

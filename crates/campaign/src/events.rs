@@ -9,9 +9,10 @@
 //! semantics, and campaign results never depend on it — deleting
 //! `events.jsonl` loses nothing but history.
 //!
-//! Concurrency: [`JsonlSink`] opens the file in append mode and writes
-//! each event as one `write_all` of a whole line, so concurrent worker
-//! processes interleave *lines*, never bytes within a line (the same
+//! Concurrency: [`JsonlSink`] appends through a [`JsonlFile`], which
+//! opens the file in append mode and writes each event as one
+//! `write_all` of a whole line, so concurrent worker processes
+//! interleave *lines*, never bytes within a line (the same
 //! O_APPEND discipline the shard files rely on). A reader must still
 //! tolerate a torn final line — a worker killed mid-append — which is
 //! what [`crate::tail::TailCursor`] does without ever mutating the
@@ -193,15 +194,37 @@ pub fn parse_event(line: &str) -> Result<Event, String> {
     }
 }
 
-/// A [`Sink`] appending events to a store's `events.jsonl` sidecar.
-///
-/// One `write_all` per event of the whole line (newline included), on a
-/// file opened with `O_APPEND`: concurrent worker processes of one
-/// campaign share the sidecar safely at line granularity. Write errors
-/// are swallowed — telemetry must never fail the computation it
-/// observes.
-pub struct JsonlSink {
+/// An append-only JSONL file under [`JsonlSink`] and the trace sink of
+/// `bbr_experiments::tracefmt`: opened with `O_APPEND`, one `write_all`
+/// per whole line, so concurrent writers (threads or processes)
+/// interleave lines, never bytes. Write errors are swallowed: a full
+/// disk must not kill the run an advisory sidecar observes.
+#[derive(Debug)]
+pub struct JsonlFile {
     file: Mutex<File>,
+}
+
+impl JsonlFile {
+    /// Open (creating if needed) `path` for appending.
+    pub fn append_to(path: &Path) -> std::io::Result<JsonlFile> {
+        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        Ok(JsonlFile {
+            file: Mutex::new(file),
+        })
+    }
+
+    /// Append `line` and a newline in one write.
+    pub fn write_line(&self, mut line: String) {
+        line.push('\n');
+        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        let _ = file.write_all(line.as_bytes());
+    }
+}
+
+/// A [`Sink`] appending events to a store's `events.jsonl` sidecar
+/// through a [`JsonlFile`].
+pub struct JsonlSink {
+    file: JsonlFile,
     path: PathBuf,
 }
 
@@ -212,15 +235,9 @@ impl JsonlSink {
         std::fs::create_dir_all(store_dir)
             .map_err(|e| format!("cannot create store dir {}: {e}", store_dir.display()))?;
         let path = events_path(store_dir);
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
+        let file = JsonlFile::append_to(&path)
             .map_err(|e| format!("cannot append to {}: {e}", path.display()))?;
-        Ok(Self {
-            file: Mutex::new(file),
-            path,
-        })
+        Ok(Self { file, path })
     }
 
     /// Path of the sidecar file this sink appends to.
@@ -231,12 +248,7 @@ impl JsonlSink {
 
 impl Sink for JsonlSink {
     fn record(&self, event: &Event) {
-        let mut line = event_to_line(event);
-        line.push('\n');
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        // Advisory by contract: a full disk or yanked directory must
-        // not kill the worker mid-shard.
-        let _ = file.write_all(line.as_bytes());
+        self.file.write_line(event_to_line(event));
     }
 }
 
@@ -334,6 +346,114 @@ mod tests {
         assert!(parse_event("{\"v\":\"telemetry/v1\",\"kind\":\"dance\"}").is_err());
         assert!(parse_event("{\"kind\":\"wave\"}").is_err());
         assert!(parse_event("not json").is_err());
+    }
+
+    /// One event of every kind: counts drawn from `counts` (each at most
+    /// `u32::MAX`, the cap `Json::as_usize` applies), floats from `bits`
+    /// (any `f64`: NaN, ±∞, −0.0 and subnormals included), the heartbeat
+    /// spec hash `hash`.
+    fn events_from(counts: &[u64], bits: &[u64], hash: u64) -> Vec<Event> {
+        let n = |k: usize| counts[k % counts.len()] as usize;
+        let x = |k: usize| f64::from_bits(bits[k % bits.len()]);
+        vec![
+            Event::ShardStart {
+                shard: n(0),
+                shards: n(1),
+                planned: n(2),
+                cached: n(3),
+            },
+            Event::Heartbeat {
+                shard: n(1),
+                shards: n(2),
+                computed: n(3),
+                planned: n(4),
+                cached: n(5),
+                wall_ms: x(0),
+                cells_per_sec: x(1),
+                spec_hash: hash,
+            },
+            Event::ShardDone {
+                shard: n(2),
+                shards: n(3),
+                computed: n(4),
+                cached: n(5),
+                wall_ms: x(2),
+                cells_per_sec: x(3),
+            },
+            Event::Wave {
+                lanes: n(4),
+                flows: n(5),
+                occupancy: x(4),
+                wall_ms: x(5),
+            },
+            Event::CampaignDone {
+                entries: n(6),
+                computed: n(0),
+                cached: n(1),
+                shards: n(2),
+                failed: n(3),
+                wall_ms: x(6),
+                cells_per_sec: x(0),
+            },
+        ]
+    }
+
+    /// Every kind at the extremes uniform draws almost never hit.
+    fn edge_events() -> Vec<Event> {
+        let counts = [0, u32::MAX as u64];
+        let bits = [f64::NAN, -0.0, f64::INFINITY, f64::NEG_INFINITY].map(f64::to_bits);
+        [0, u64::MAX]
+            .map(|hash| events_from(&counts, &bits, hash))
+            .concat()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn every_event_kind_round_trips_through_its_line(
+            counts in proptest::collection::vec(0u64..u32::MAX as u64 + 1, 7..8),
+            bits in proptest::collection::vec(0u64..u64::MAX, 7..8),
+            hash in 0u64..u64::MAX,
+        ) {
+            for event in events_from(&counts, &bits, hash).into_iter().chain(edge_events()) {
+                let line = event_to_line(&event);
+                let back = parse_event(&line).unwrap();
+                // Floats are written in their shortest round-trip form
+                // (non-finite ones as strings), so equal lines mean equal
+                // events, NaN and -0.0 included.
+                proptest::prop_assert_eq!(event_to_line(&back), line);
+            }
+        }
+
+        #[test]
+        fn hostile_lines_give_errors_not_panics(
+            noise in proptest::collection::vec(0u16..256, 0..160),
+            counts in proptest::collection::vec(0u64..u32::MAX as u64 + 1, 7..8),
+            bits in proptest::collection::vec(0u64..u64::MAX, 7..8),
+            hash in 0u64..u64::MAX,
+            at in 0usize..4096,
+            byte in 0u16..256,
+        ) {
+            // Arbitrary bytes: any outcome but a panic.
+            let noise: Vec<u8> = noise.iter().map(|&b| b as u8).collect();
+            let _ = parse_event(&String::from_utf8_lossy(&noise));
+            for event in events_from(&counts, &bits, hash) {
+                let line = event_to_line(&event);
+                // Every strict prefix (a torn final line) is an error.
+                for end in (0..line.len()).filter(|&i| line.is_char_boundary(i)) {
+                    proptest::prop_assert!(
+                        parse_event(&line[..end]).is_err(),
+                        "prefix {end} of {line} parsed"
+                    );
+                }
+                // One corrupted byte: any outcome but a panic.
+                let mut bytes = line.into_bytes();
+                let i = at % bytes.len();
+                bytes[i] = byte as u8;
+                let _ = parse_event(&String::from_utf8_lossy(&bytes));
+            }
+        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub mod shard;
 pub mod store;
 pub mod tail;
 
-pub use events::{event_to_line, events_path, parse_event, JsonlSink, EVENTS_FILE};
+pub use events::{event_to_line, events_path, parse_event, JsonlFile, JsonlSink, EVENTS_FILE};
 pub use plan::{BackendSel, CampaignPlan, PlannedCell, PLAN_FILE};
 pub use runner::{
     maybe_worker, planned_entries, run_sharded, run_worker, BackendFactory, CampaignSummary,

@@ -37,7 +37,7 @@
 //! interpolation arithmetic on the two retained samples is the same.
 
 use bbr_scenario::{FlowWindow, ScenarioSpec};
-use bbr_trace::{Recorder, TraceEvent};
+use bbr_telemetry::trace::{Recorder, TraceEvent};
 
 use crate::backend::{agents_for_spec, network_for_spec};
 use crate::cca::{AgentInputs, AnyCca};
@@ -422,7 +422,7 @@ impl<A: LaneAgent> LockstepSim<A> {
     fn with_capacity(cfg: ModelConfig, flows: usize, lanes: usize) -> Self {
         let links = flows + 2 * lanes;
         let recorder = if A::TRACED {
-            bbr_trace::installed()
+            bbr_telemetry::trace::installed()
         } else {
             None
         };
@@ -985,11 +985,12 @@ mod tests {
     use super::*;
     use crate::cca::{build_any, CcaKind, ScenarioHint};
     use crate::topology::{dumbbell, QdiscKind};
-    use bbr_trace::{MemorySink, TraceConfig};
+    use bbr_telemetry::trace::TraceConfig;
+    use bbr_telemetry::MemorySink;
     use std::sync::Arc;
 
     /// Attach an in-memory recorder sampling every `stride` steps.
-    fn record_every(sim: &mut Simulator, stride: usize) -> Arc<MemorySink> {
+    fn record_every(sim: &mut Simulator, stride: usize) -> Arc<MemorySink<TraceEvent>> {
         let sink = Arc::new(MemorySink::new());
         let interval = stride as f64 * sim.0.cfg.dt;
         sim.record(Recorder::new(

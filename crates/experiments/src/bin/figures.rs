@@ -4,7 +4,7 @@
 //! figures <id>... [--fast] [--out DIR]
 //! figures all [--fast]
 //! figures sweep [--fast] [--threads N]
-//!               [--backend fluid|fluid-batch|fluid-simd|packet|both]
+//!               [--backend fluid|fluid-simd|packet|both]
 //!               [--topology dumbbell|parking|chain|both|all] [--churn]
 //!               [--cca MIX] [--out DIR]
 //! figures campaign [--fast] [--shards N] [--store DIR] [--resume]
@@ -14,7 +14,7 @@
 //! figures simd-check
 //! figures drift [--fast] [--threads N] [--out FILE] [--trace]
 //! figures universe [--cells N] [--seed N] [--threads N]
-//!                  [--backend fluid|fluid-batch|fluid-simd|packet|both]
+//!                  [--backend fluid|fluid-simd|packet|both]
 //!                  [--out DIR]
 //! figures trace [--topology dumbbell|parking|chain] [--cca MIX]
 //!               [--flows N] [--buffer BDP] [--qdisc droptail|red]
@@ -52,23 +52,27 @@ use bbr_fluid_core::topology::QdiscKind;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Campaign-wide tracing: when `BBR_TRACE_DIR` names a directory,
-    // this process appends `trace/v1` lines to `<dir>/trace.jsonl` for
-    // its whole lifetime. Installed before the worker dispatch below so
+    // this process installs a recorder appending `trace/v1` lines to
+    // `<dir>/trace.jsonl`. Installed before the worker dispatch below so
     // re-exec'd campaign workers (which inherit the env var) record
-    // too. Strictly advisory: outcomes, store bytes, and cache keys are
-    // unchanged whether the recorder is installed or not (CI diffs a
-    // traced campaign's store against an untraced one byte for byte).
+    // too. It does not cover every subcommand: `trace` and
+    // `drift --trace` install their own recorder, which replaces this
+    // one, and dropping their guard leaves none installed, so nothing
+    // of theirs reaches `trace.jsonl`. Strictly advisory: outcomes,
+    // store bytes, and cache keys are unchanged whether the recorder is
+    // installed or not (CI diffs a traced campaign's store against an
+    // untraced one byte for byte).
     if let Ok(dir) = std::env::var("BBR_TRACE_DIR") {
         let dir = PathBuf::from(dir);
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join(bbr_experiments::tracefmt::TRACE_FILE);
         match bbr_experiments::tracefmt::JsonlTraceSink::append_to(&path) {
             Ok(sink) => {
-                let guard = bbr_trace::install(
-                    bbr_trace::TraceConfig::default(),
+                let guard = bbr_telemetry::trace::install(
+                    bbr_telemetry::trace::TraceConfig::default(),
                     std::sync::Arc::new(sink),
                 );
-                // Process-lifetime recording: never uninstalled.
+                // Never uninstalled here; only another install ends it.
                 std::mem::forget(guard);
             }
             Err(e) => eprintln!("trace: cannot open {}: {e} (not recording)", path.display()),
@@ -227,14 +231,11 @@ fn parse_topologies(args: &[String], default: Vec<TopologyKind>) -> Vec<Topology
 fn parse_backend(args: &[String]) -> Backend {
     match flag_value(args, "--backend") {
         Some("fluid") => Backend::Fluid,
-        Some("fluid-batch") => Backend::FluidBatch,
         Some("fluid-simd") => Backend::FluidSimd,
         Some("packet") => Backend::Packet,
         Some("both") | None => Backend::Both,
         Some(other) => {
-            eprintln!(
-                "unknown backend: {other} (expected fluid|fluid-batch|fluid-simd|packet|both)"
-            );
+            eprintln!("unknown backend: {other} (expected fluid|fluid-simd|packet|both)");
             std::process::exit(2);
         }
     }
@@ -431,7 +432,7 @@ fn run_trace(args: &[String]) {
             std::process::exit(2);
         }
     };
-    let interval = parse_f64("--interval", bbr_trace::DEFAULT_INTERVAL);
+    let interval = parse_f64("--interval", bbr_telemetry::trace::DEFAULT_INTERVAL);
     let seed: u64 = match flag_value(args, "--seed").map(str::parse) {
         None => 1889,
         Some(Ok(s)) => s,
@@ -477,12 +478,12 @@ fn run_trace(args: &[String]) {
             std::process::exit(2);
         }
     };
-    let sink = std::sync::Arc::new(bbr_trace::MemorySink::new());
+    let sink = std::sync::Arc::new(bbr_telemetry::MemorySink::new());
     let outcome = {
-        let _guard = bbr_trace::install(
-            bbr_trace::TraceConfig {
+        let _guard = bbr_telemetry::trace::install(
+            bbr_telemetry::trace::TraceConfig {
                 interval,
-                ..bbr_trace::TraceConfig::default()
+                ..bbr_telemetry::trace::TraceConfig::default()
             },
             sink.clone(),
         );

@@ -10,39 +10,34 @@
 //! `main`.
 
 use bbr_campaign::{BackendFactory, BackendSel, CampaignPlan};
-use bbr_fluidbatch::{BatchedFluidBackend, SimdFluidBackend};
-use bbr_packetsim::backend::PacketBackend;
 use bbr_scenario::SimBackend;
 
-use crate::aggregate::{buffer_sizes, model_config};
+use crate::aggregate::buffer_sizes;
 use crate::scenarios::{CampaignParams, COMBOS};
-use crate::sweep::{Backend, ScenarioGrid, TopologyKind};
+use crate::sweep::{backend_named, Backend, ScenarioGrid, TopologyKind};
 use crate::Effort;
 
 /// The backend factory of this workspace's campaign hosts: plan
-/// selectors name the built-in backends (`"fluid"`, `"packet"`), and
-/// the plan's effort tag picks the fluid integration step. Packet
-/// backends are built with `runs = 1` — campaigns persist every
-/// repetition under its own `run_index` key and average at read time.
+/// selectors name store columns (`"fluid"`, `"fluid-simd"`,
+/// `"packet"`), [`backend_named`] builds each, and the plan's effort tag
+/// picks the fluid integration step. Packet backends are built with
+/// `runs = 1` — campaigns persist every repetition under its own
+/// `run_index` key and average at read time.
 ///
-/// `"fluid"` is served by the batched SoA integrator
-/// ([`BatchedFluidBackend`]): campaign workers hand it their whole
-/// shard in one lockstep batch, and since its outcomes are
-/// byte-identical to the scalar `FluidBackend`, stores written by
-/// either engine (including every pre-existing store) remain
-/// interchangeable. `"fluid-simd"` is the packed vector engine
+/// `"fluid"` is served by the lockstep waves ([`BatchedFluidBackend`]):
+/// campaign workers hand it their whole shard in one batch, and since
+/// its outcomes are byte-identical to the per-cell `FluidBackend`,
+/// stores written by either engine (including every pre-existing store)
+/// remain interchangeable. `"fluid-simd"` is the packed vector engine
 /// ([`SimdFluidBackend`]) — a *distinct* store column, because its
 /// transcendental kernels are tolerance-bound rather than byte-bound
 /// (see `docs/ARCHITECTURE.md`), so its records never mix with
 /// `"fluid"` ones.
+///
+/// [`BatchedFluidBackend`]: bbr_fluidbatch::BatchedFluidBackend
+/// [`SimdFluidBackend`]: bbr_fluidbatch::SimdFluidBackend
 pub fn build_backend(plan: &CampaignPlan, sel: &BackendSel) -> Option<Box<dyn SimBackend>> {
-    let effort = Effort::from_tag(&plan.effort)?;
-    match sel.name.as_str() {
-        "fluid" => Some(Box::new(BatchedFluidBackend::new(model_config(effort)))),
-        "fluid-simd" => Some(Box::new(SimdFluidBackend::new(model_config(effort)))),
-        "packet" => Some(Box::new(PacketBackend::new(1))),
-        _ => None,
-    }
+    backend_named(&sel.name, Effort::from_tag(&plan.effort)?, 1)
 }
 
 /// Worker-mode entry point for host binaries (see

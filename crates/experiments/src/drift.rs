@@ -28,7 +28,8 @@ use bbr_campaign::json::Json;
 use bbr_fluid_core::backend::FluidBackend;
 use bbr_packetsim::backend::PacketBackend;
 use bbr_scenario::{QdiscKind, ScenarioSpec, SimBackend};
-use bbr_trace::{MemorySink, TraceConfig};
+use bbr_telemetry::trace::TraceConfig;
+use bbr_telemetry::MemorySink;
 
 /// Utilization tolerance (percentage points) the consistency suite
 /// allows: [`CONSISTENCY`]`.util_pp`.
@@ -305,7 +306,7 @@ fn record_cell(
 ) -> CellTrace {
     let sink = Arc::new(MemorySink::new());
     {
-        let _guard = bbr_trace::install(
+        let _guard = bbr_telemetry::trace::install(
             TraceConfig {
                 interval,
                 ..TraceConfig::default()
@@ -421,7 +422,7 @@ pub fn run_trace_audit(effort: Effort) -> TraceAudit {
     let grid = drift_grid(effort);
     let fluid = FluidBackend::new(model_config(effort));
     let packet = PacketBackend::new(1);
-    let interval = bbr_trace::DEFAULT_INTERVAL;
+    let interval = bbr_telemetry::trace::DEFAULT_INTERVAL;
     let mut cells = Vec::new();
     for pt in grid.points() {
         let spec = grid.spec_for(&pt);

@@ -12,7 +12,8 @@ use bbr_fluid_core::prelude::*;
 use bbr_packetsim::backend::path_network_for_spec;
 use bbr_packetsim::engine::SimConfig;
 use bbr_packetsim::path::run_path;
-use bbr_trace::{MemorySink, Recorder, TraceConfig};
+use bbr_telemetry::trace::{Recorder, TraceConfig};
+use bbr_telemetry::MemorySink;
 
 use crate::figures::FigureOutput;
 use crate::table;

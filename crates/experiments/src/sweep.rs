@@ -36,7 +36,6 @@
 use std::time::Instant;
 
 use bbr_campaign::{BackendSel, CampaignPlan, CellKey, PlannedCell, ResultStore};
-use bbr_fluid_core::backend::FluidBackend;
 use bbr_fluidbatch::{BatchedFluidBackend, SimdFluidBackend};
 use bbr_packetsim::backend::PacketBackend;
 use bbr_scenario::{
@@ -50,19 +49,17 @@ use crate::table;
 use crate::Effort;
 
 /// Which simulator(s) evaluate each grid point. This is only a
-/// *selector*: it chooses which [`SimBackend`] trait objects the run
-/// constructs, and everything downstream is backend-generic.
+/// *selector*: it names the store columns a run fills, and
+/// [`backend_named`] turns each column into its [`SimBackend`] trait
+/// object; everything downstream is backend-generic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Fluid model only (fast; the paper's "Model" columns), integrated
-    /// one cell at a time, each a one-lane `Simulator`.
+    /// Fluid model only (fast; the paper's "Model" columns): every cell
+    /// of the grid one `f64` lane of the lockstep engine
+    /// (`bbr-fluidbatch`'s waves). The per-cell `FluidBackend` returns
+    /// the same bits; pass it to [`ScenarioGrid::run_with`] to run cells
+    /// one at a time.
     Fluid,
-    /// Fluid model only, every cell of the grid one `f64` lane of the
-    /// same lockstep engine (`bbr-fluidbatch`'s waves). Outcomes (and
-    /// therefore reports, CSVs, and store records) are byte-identical
-    /// to [`Backend::Fluid`] — this selects an execution strategy, not a
-    /// different model — so the column is still named `"fluid"`.
-    FluidBatch,
     /// Fluid model only, integrated by the SIMD-packed engine
     /// (`bbr-fluidbatch`'s `SimdFluidBackend`): scenarios with the same
     /// structure advance four-per-vector-lane through packed-`f64`
@@ -75,8 +72,35 @@ pub enum Backend {
     /// Packet-level simulator only (the paper's "Experiment" columns).
     Packet,
     /// Both models, for model-vs-experiment comparison tables (fluid on
-    /// the batched engine — identical numbers, faster sweeps).
+    /// the lockstep waves, as [`Backend::Fluid`]).
     Both,
+}
+
+impl Backend {
+    /// The store columns this selector fills, fluid before packet.
+    pub(crate) fn columns(self) -> &'static [&'static str] {
+        match self {
+            Backend::Fluid => &["fluid"],
+            Backend::FluidSimd => &["fluid-simd"],
+            Backend::Packet => &["packet"],
+            Backend::Both => &["fluid", "packet"],
+        }
+    }
+}
+
+/// The engine serving store column `name` — the one place a column name
+/// becomes an engine, for sweeps, universes and campaigns. `"fluid"` is
+/// the lockstep `f64` waves ([`BatchedFluidBackend`]), `"fluid-simd"`
+/// the `F64x4` packs ([`SimdFluidBackend`]), both integrating at
+/// `effort`'s step; `"packet"` is the packet simulator averaging `runs`
+/// seeds per evaluation. `None` for any other name.
+pub fn backend_named(name: &str, effort: Effort, runs: usize) -> Option<Box<dyn SimBackend>> {
+    match name {
+        "fluid" => Some(Box::new(BatchedFluidBackend::new(model_config(effort)))),
+        "fluid-simd" => Some(Box::new(SimdFluidBackend::new(model_config(effort)))),
+        "packet" => Some(Box::new(PacketBackend::new(runs))),
+        _ => None,
+    }
 }
 
 /// Topology family of a grid cell.
@@ -580,21 +604,11 @@ impl ScenarioGrid {
 
     /// The trait objects the [`Backend`] selector stands for.
     fn backends(&self) -> Vec<Box<dyn SimBackend>> {
-        let mut backends: Vec<Box<dyn SimBackend>> = Vec::new();
-        match self.backend {
-            Backend::Fluid => backends.push(Box::new(FluidBackend::new(model_config(self.effort)))),
-            Backend::FluidBatch | Backend::Both => backends.push(Box::new(
-                BatchedFluidBackend::new(model_config(self.effort)),
-            )),
-            Backend::FluidSimd => {
-                backends.push(Box::new(SimdFluidBackend::new(model_config(self.effort))))
-            }
-            Backend::Packet => {}
-        }
-        if matches!(self.backend, Backend::Packet | Backend::Both) {
-            backends.push(Box::new(PacketBackend::new(self.runs)));
-        }
-        backends
+        self.backend
+            .columns()
+            .iter()
+            .map(|name| backend_named(name, self.effort, self.runs).expect("built-in column"))
+            .collect()
     }
 
     /// The same selector as *unit* backends — one engine run per
@@ -603,27 +617,18 @@ impl ScenarioGrid {
     /// key; averaging the stored repetitions with [`RunOutcome::average`]
     /// reproduces the internally-averaging backends of
     /// [`ScenarioGrid::backends`] bit for bit (same seeds via
-    /// [`run_seed`], same averaging arithmetic).
+    /// [`run_seed`], same averaging arithmetic). The fluid engines ignore
+    /// their seed, so they store one repetition.
     fn backend_plan(&self) -> Vec<(Box<dyn SimBackend>, u32)> {
-        let mut plan: Vec<(Box<dyn SimBackend>, u32)> = Vec::new();
-        match self.backend {
-            Backend::Fluid => {
-                plan.push((Box::new(FluidBackend::new(model_config(self.effort))), 1))
-            }
-            Backend::FluidBatch | Backend::Both => plan.push((
-                Box::new(BatchedFluidBackend::new(model_config(self.effort))),
-                1,
-            )),
-            Backend::FluidSimd => plan.push((
-                Box::new(SimdFluidBackend::new(model_config(self.effort))),
-                1,
-            )),
-            Backend::Packet => {}
-        }
-        if matches!(self.backend, Backend::Packet | Backend::Both) {
-            plan.push((Box::new(PacketBackend::new(1)), self.runs as u32));
-        }
-        plan
+        self.backend
+            .columns()
+            .iter()
+            .map(|&name| {
+                let backend = backend_named(name, self.effort, 1).expect("built-in column");
+                let stored = if name == "packet" { self.runs } else { 1 };
+                (backend, stored as u32)
+            })
+            .collect()
     }
 
     /// Evaluate the whole grid in parallel across all available cores

@@ -1,15 +1,16 @@
 //! The `trace/v1` wire format and trace post-processing.
 //!
-//! `bbr-trace` deliberately stops at typed [`TraceEvent`]s — this module
-//! is the serialization and analysis half of the flight recorder:
+//! `bbr_telemetry::trace` deliberately stops at typed [`TraceEvent`]s —
+//! this module is the serialization and analysis half of the flight
+//! recorder:
 //!
 //! * [`TraceRecord`] / [`TraceRecord::to_line`] / [`TraceRecord::parse_line`]
 //!   — the hand-rolled JSONL encoding (`trace/v1`), one object per line,
 //!   following the same no-serde discipline as `bbr_campaign::json` (the
 //!   shortest-round-trip float writer, so parsed values are bit-exact);
-//! * [`JsonlTraceSink`] — an appending file sink with the same
-//!   one-`write`-per-line, swallow-own-errors contract as the telemetry
-//!   `JsonlSink` (recording never fails the run it observes);
+//! * [`JsonlTraceSink`] — an appending file sink on the telemetry
+//!   `JsonlSink`'s appender ([`JsonlFile`]): one `write` per line, its
+//!   own errors swallowed (recording never fails the run it observes);
 //! * [`CellTrace`] — per-flow/per-link series assembled from a recorded
 //!   event stream, the input to sparkline rendering, CSV export, the
 //!   paper's trace figures (`crate::figures::traces`), and the
@@ -38,20 +39,19 @@
 //! them). Non-finite signal values (filter resets to ±∞) are never
 //! emitted — consumers infer resets from the surrounding `phase` events.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::Path;
-use std::sync::Mutex;
 
 use bbr_campaign::json::Json;
-use bbr_trace::{TraceEvent, TraceSink};
+use bbr_campaign::JsonlFile;
+use bbr_telemetry::trace::TraceEvent;
+use bbr_telemetry::Sink;
 
-/// Wire-schema tag (re-exported from `bbr-trace` so both halves cannot
-/// drift apart).
-pub const SCHEMA: &str = bbr_trace::SCHEMA;
+/// Wire-schema tag (re-exported from `bbr_telemetry::trace` so both
+/// halves cannot drift apart).
+pub const SCHEMA: &str = bbr_telemetry::trace::SCHEMA;
 
-/// Default file name of a campaign's interleaved trace stream (next to
-/// `telemetry.jsonl` in the directory `BBR_TRACE_DIR` names).
+/// Default file name of a campaign's interleaved trace stream (in the
+/// directory `BBR_TRACE_DIR` names).
 pub const TRACE_FILE: &str = "trace.jsonl";
 
 /// One `trace/v1` line: a [`TraceEvent`] with owned strings, plus the
@@ -360,37 +360,26 @@ impl TraceRecord {
     }
 }
 
-/// A [`TraceSink`] appending `trace/v1` lines to a file.
-///
-/// Same discipline as the telemetry `JsonlSink`: the file is opened in
-/// append mode, each record is written as exactly one `write` call of
-/// one line, and I/O errors are swallowed (a full disk degrades the
-/// trace, never the simulation producing it). Campaign workers writing
-/// to the same file interleave whole lines, not bytes.
-pub struct JsonlTraceSink {
-    file: Mutex<File>,
-}
+/// A [`Sink`] appending `trace/v1` lines to a file through
+/// [`JsonlFile`]: campaign workers writing to the same file interleave
+/// whole lines, and a full disk degrades the trace, never the
+/// simulation producing it.
+pub struct JsonlTraceSink(JsonlFile);
 
 impl JsonlTraceSink {
     /// Open (creating if needed) `path` for appending trace lines.
     pub fn append_to(path: &Path) -> std::io::Result<JsonlTraceSink> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(JsonlTraceSink {
-            file: Mutex::new(file),
-        })
+        JsonlFile::append_to(path).map(JsonlTraceSink)
     }
 
     /// Write one record (used for [`TraceRecord::Header`], which has no
     /// [`TraceEvent`] counterpart).
     pub fn write_record(&self, record: &TraceRecord) {
-        let mut line = record.to_line();
-        line.push('\n');
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = file.write_all(line.as_bytes());
+        self.0.write_line(record.to_line());
     }
 }
 
-impl TraceSink for JsonlTraceSink {
+impl Sink<TraceEvent> for JsonlTraceSink {
     fn record(&self, event: &TraceEvent) {
         self.write_record(&TraceRecord::from_event(event));
     }

@@ -23,14 +23,12 @@
 use std::time::Instant;
 
 use bbr_campaign::json::Json;
-use bbr_fluidbatch::{BatchedFluidBackend, SimdFluidBackend};
-use bbr_packetsim::backend::PacketBackend;
 use bbr_scenario::universe::{generate_universe, GeneratedScenario};
 use bbr_scenario::{ScenarioSpec, SimBackend, Topology};
 
-use crate::aggregate::{model_config, CellMetrics};
+use crate::aggregate::CellMetrics;
 use crate::compare::{self, run_column, Delta, UNIVERSE};
-use crate::sweep::{mix_seed, Backend};
+use crate::sweep::{backend_named, mix_seed, Backend};
 use crate::table;
 use crate::Effort;
 
@@ -91,10 +89,9 @@ pub struct UniverseReport {
 /// Generate the `cells`-cell universe seeded by `seed` and sweep it on
 /// the selected backend(s). `Backend::Both` produces the full
 /// divergence report; single-backend selections fill only that column
-/// (no deltas). The fluid selections all report under the `"fluid"`
-/// column via the batched engine (byte-identical to the scalar one by
-/// contract), except `Backend::FluidSimd`, which runs the packed engine
-/// under its tolerance-bound `"fluid-simd"` name.
+/// (no deltas). Each column runs on the engine [`backend_named`] picks:
+/// `"fluid"` on the lockstep waves, `"fluid-simd"` on the packed engine
+/// under its tolerance-bound name.
 pub fn run_universe(seed: u64, cells: usize, effort: Effort, backend: Backend) -> UniverseReport {
     let t0 = Instant::now();
     let universe = generate_universe(seed, cells);
@@ -105,17 +102,10 @@ pub fn run_universe(seed: u64, cells: usize, effort: Effort, backend: Backend) -
             (c.spec.clone(), cell_seed)
         })
         .collect();
-    let fluid_backend: Option<Box<dyn SimBackend>> = match backend {
-        Backend::Fluid | Backend::FluidBatch | Backend::Both => {
-            Some(Box::new(BatchedFluidBackend::new(model_config(effort))))
-        }
-        Backend::FluidSimd => Some(Box::new(SimdFluidBackend::new(model_config(effort)))),
-        Backend::Packet => None,
-    };
-    let packet_backend: Option<Box<dyn SimBackend>> = match backend {
-        Backend::Packet | Backend::Both => Some(Box::new(PacketBackend::new(1))),
-        _ => None,
-    };
+    let columns = backend.columns();
+    let engine = |name: &str| backend_named(name, effort, 1).expect("built-in column");
+    let fluid_backend = columns.iter().find(|n| **n != "packet").map(|n| engine(n));
+    let packet_backend = columns.contains(&"packet").then(|| engine("packet"));
     let jobs: Vec<(&ScenarioSpec, u64)> = tasks.iter().map(|(spec, seed)| (spec, *seed)).collect();
     let column = |b: &dyn SimBackend| run_column(b, &jobs, |o| CellMetrics::from(&o));
     let fluid_col = fluid_backend.as_deref().map(column);

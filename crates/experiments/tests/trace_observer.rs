@@ -1,4 +1,4 @@
-//! Observer-effect tests for the `bbr-trace` flight recorder.
+//! Observer-effect tests for the `bbr_telemetry::trace` flight recorder.
 //!
 //! The recorder's contract (see `docs/OBSERVABILITY.md`) is that it is
 //! strictly advisory: installing a sink must never change what any
@@ -19,7 +19,8 @@ use bbr_fluid_core::backend::FluidBackend;
 use bbr_fluidbatch::{BatchedFluidBackend, SimdFluidBackend};
 use bbr_packetsim::backend::PacketBackend;
 use bbr_scenario::{CcaKind, QdiscKind, ScenarioSpec, SimBackend};
-use bbr_trace::{install, MemorySink, TraceConfig};
+use bbr_telemetry::trace::{install, TraceConfig};
+use bbr_telemetry::MemorySink;
 use proptest::prelude::*;
 
 /// The trace recorder is process-global, so every test that installs

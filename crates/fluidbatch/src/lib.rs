@@ -337,14 +337,8 @@ mod tests {
 
     #[test]
     fn waves_emit_telemetry_when_a_sink_listens() {
-        struct Capture(std::sync::Mutex<Vec<bbr_telemetry::Event>>);
-        impl bbr_telemetry::Sink for Capture {
-            fn record(&self, event: &bbr_telemetry::Event) {
-                self.0.lock().unwrap().push(event.clone());
-            }
-        }
         let _serial = telemetry_serial();
-        let capture = std::sync::Arc::new(Capture(std::sync::Mutex::new(Vec::new())));
+        let capture = std::sync::Arc::new(bbr_telemetry::MemorySink::new());
         let specs = specs();
         let jobs: Vec<(&ScenarioSpec, u64)> = specs.iter().map(|s| (s, 0)).collect();
         let without_sink = BatchedFluidBackend::coarse().run_batch(&jobs);
@@ -354,7 +348,7 @@ mod tests {
         };
         // Instrumentation is observation only: identical outcomes.
         assert_eq!(without_sink, with_sink);
-        let events = capture.0.lock().unwrap();
+        let events = capture.take();
         let mut lanes = 0;
         let mut flows = 0;
         for ev in events.iter() {

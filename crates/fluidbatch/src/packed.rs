@@ -873,12 +873,6 @@ mod tests {
 
     #[test]
     fn packs_emit_wave_telemetry_with_occupancy() {
-        struct Capture(std::sync::Mutex<Vec<bbr_telemetry::Event>>);
-        impl bbr_telemetry::Sink for Capture {
-            fn record(&self, event: &bbr_telemetry::Event) {
-                self.0.lock().unwrap().push(event.clone());
-            }
-        }
         let _serial = crate::telemetry_serial();
         // Three buffer variants of one structural shape: one ragged
         // pack of 3 members out of LANES = 4 slots.
@@ -891,7 +885,7 @@ mod tests {
             })
             .collect();
         let jobs: Vec<(&ScenarioSpec, u64)> = specs.iter().map(|s| (s, 0)).collect();
-        let capture = std::sync::Arc::new(Capture(std::sync::Mutex::new(Vec::new())));
+        let capture = std::sync::Arc::new(bbr_telemetry::MemorySink::new());
         let without_sink = SimdFluidBackend::coarse().run_batch(&jobs);
         let with_sink = {
             let _guard = bbr_telemetry::install(capture.clone());
@@ -899,8 +893,8 @@ mod tests {
         };
         // Instrumentation is observation only: identical outcomes.
         assert_eq!(without_sink, with_sink);
-        let events = capture.0.lock().unwrap();
-        let waves: Vec<_> = events
+        let waves: Vec<_> = capture
+            .take()
             .iter()
             .filter_map(|ev| match ev {
                 bbr_telemetry::Event::Wave {

@@ -9,7 +9,8 @@ use std::sync::Arc;
 
 use bbr_packetsim::engine::SimConfig;
 use bbr_packetsim::prelude::*;
-use bbr_trace::{MemorySink, Recorder, TraceConfig, TraceEvent};
+use bbr_telemetry::trace::{Recorder, TraceConfig, TraceEvent};
+use bbr_telemetry::MemorySink;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

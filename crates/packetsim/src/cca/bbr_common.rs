@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 
-use bbr_trace::{Recorder, TraceEvent};
+use bbr_telemetry::trace::{Recorder, TraceEvent};
 
 /// The recorder a BBR state machine reports its phase transitions and
 /// estimator updates to, labelled with the controller's flow index.

@@ -4,7 +4,7 @@
 //! a windowed-max bottleneck-bandwidth filter, a 10 s windowed-min
 //! RTprop filter, and the 2×BDP congestion window. Loss-insensitive.
 
-use bbr_trace::Recorder;
+use bbr_telemetry::trace::Recorder;
 
 use crate::cca::bbr_common::CcaTrace;
 use crate::cca::{CcaKind, PacketCca, RateSample, WindowedMax};

@@ -9,7 +9,7 @@
 //! `inflight_lo`, which starts from the window at the moment of loss and
 //! is β-reduced per loss event. ProbeRTT halves the window to BDP/2.
 
-use bbr_trace::Recorder;
+use bbr_telemetry::trace::Recorder;
 
 use crate::cca::bbr_common::CcaTrace;
 use crate::cca::{CcaKind, PacketCca, RateSample};

@@ -28,7 +28,7 @@
 //! behaviour, and the `figures drift` audit quantifies where the fluid
 //! abstraction departs from each tier.
 
-use bbr_trace::Recorder;
+use bbr_telemetry::trace::Recorder;
 
 use crate::cca::bbr_common::{CcaTrace, WindowedMax, WindowedMin};
 use crate::cca::{CcaKind, PacketCca, RateSample};

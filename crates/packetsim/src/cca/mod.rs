@@ -25,7 +25,7 @@ pub use reno::RenoPkt;
 // scenario layer; only the packet-level state machines live here.
 pub use bbr_scenario::CcaKind;
 
-use bbr_trace::Recorder;
+use bbr_telemetry::trace::Recorder;
 
 /// Per-ACK sample handed to the CCA.
 #[derive(Debug, Clone, Copy)]

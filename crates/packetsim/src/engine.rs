@@ -4,7 +4,7 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use bbr_trace::{Recorder, TraceEvent};
+use bbr_telemetry::trace::{Recorder, TraceEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -374,7 +374,7 @@ impl Engine {
         bottleneck: usize,
     ) -> Self {
         let rng = StdRng::seed_from_u64(cfg.seed);
-        cfg.recorder = cfg.recorder.or_else(bbr_trace::installed);
+        cfg.recorder = cfg.recorder.or_else(bbr_telemetry::trace::installed);
         // Hand every controller the recorder, labelled with its flow
         // index. Advisory: it feeds only trace events, never a control
         // decision.
@@ -929,7 +929,8 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::cca::{build, CcaKind};
-    use bbr_trace::{MemorySink, TraceConfig};
+    use bbr_telemetry::trace::TraceConfig;
+    use bbr_telemetry::MemorySink;
     use std::sync::Arc;
 
     fn one_flow_engine(kind: CcaKind, rate_mbps: f64, buffer_bytes: f64) -> Engine {

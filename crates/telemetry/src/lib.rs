@@ -1,16 +1,19 @@
-//! Zero-dependency telemetry hooks for long-running campaigns.
+//! Zero-dependency observability hooks, one mechanism for two event
+//! families:
 //!
-//! A campaign at production sweep scale is a service, and services need
-//! in-flight observability: which shard is slow, how many cells/sec the
-//! fleet sustains, whether a resume is actually hitting the cache. This
-//! crate is the *emission* half of that story — typed [`Event`]s, a
-//! pluggable [`Sink`], and a process-global hook with a no-op fast
-//! path — deliberately free of any I/O or serialization so that leaf
-//! crates (the batched fluid integrator, the campaign runner) can
-//! depend on it without pulling in file formats. The JSONL sidecar
-//! encoding and the read-only tailer live in `bbr-campaign`
-//! (`events`/`tail` modules); the rendering lives in `bbr-experiments`
-//! (`figures watch`).
+//! * campaign telemetry — [`Event`]s at the crate root: which shard is
+//!   slow, how many cells/sec the fleet sustains, whether a resume hits
+//!   the cache. The JSONL sidecar and its tailer live in `bbr-campaign`
+//!   (`events`/`tail`), the rendering in `bbr-experiments` (`figures
+//!   watch`);
+//! * the per-flow flight recorder — [`trace`]: the engines' time-resolved
+//!   samples, encoded and analysed by `bbr_experiments::tracefmt`.
+//!
+//! Both record through the one [`Sink`] trait, and [`MemorySink`]
+//! captures either. Each family has its own process-global slot
+//! ([`install`], [`trace::install`]): installing replaces what that slot
+//! held, and dropping the returned [`Guard`] empties that slot and no
+//! other. The crate does no I/O, so every engine crate can depend on it.
 //!
 //! # Cost model
 //!
@@ -45,7 +48,9 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
+
+pub mod trace;
 
 /// Wire-schema tag carried by every serialized event line.
 pub const SCHEMA: &str = "telemetry/v1";
@@ -151,40 +156,129 @@ impl Event {
     }
 }
 
-/// Destination for emitted events.
+/// Destination for emitted events of one family: campaign [`Event`]s
+/// (the default) or the flight recorder's [`trace::TraceEvent`]s.
 ///
-/// Implementations must be cheap and non-blocking in spirit: `record`
-/// is called from worker hot paths (between batch chunks, after each
-/// integrator wave). The store sidecar sink in `bbr-campaign` does one
-/// `write_all` of a whole line per event, which keeps concurrent
-/// multi-process appends atomic per line.
-pub trait Sink: Send + Sync {
-    /// Record one event. Errors are the sink's problem — telemetry is
+/// `record` is called from hot paths (after each integrator wave, once
+/// per sample grid crossing per flow/link), so implementations must be
+/// cheap and non-blocking in spirit. The store sidecar sink in
+/// `bbr-campaign` does one `write_all` of a whole line per event, which
+/// keeps concurrent multi-process appends atomic per line.
+pub trait Sink<E = Event>: Send + Sync {
+    /// Record one event. Errors are the sink's problem — observation is
     /// advisory and must never fail the instrumented computation.
-    fn record(&self, event: &Event);
+    fn record(&self, event: &E);
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static SINK: RwLock<Option<Arc<dyn Sink>>> = RwLock::new(None);
+/// A [`Sink`] collecting events of either family into memory — the
+/// capture side of `figures trace`, the paper-figure traces, the drift
+/// differ, and the tests.
+#[derive(Debug)]
+pub struct MemorySink<E> {
+    events: Mutex<Vec<E>>,
+}
 
-/// Install the process-global sink; subsequent [`emit`] calls route to
-/// it. Replaces any previous sink. Returns a guard that uninstalls the
-/// sink when dropped, so scoped instrumentation (a worker's lifetime)
-/// cannot leak into unrelated code running later in the same process.
+impl<E> Default for MemorySink<E> {
+    fn default() -> Self {
+        Self {
+            events: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl<E> MemorySink<E> {
+    /// An empty in-memory sink.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Take every event recorded so far, leaving the sink empty.
+    pub fn take(&self) -> Vec<E> {
+        std::mem::take(&mut *self.events.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// Number of events recorded so far.
+    pub fn len(&self) -> usize {
+        self.events.lock().unwrap_or_else(|e| e.into_inner()).len()
+    }
+
+    /// Whether nothing has been recorded yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<E: Clone + Send> Sink<E> for MemorySink<E> {
+    fn record(&self, event: &E) {
+        self.events
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(event.clone());
+    }
+}
+
+/// One process-global hook: the slot behind [`install`] or the one
+/// behind [`trace::install`].
+struct Slot<T> {
+    filled: AtomicBool,
+    value: RwLock<Option<T>>,
+}
+
+impl<T: Clone + Send + Sync> Slot<T> {
+    const fn new() -> Self {
+        Self {
+            filled: AtomicBool::new(false),
+            value: RwLock::new(None),
+        }
+    }
+
+    fn install(&'static self, value: T) -> Guard {
+        *self.value.write().unwrap_or_else(|e| e.into_inner()) = Some(value);
+        self.filled.store(true, Ordering::Release);
+        Guard(self)
+    }
+
+    /// What the slot holds; one atomic load when it is empty.
+    #[inline]
+    fn get(&self) -> Option<T> {
+        if !self.filled.load(Ordering::Acquire) {
+            return None;
+        }
+        self.value.read().unwrap_or_else(|e| e.into_inner()).clone()
+    }
+}
+
+/// Emptying a slot, whatever it holds (idempotent).
+trait Clear: Sync {
+    fn clear(&self);
+}
+
+impl<T: Send + Sync> Clear for Slot<T> {
+    fn clear(&self) {
+        self.filled.store(false, Ordering::Release);
+        *self.value.write().unwrap_or_else(|e| e.into_inner()) = None;
+    }
+}
+
+/// Empties the slot it was returned for when dropped, so scoped
+/// instrumentation (a worker's lifetime, one cell) cannot leak into
+/// unrelated code running later in the same process.
+pub struct Guard(&'static dyn Clear);
+
+impl Drop for Guard {
+    fn drop(&mut self) {
+        self.0.clear();
+    }
+}
+
+static SINK: Slot<Arc<dyn Sink>> = Slot::new();
+
+/// Install the process-global telemetry sink; subsequent [`emit`] calls
+/// route to it until the returned guard drops. Replaces any previous
+/// sink.
 #[must_use = "dropping the guard uninstalls the sink immediately"]
-pub fn install(sink: Arc<dyn Sink>) -> SinkGuard {
-    let mut slot = SINK.write().unwrap_or_else(|e| e.into_inner());
-    *slot = Some(sink);
-    ENABLED.store(true, Ordering::Release);
-    SinkGuard { _private: () }
-}
-
-/// Uninstall the global sink (idempotent). [`emit`] returns to the
-/// no-op fast path.
-pub fn clear() {
-    ENABLED.store(false, Ordering::Release);
-    let mut slot = SINK.write().unwrap_or_else(|e| e.into_inner());
-    *slot = None;
+pub fn install(sink: Arc<dyn Sink>) -> Guard {
+    SINK.install(sink)
 }
 
 /// Whether a sink is currently installed. Use this to gate work that
@@ -192,7 +286,7 @@ pub fn clear() {
 /// loop).
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Acquire)
+    SINK.filled.load(Ordering::Acquire)
 }
 
 /// Emit an event to the installed sink, if any. The closure is only
@@ -200,69 +294,60 @@ pub fn enabled() -> bool {
 /// formatting, arithmetic) costs nothing on the no-op path.
 #[inline]
 pub fn emit(build: impl FnOnce() -> Event) {
-    if !enabled() {
-        return;
-    }
-    let sink = {
-        let slot = SINK.read().unwrap_or_else(|e| e.into_inner());
-        slot.clone()
-    };
-    if let Some(sink) = sink {
+    if let Some(sink) = SINK.get() {
         sink.record(&build());
-    }
-}
-
-/// Uninstalls the global sink on drop; returned by [`install`].
-#[derive(Debug)]
-pub struct SinkGuard {
-    _private: (),
-}
-
-impl Drop for SinkGuard {
-    fn drop(&mut self) {
-        clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::trace::{Recorder, TraceConfig, TraceEvent, DEFAULT_INTERVAL, RECORDER};
     use super::*;
-    use std::sync::Mutex;
 
-    /// Collects events into a vec for assertions.
-    struct Capture(Mutex<Vec<Event>>);
+    // Both slots are process-wide state, so every test that touches
+    // either one runs under this one lock to stay order-independent.
+    static SERIAL: Mutex<()> = Mutex::new(());
 
-    impl Sink for Capture {
-        fn record(&self, event: &Event) {
-            self.0.lock().unwrap().push(event.clone());
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn wave() -> Event {
+        Event::Wave {
+            lanes: 2,
+            flows: 8,
+            occupancy: 1.0,
+            wall_ms: 1.5,
         }
     }
 
-    // The global sink is process-wide state, so the tests that exercise
-    // it run under one lock to stay order-independent.
-    static SERIAL: Mutex<()> = Mutex::new(());
+    fn flow_sample() -> TraceEvent {
+        TraceEvent::FlowSample {
+            lane: 0,
+            flow: 1,
+            t: 0.25,
+            rate_mbps: 42.0,
+            inflight_pkts: 12.0,
+            rtt_s: 0.031,
+        }
+    }
 
     #[test]
     fn emit_without_sink_never_runs_the_closure() {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        clear();
+        let _serial = serial();
+        SINK.clear();
         assert!(!enabled());
         emit(|| unreachable!("closure must not run on the no-op path"));
     }
 
     #[test]
     fn installed_sink_receives_events_and_guard_uninstalls() {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        let capture = Arc::new(Capture(Mutex::new(Vec::new())));
+        let _serial = serial();
+        let capture = Arc::new(MemorySink::new());
         {
             let _guard = install(capture.clone());
             assert!(enabled());
-            emit(|| Event::Wave {
-                lanes: 2,
-                flows: 8,
-                occupancy: 1.0,
-                wall_ms: 1.5,
-            });
+            emit(wave);
             emit(|| Event::ShardStart {
                 shard: 0,
                 shards: 2,
@@ -272,7 +357,7 @@ mod tests {
         }
         assert!(!enabled(), "guard drop must uninstall the sink");
         emit(|| unreachable!("sink was uninstalled"));
-        let got = capture.0.lock().unwrap();
+        let got = capture.take();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].kind(), "wave");
         assert_eq!(got[1].kind(), "shard_start");
@@ -280,7 +365,6 @@ mod tests {
 
     #[test]
     fn kinds_are_stable_wire_tags() {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         assert_eq!(SCHEMA, "telemetry/v1");
         let done = Event::CampaignDone {
             entries: 1,
@@ -315,5 +399,132 @@ mod tests {
             .kind(),
             "shard_done"
         );
+    }
+
+    #[test]
+    fn nothing_is_installed_by_default_or_after_clear() {
+        let _serial = serial();
+        RECORDER.clear();
+        assert!(trace::installed().is_none());
+    }
+
+    #[test]
+    fn installed_recorder_carries_config_until_the_guard_drops() {
+        let _serial = serial();
+        let sink = Arc::new(MemorySink::new());
+        {
+            let _guard = trace::install(
+                TraceConfig {
+                    interval: 0.05,
+                    flows: true,
+                    links: false,
+                    cca: true,
+                },
+                sink.clone(),
+            );
+            let rec = trace::installed().expect("recorder installed");
+            assert!(rec.config().flows && rec.config().cca);
+            assert!(!rec.config().links);
+            assert_eq!(rec.config().interval, 0.05);
+            rec.record(&flow_sample());
+            rec.record(&TraceEvent::CcaPhase {
+                lane: 0,
+                flow: 1,
+                t: 0.26,
+                from: "Startup",
+                to: "Drain",
+            });
+        }
+        assert!(trace::installed().is_none(), "guard drop must uninstall");
+        let got = sink.take();
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[0].kind(), "flow");
+        assert_eq!(got[1].kind(), "phase");
+        assert_eq!(got[1].t(), 0.26);
+        assert!(sink.is_empty(), "take drains the sink");
+    }
+
+    #[test]
+    fn the_two_slots_are_independent() {
+        let _serial = serial();
+        let events = Arc::new(MemorySink::new());
+        let samples = Arc::new(MemorySink::new());
+        let sink_guard = install(events.clone());
+        let trace_guard = trace::install(TraceConfig::default(), samples.clone());
+        assert!(enabled() && trace::installed().is_some());
+
+        drop(trace_guard);
+        assert!(trace::installed().is_none());
+        assert!(enabled(), "the recorder's guard must leave the sink");
+        emit(wave);
+        assert_eq!(events.len(), 1);
+
+        let trace_guard = trace::install(TraceConfig::default(), samples.clone());
+        drop(sink_guard);
+        assert!(!enabled());
+        emit(|| unreachable!("sink was uninstalled"));
+        let rec = trace::installed().expect("the sink's guard must leave the recorder");
+        rec.record(&flow_sample());
+        assert_eq!(samples.len(), 1);
+
+        drop(trace_guard);
+        assert!(trace::installed().is_none() && !enabled());
+        assert_eq!(events.take(), vec![wave()]);
+        assert_eq!(samples.take(), vec![flow_sample()]);
+    }
+
+    #[test]
+    fn explicit_recorders_share_their_sink_and_floor_the_interval() {
+        let sink = Arc::new(MemorySink::new());
+        let rec = Recorder::new(
+            TraceConfig {
+                interval: 0.0,
+                ..TraceConfig::default()
+            },
+            sink.clone(),
+        );
+        assert_eq!(rec.config().interval, 1e-6);
+        assert_eq!(rec.stride(1e-4), 1, "strides never drop below one step");
+        let twin = rec.clone();
+        twin.record(&TraceEvent::CcaSignal {
+            lane: 0,
+            flow: 0,
+            t: 0.1,
+            signal: "x_dlv",
+            value: 9.5,
+        });
+        assert_eq!(sink.len(), 1, "clones record into the same sink");
+        let every_ten = Recorder::new(TraceConfig::default(), sink);
+        assert_eq!(every_ten.stride(1e-3), 10);
+        assert!(format!("{every_ten:?}").starts_with("Recorder"));
+    }
+
+    #[test]
+    fn kinds_and_schema_are_stable_wire_tags() {
+        assert_eq!(trace::SCHEMA, "trace/v1");
+        let link = TraceEvent::LinkSample {
+            lane: 2,
+            link: 0,
+            t: 1.0,
+            queue_frac: 0.5,
+            util_frac: 0.98,
+            loss_frac: 0.0,
+        };
+        assert_eq!(link.kind(), "link");
+        let sig = TraceEvent::CcaSignal {
+            lane: 0,
+            flow: 3,
+            t: 0.5,
+            signal: "inflight_hi",
+            value: 64.0,
+        };
+        assert_eq!(sig.kind(), "signal");
+    }
+
+    #[test]
+    fn default_config_records_everything_at_ten_ms() {
+        let cfg = TraceConfig::default();
+        assert_eq!(cfg.interval, DEFAULT_INTERVAL);
+        assert!(cfg.flows && cfg.links && cfg.cca);
     }
 }

@@ -1,14 +1,14 @@
-//! Zero-dependency per-flow flight recorder for the simulation engines.
+//! The per-flow flight recorder: the second event family of this crate.
 //!
 //! The paper's methodology is comparing *trajectories* — per-flow rate,
 //! queue, and RTT time-series of the fluid model against packet
 //! simulation — but the engines normally expose only end-of-run scalar
-//! metrics. This crate is the recording half of the flight recorder:
-//! typed [`TraceEvent`]s, a pluggable [`TraceSink`], and a cloneable
-//! [`Recorder`] handle that pairs a sink with its [`TraceConfig`]. The
-//! JSONL encoding (`trace/v1`), sparkline rendering, and fluid-vs-packet
-//! trace diffing live in `bbr-experiments` — this crate stays free of
-//! I/O and serialization so every engine crate can depend on it.
+//! metrics. This module is the recording half of the flight recorder:
+//! typed [`TraceEvent`]s and a cloneable [`Recorder`] handle that pairs a
+//! [`Sink`] with its [`TraceConfig`]. The JSONL encoding (`trace/v1`),
+//! sparkline rendering, and fluid-vs-packet trace diffing live in
+//! `bbr-experiments` — this module stays free of I/O and serialization
+//! so every engine crate can depend on it.
 //!
 //! # Attaching a recorder
 //!
@@ -28,19 +28,13 @@
 //! trace-only counters that feed nothing back), never schedule work,
 //! never touch an engine's RNG, and never fail the computation they
 //! observe. `tests/trace_observer.rs` enforces this byte-for-byte on all
-//! backends, including under flow churn.
-//!
-//! # Cost model
-//!
-//! With nothing installed, [`installed`] is one atomic load; an engine
-//! without a recorder then pays one `Option` test per sample-grid
-//! crossing and never builds an event.
-
-#![warn(missing_docs)]
+//! backends, including under flow churn. An engine without a recorder
+//! pays one `Option` test per sample-grid crossing.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
+
+use crate::{Guard, Sink, Slot};
 
 /// Wire-schema tag of the JSONL encoding (`bbr_experiments::tracefmt`).
 pub const SCHEMA: &str = "trace/v1";
@@ -176,27 +170,18 @@ impl TraceEvent {
     }
 }
 
-/// Destination for recorded events. `record` runs on engine hot paths
-/// (once per sample grid crossing per flow/link), so implementations
-/// must be cheap and must swallow their own errors — recording never
-/// fails the run it observes.
-pub trait TraceSink: Send + Sync {
-    /// Record one observation.
-    fn record(&self, event: &TraceEvent);
-}
-
 /// A sink plus the [`TraceConfig`] it records under — the handle an
 /// engine holds for the whole of one run. Cloning shares the sink.
 #[derive(Clone)]
 pub struct Recorder {
     config: TraceConfig,
-    sink: Arc<dyn TraceSink>,
+    sink: Arc<dyn Sink<TraceEvent>>,
 }
 
 impl Recorder {
     /// Pair `sink` with `config`. The interval is floored at 1 µs so a
     /// zero or negative interval cannot stall an engine's sample grid.
-    pub fn new(config: TraceConfig, sink: Arc<dyn TraceSink>) -> Self {
+    pub fn new(config: TraceConfig, sink: Arc<dyn Sink<TraceEvent>>) -> Self {
         let interval = config.interval.max(1e-6);
         Self {
             config: TraceConfig { interval, ..config },
@@ -230,27 +215,14 @@ impl fmt::Debug for Recorder {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static INSTALLED: RwLock<Option<Recorder>> = RwLock::new(None);
+pub(crate) static RECORDER: Slot<Recorder> = Slot::new();
 
 /// Install the process-wide recorder: engines built from now on record
-/// to `sink` under `config`. Replaces any previous recorder. Returns a
-/// guard that uninstalls it on drop, so a scoped recording (one cell,
-/// one campaign worker) cannot leak into unrelated runs later in the
-/// same process. Engines already built keep the recorder they took.
+/// to `sink` under `config`, until the returned guard drops. Replaces
+/// any previous recorder; engines already built keep the one they took.
 #[must_use = "dropping the guard uninstalls the recorder immediately"]
-pub fn install(config: TraceConfig, sink: Arc<dyn TraceSink>) -> TraceGuard {
-    let mut slot = INSTALLED.write().unwrap_or_else(|e| e.into_inner());
-    *slot = Some(Recorder::new(config, sink));
-    ENABLED.store(true, Ordering::Release);
-    TraceGuard { _private: () }
-}
-
-/// Uninstall the process-wide recorder (idempotent).
-pub fn clear() {
-    ENABLED.store(false, Ordering::Release);
-    let mut slot = INSTALLED.write().unwrap_or_else(|e| e.into_inner());
-    *slot = None;
+pub fn install(config: TraceConfig, sink: Arc<dyn Sink<TraceEvent>>) -> Guard {
+    RECORDER.install(Recorder::new(config, sink))
 }
 
 /// The process-wide recorder, if one is installed — what an engine
@@ -258,172 +230,5 @@ pub fn clear() {
 /// when nothing is installed.
 #[inline]
 pub fn installed() -> Option<Recorder> {
-    if !ENABLED.load(Ordering::Acquire) {
-        return None;
-    }
-    INSTALLED.read().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-/// Uninstalls the process-wide recorder on drop; returned by [`install`].
-#[derive(Debug)]
-pub struct TraceGuard {
-    _private: (),
-}
-
-impl Drop for TraceGuard {
-    fn drop(&mut self) {
-        clear();
-    }
-}
-
-/// A [`TraceSink`] collecting events into memory — the capture side of
-/// `figures trace`, the paper-figure traces, the drift differ, and the
-/// tests.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    events: Mutex<Vec<TraceEvent>>,
-}
-
-impl MemorySink {
-    /// An empty in-memory sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Take every event recorded so far, leaving the sink empty.
-    pub fn take(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.events.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn record(&self, event: &TraceEvent) {
-        self.events
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(event.clone());
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // The installed recorder is process-wide; tests touching it serialize.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn nothing_is_installed_by_default_or_after_clear() {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        clear();
-        assert!(installed().is_none());
-    }
-
-    #[test]
-    fn installed_recorder_carries_config_until_the_guard_drops() {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        let sink = Arc::new(MemorySink::new());
-        {
-            let _guard = install(
-                TraceConfig {
-                    interval: 0.05,
-                    flows: true,
-                    links: false,
-                    cca: true,
-                },
-                sink.clone(),
-            );
-            let rec = installed().expect("recorder installed");
-            assert!(rec.config().flows && rec.config().cca);
-            assert!(!rec.config().links);
-            assert_eq!(rec.config().interval, 0.05);
-            rec.record(&TraceEvent::FlowSample {
-                lane: 0,
-                flow: 1,
-                t: 0.25,
-                rate_mbps: 42.0,
-                inflight_pkts: 12.0,
-                rtt_s: 0.031,
-            });
-            rec.record(&TraceEvent::CcaPhase {
-                lane: 0,
-                flow: 1,
-                t: 0.26,
-                from: "Startup",
-                to: "Drain",
-            });
-        }
-        assert!(installed().is_none(), "guard drop must uninstall");
-        let got = sink.take();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].kind(), "flow");
-        assert_eq!(got[1].kind(), "phase");
-        assert_eq!(got[1].t(), 0.26);
-        assert!(sink.is_empty(), "take drains the sink");
-    }
-
-    #[test]
-    fn explicit_recorders_share_their_sink_and_floor_the_interval() {
-        let sink = Arc::new(MemorySink::new());
-        let rec = Recorder::new(
-            TraceConfig {
-                interval: 0.0,
-                ..TraceConfig::default()
-            },
-            sink.clone(),
-        );
-        assert_eq!(rec.config().interval, 1e-6);
-        assert_eq!(rec.stride(1e-4), 1, "strides never drop below one step");
-        let twin = rec.clone();
-        twin.record(&TraceEvent::CcaSignal {
-            lane: 0,
-            flow: 0,
-            t: 0.1,
-            signal: "x_dlv",
-            value: 9.5,
-        });
-        assert_eq!(sink.len(), 1, "clones record into the same sink");
-        let every_ten = Recorder::new(TraceConfig::default(), sink);
-        assert_eq!(every_ten.stride(1e-3), 10);
-        assert!(format!("{every_ten:?}").starts_with("Recorder"));
-    }
-
-    #[test]
-    fn kinds_and_schema_are_stable_wire_tags() {
-        assert_eq!(SCHEMA, "trace/v1");
-        let link = TraceEvent::LinkSample {
-            lane: 2,
-            link: 0,
-            t: 1.0,
-            queue_frac: 0.5,
-            util_frac: 0.98,
-            loss_frac: 0.0,
-        };
-        assert_eq!(link.kind(), "link");
-        let sig = TraceEvent::CcaSignal {
-            lane: 0,
-            flow: 3,
-            t: 0.5,
-            signal: "inflight_hi",
-            value: 64.0,
-        };
-        assert_eq!(sig.kind(), "signal");
-    }
-
-    #[test]
-    fn default_config_records_everything_at_ten_ms() {
-        let cfg = TraceConfig::default();
-        assert_eq!(cfg.interval, DEFAULT_INTERVAL);
-        assert!(cfg.flows && cfg.links && cfg.cca);
-    }
+    RECORDER.get()
 }

@@ -13,7 +13,8 @@ use std::sync::Arc;
 use bbr_repro::experiments::tracefmt::CellTrace;
 use bbr_repro::fluid::cca::CcaKind;
 use bbr_repro::fluid::prelude::*;
-use bbr_trace::{MemorySink, Recorder, TraceConfig};
+use bbr_telemetry::trace::{Recorder, TraceConfig};
+use bbr_telemetry::MemorySink;
 
 fn parse(s: &str) -> CcaKind {
     match s {

@@ -10,7 +10,8 @@ use std::sync::Arc;
 
 use bbr_repro::experiments::tracefmt::CellTrace;
 use bbr_repro::fluid::prelude::*;
-use bbr_trace::{MemorySink, Recorder, TraceConfig};
+use bbr_telemetry::trace::{Recorder, TraceConfig};
+use bbr_telemetry::MemorySink;
 
 fn main() {
     // The paper's §4.2 trace-validation setting: C = 100 Mbit/s,

@@ -15,7 +15,9 @@
 use bbr_repro::experiments::scenarios::COMBOS;
 use bbr_repro::experiments::sweep::{Backend, ScenarioGrid};
 use bbr_repro::experiments::Effort;
+use bbr_repro::fluid::backend::FluidBackend;
 use bbr_repro::fluid::topology::QdiscKind;
+use bbr_repro::scenario::SimBackend;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -76,12 +78,13 @@ fn main() {
     );
 
     // The same grid, fluid-only, on the two fluid execution strategies:
-    // one `Simulator` per cell vs lockstep waves of many cells
-    // (`bbr-fluidbatch`). Both run the one fluid engine, so the CSVs
-    // must agree byte for byte — batching is not allowed to change a
-    // single bit.
-    let scalar = grid.clone().backend(Backend::Fluid).run();
-    let batched = grid.clone().backend(Backend::FluidBatch).run();
+    // one per-cell `FluidBackend` run per cell vs lockstep waves of many
+    // cells (`Backend::Fluid`). Both run the one fluid engine, so the
+    // CSVs must agree byte for byte — batching is not allowed to change
+    // a single bit.
+    let per_cell: [Box<dyn SimBackend>; 1] = [Box::new(FluidBackend::coarse())];
+    let scalar = grid.run_with(&per_cell);
+    let batched = grid.clone().backend(Backend::Fluid).run();
     assert_eq!(
         scalar.csv(),
         batched.csv(),

@@ -41,7 +41,8 @@ use bbr_repro::scenario::universe::generate_scenario;
 use bbr_repro::scenario::{
     BatchSimBackend, CcaKind, QdiscKind, RunOutcome, ScenarioSpec, SimBackend,
 };
-use bbr_trace::{MemorySink, Recorder, TraceConfig};
+use bbr_telemetry::trace::{Recorder, TraceConfig};
+use bbr_telemetry::MemorySink;
 
 /// The field layout of `tests/packet_path_pins.rs`.
 fn bits(outcome: &RunOutcome) -> Vec<u64> {

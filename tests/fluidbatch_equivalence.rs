@@ -1,15 +1,16 @@
 //! The batch-vs-scalar equivalence test-matrix: `BatchedFluidBackend`
-//! must be **byte-identical** to the scalar `FluidBackend` for every
+//! must be **byte-identical** to the per-cell `FluidBackend` for every
 //! spec the sweep grid can emit — per topology family, for ragged batch
-//! shapes, through the grid engine, and through the campaign store
-//! cache. This is the contract that lets the batch engine share the
+//! shapes, through the grid engine (`Backend::Fluid` against
+//! `FluidBackend` through `ScenarioGrid::run_with`), and through the
+//! campaign store cache. This is the contract that lets the batch engine share the
 //! `"fluid"` store-key namespace: a record is the same record no matter
 //! which engine computed it.
 //!
 //! All comparisons are `assert_eq!` on `RunOutcome` / CSV strings —
 //! `PartialEq` on `f64` fields means bit-level agreement, no tolerances.
 
-use bbr_repro::campaign::ResultStore;
+use bbr_repro::campaign::{CellKey, ResultStore};
 use bbr_repro::experiments::aggregate::model_config;
 use bbr_repro::experiments::scenarios::{CampaignParams, COMBOS};
 use bbr_repro::experiments::sweep::{Backend, ScenarioGrid, TopologyKind};
@@ -17,8 +18,16 @@ use bbr_repro::experiments::Effort;
 use bbr_repro::fluid::backend::FluidBackend;
 use bbr_repro::fluid::config::ModelConfig;
 use bbr_repro::fluidbatch::BatchedFluidBackend;
-use bbr_repro::scenario::{BatchSimBackend, CcaKind, QdiscKind, ScenarioSpec, SimBackend};
+use bbr_repro::scenario::{
+    run_seed, BatchSimBackend, CcaKind, QdiscKind, ScenarioSpec, SimBackend,
+};
 use proptest::prelude::*;
+
+/// The per-cell engine as a grid column, at the grids' default
+/// (`Fast`) effort.
+fn scalar_column() -> [Box<dyn SimBackend>; 1] {
+    [Box::new(FluidBackend::coarse())]
+}
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("bbr-fb-{tag}-{}", std::process::id()));
@@ -132,9 +141,9 @@ fn ragged_batch_shapes() {
     }
 }
 
-/// The grid engine: `Backend::FluidBatch` must render the exact same
-/// report (CSV bytes) as `Backend::Fluid`, including unsupported-cell
-/// handling and cell ordering.
+/// The grid engine: `Backend::Fluid` (the lockstep waves) must render
+/// the exact same report (CSV bytes) as per-cell `FluidBackend` runs,
+/// including unsupported-cell handling and cell ordering.
 #[test]
 fn grid_csv_byte_identity() {
     let grid = ScenarioGrid::new()
@@ -150,15 +159,16 @@ fn grid_csv_byte_identity() {
         ])
         .duration(0.4)
         .warmup(0.1);
-    let scalar = grid.clone().backend(Backend::Fluid).run();
-    let batched = grid.clone().backend(Backend::FluidBatch).run();
+    let scalar = grid.run_with(&scalar_column());
+    let batched = grid.backend(Backend::Fluid).run();
     assert_eq!(scalar.backends, batched.backends, "same column name");
     assert_eq!(scalar.csv(), batched.csv());
 }
 
-/// The campaign store cache: a store populated by the batch engine must
-/// serve a scalar-planned grid (and vice versa) with zero recomputation
-/// and byte-identical reports — the "cache keys stay valid" guarantee.
+/// The campaign store cache: the batch engine writes the records the
+/// per-cell engine computes, so a store populated by either serves the
+/// grid with zero recomputation and byte-identical reports — the "cache
+/// keys stay valid" guarantee.
 #[test]
 fn store_cache_interchangeability() {
     let grid = ScenarioGrid::new()
@@ -169,26 +179,43 @@ fn store_cache_interchangeability() {
         .qdiscs(vec![QdiscKind::DropTail])
         .topologies(vec![TopologyKind::Dumbbell, TopologyKind::Chain])
         .duration(0.4)
-        .warmup(0.1);
+        .warmup(0.1)
+        .backend(Backend::Fluid);
 
     // Populate a store through the batched engine.
     let dir = temp_dir("store");
     let mut store = ResultStore::open(&dir).unwrap();
-    let batch_grid = grid.clone().backend(Backend::FluidBatch);
-    let (batch_report, stats) = batch_grid.run_cached(&mut store).unwrap();
+    let (batch_report, stats) = grid.run_cached(&mut store).unwrap();
     assert_eq!(stats.cached, 0);
     assert!(stats.computed > 0);
 
-    // The scalar-selected grid plans the same keys: everything is a
-    // cache hit, nothing is recomputed, and the report is identical.
-    let scalar_grid = grid.clone().backend(Backend::Fluid);
-    let (scalar_report, stats) = scalar_grid.run_cached(&mut store).unwrap();
-    assert_eq!(stats.computed, 0, "batch-written records serve scalar");
+    // Every record it wrote is the per-cell engine's outcome; a second
+    // store takes those outcomes under the keys the grid plans.
+    let scalar_dir = temp_dir("store-scalar");
+    let mut scalar_store = ResultStore::open(&scalar_dir).unwrap();
+    let scalar = FluidBackend::coarse();
+    for cell in grid.campaign_plan().cells {
+        let key = CellKey {
+            spec_hash: cell.spec.stable_hash(),
+            seed: cell.seed,
+            backend: "fluid".into(),
+            run_index: 0,
+        };
+        let out = scalar.run(&cell.spec, run_seed(cell.seed, 0));
+        assert_eq!(store.get(&key), Some(&out));
+        assert!(scalar_store.insert(key, out).unwrap());
+    }
+
+    // The scalar-written store serves the grid: everything is a cache
+    // hit, nothing is recomputed, and the report is identical.
+    let (scalar_report, stats) = grid.run_cached(&mut scalar_store).unwrap();
+    assert_eq!(stats.computed, 0, "scalar-written records serve batch");
     assert_eq!(scalar_report.csv(), batch_report.csv());
 
     // And both equal a direct (uncached) scalar run.
-    assert_eq!(scalar_grid.run().csv(), scalar_report.csv());
+    assert_eq!(grid.run_with(&scalar_column()).csv(), scalar_report.csv());
     std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&scalar_dir).unwrap();
 }
 
 /// Churn (lane activation masks): batched integration of specs with
@@ -266,8 +293,8 @@ fn churned_grid_csv_byte_identity() {
         .with_churn()
         .duration(0.4)
         .warmup(0.1);
-    let scalar = grid.clone().backend(Backend::Fluid).run();
-    let batched = grid.clone().backend(Backend::FluidBatch).run();
+    let scalar = grid.run_with(&scalar_column());
+    let batched = grid.backend(Backend::Fluid).run();
     assert_eq!(scalar.csv(), batched.csv());
 }
 

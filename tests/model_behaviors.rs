@@ -8,7 +8,8 @@ use bbr_repro::experiments::tracefmt::CellTrace;
 use bbr_repro::fluid::cca::{AnyCca, BbrV1, CcaKind};
 use bbr_repro::fluid::prelude::*;
 use bbr_repro::fluid::topology::{LinkId, LinkSpec, Network, PathSpec};
-use bbr_trace::{MemorySink, Recorder, TraceConfig};
+use bbr_telemetry::trace::{Recorder, TraceConfig};
+use bbr_telemetry::MemorySink;
 
 /// Run `sim` for `duration` seconds under an in-memory recorder that
 /// samples every `stride` coarse integration steps.

@@ -9,7 +9,8 @@ use bbr_repro::fluid::history::History;
 use bbr_repro::fluid::math::{jain, relu_smooth, sigmoid};
 use bbr_repro::fluid::prelude::*;
 use bbr_repro::linalg::{eigenvalues, Lu, Matrix};
-use bbr_trace::{MemorySink, Recorder, TraceConfig, TraceEvent};
+use bbr_telemetry::trace::{Recorder, TraceConfig, TraceEvent};
+use bbr_telemetry::MemorySink;
 use proptest::prelude::*;
 
 proptest! {

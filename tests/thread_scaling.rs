@@ -57,7 +57,7 @@ fn grid() -> ScenarioGrid {
 #[test]
 fn batch_byte_identity_holds_across_thread_counts() {
     let _guard = THREAD_OVERRIDE.lock().unwrap();
-    let grid = grid().backend(Backend::FluidBatch);
+    let grid = grid().backend(Backend::Fluid);
     let csv_1t = with_threads(1, || grid.run().csv());
     for threads in [2usize, 4, 7] {
         let csv_nt = with_threads(threads, || grid.run().csv());
