@@ -15,9 +15,9 @@ fn main() {
     let reps: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(3);
     let grid = bench_grid(96);
     let backend: Box<dyn SimBackend> = match args.get(1).map(String::as_str) {
-        None | Some("batch") => backend_named("fluid", Effort::Fast, 1).unwrap(),
+        None | Some("batch") => backend_named("fluid", Effort::Fast, 1).expect("built-in column"),
         Some("scalar") => Box::new(FluidBackend::coarse()),
-        Some("simd") => backend_named("fluid-simd", Effort::Fast, 1).unwrap(),
+        Some("simd") => backend_named("fluid-simd", Effort::Fast, 1).expect("built-in column"),
         Some(other) => {
             eprintln!("unknown engine: {other} (expected scalar|batch|simd)");
             std::process::exit(2);

@@ -3,9 +3,9 @@
 //! spec the sweep grid can emit — per topology family, for ragged batch
 //! shapes, through the grid engine (`Backend::Fluid` against
 //! `FluidBackend` through `ScenarioGrid::run_with`), and through the
-//! campaign store cache. This is the contract that lets the batch engine share the
-//! `"fluid"` store-key namespace: a record is the same record no matter
-//! which engine computed it.
+//! campaign store cache. This is the contract that lets the batch
+//! engine share the `"fluid"` store-key namespace: a record is the same
+//! record no matter which engine computed it.
 //!
 //! All comparisons are `assert_eq!` on `RunOutcome` / CSV strings —
 //! `PartialEq` on `f64` fields means bit-level agreement, no tolerances.
