@@ -218,20 +218,16 @@ impl<E: Clone + Send> Sink<E> for MemorySink<E> {
 }
 
 /// One process-global hook: the slot behind [`install`] or the one
-/// behind [`trace::install`].
-struct Slot<T> {
-    filled: AtomicBool,
-    value: RwLock<Option<T>>,
+/// behind [`trace::install`]. The flag is a static apart from the lock,
+/// whose address escapes into its calls: in a program that never fills
+/// the slot, whole-program optimization can then fold the flag to
+/// `false` and drop the code it guards.
+struct Slot<T: 'static> {
+    filled: &'static AtomicBool,
+    value: &'static RwLock<Option<T>>,
 }
 
 impl<T: Clone + Send + Sync> Slot<T> {
-    const fn new() -> Self {
-        Self {
-            filled: AtomicBool::new(false),
-            value: RwLock::new(None),
-        }
-    }
-
     fn install(&'static self, value: T) -> Guard {
         *self.value.write().unwrap_or_else(|e| e.into_inner()) = Some(value);
         self.filled.store(true, Ordering::Release);
@@ -271,7 +267,12 @@ impl Drop for Guard {
     }
 }
 
-static SINK: Slot<Arc<dyn Sink>> = Slot::new();
+static SINK_FILLED: AtomicBool = AtomicBool::new(false);
+static SINK_VALUE: RwLock<Option<Arc<dyn Sink>>> = RwLock::new(None);
+static SINK: Slot<Arc<dyn Sink>> = Slot {
+    filled: &SINK_FILLED,
+    value: &SINK_VALUE,
+};
 
 /// Install the process-global telemetry sink; subsequent [`emit`] calls
 /// route to it until the returned guard drops. Replaces any previous

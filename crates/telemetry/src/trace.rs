@@ -32,7 +32,8 @@
 //! pays one `Option` test per sample-grid crossing.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::AtomicBool;
+use std::sync::{Arc, RwLock};
 
 use crate::{Guard, Sink, Slot};
 
@@ -215,7 +216,12 @@ impl fmt::Debug for Recorder {
     }
 }
 
-pub(crate) static RECORDER: Slot<Recorder> = Slot::new();
+static FILLED: AtomicBool = AtomicBool::new(false);
+static VALUE: RwLock<Option<Recorder>> = RwLock::new(None);
+pub(crate) static RECORDER: Slot<Recorder> = Slot {
+    filled: &FILLED,
+    value: &VALUE,
+};
 
 /// Install the process-wide recorder: engines built from now on record
 /// to `sink` under `config`, until the returned guard drops. Replaces
