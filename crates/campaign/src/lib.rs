@@ -12,15 +12,16 @@
 //!   round-trips, no serde). Because keys derive from scenario
 //!   *contents*, a store outlives any particular grid: growing a sweep
 //!   only ever computes the delta.
-//! * [`shard`] — a deterministic planner splitting a campaign's cells
-//!   into N disjoint, balanced shards.
 //! * [`plan`] — the serialized work list (specs + seeds + backend
-//!   selectors) worker processes reconstruct their share from.
+//!   selectors) worker processes reconstruct their share from, and
+//!   [`CampaignPlan::entries`], the one expansion of a plan into its
+//!   store keys.
 //! * [`runner`] — the multi-process executor: the host binary re-execs
-//!   itself as `campaign-worker` children, each computes its shard's
-//!   uncached cells into a private file, and the parent merges them
-//!   into the canonical store. Re-running a finished campaign computes
-//!   nothing (`computed=0`).
+//!   itself as `campaign-worker` children, each computes the uncached
+//!   entries of its round-robin share of the cells into a private file,
+//!   and the parent merges them into the canonical store. Re-running a
+//!   finished campaign computes nothing (`computed=0`). [`run_column`]
+//!   is the one rule for running a backend over a list of jobs.
 //! * [`events`] — the `telemetry/v1` JSONL sidecar (`events.jsonl`):
 //!   workers append shard/heartbeat/wave events through the
 //!   `bbr-telemetry` hook; the sidecar is advisory and never affects
@@ -73,16 +74,14 @@ pub mod events;
 pub mod json;
 pub mod plan;
 pub mod runner;
-pub mod shard;
 pub mod store;
 pub mod tail;
 
 pub use events::{event_to_line, events_path, parse_event, JsonlFile, JsonlSink, EVENTS_FILE};
-pub use plan::{BackendSel, CampaignPlan, PlannedCell, PLAN_FILE};
+pub use plan::{BackendSel, CampaignPlan, Entry, PlannedCell, PLAN_FILE};
 pub use runner::{
-    maybe_worker, planned_entries, run_sharded, run_worker, BackendFactory, CampaignSummary,
-    WorkerSummary, WORKER_SUBCOMMAND,
+    maybe_worker, planned_entries, run_column, run_sharded, run_worker, BackendFactory,
+    CampaignSummary, WorkerSummary, WORKER_SUBCOMMAND,
 };
-pub use shard::ShardPlan;
 pub use store::{CellKey, CompactStats, ResultStore, ShardWriter, RESULTS_FILE};
 pub use tail::TailCursor;

@@ -9,14 +9,20 @@
 //! the hand-rolled [`crate::json`] module; specs round-trip exactly, so
 //! a worker's [`ScenarioSpec::stable_hash`] — and therefore every cache
 //! key — matches the parent's bit for bit.
+//!
+//! [`CampaignPlan::entries`] is the one place plan data becomes store
+//! keys: the worker, the parent's entry count, the watcher and the
+//! sweep layer's store reads and writes all expand a plan through it.
 
 use std::path::Path;
 
 use bbr_scenario::{
-    CcaKind, CustomLink, CustomRoute, FlowSchedule, FlowWindow, QdiscKind, ScenarioSpec, Topology,
+    run_seed, CcaKind, CustomLink, CustomRoute, FlowSchedule, FlowWindow, QdiscKind, ScenarioSpec,
+    Topology,
 };
 
 use crate::json::Json;
+use crate::store::CellKey;
 
 /// Name of the plan file inside a store directory.
 pub const PLAN_FILE: &str = "plan.json";
@@ -56,7 +62,55 @@ pub struct CampaignPlan {
     pub cells: Vec<PlannedCell>,
 }
 
+/// One store entry of a plan: a repetition of one cell on one backend,
+/// and the key its record is stored under.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Entry {
+    /// Index into [`CampaignPlan::cells`].
+    pub cell: usize,
+    /// Index into [`CampaignPlan::backends`].
+    pub backend: usize,
+    /// Repetition within the cell, `0..runs` of its backend.
+    pub run_index: u32,
+    /// `(cell spec hash, cell seed, backend name, run_index)`.
+    pub key: CellKey,
+}
+
 impl CampaignPlan {
+    /// Every entry of the plan, cell-major: each cell in plan order, then
+    /// each backend in plan order for which `supports(backend index,
+    /// spec)` holds, then each of that backend's runs.
+    pub fn entries(&self, supports: impl Fn(usize, &ScenarioSpec) -> bool) -> Vec<Entry> {
+        let mut entries = Vec::new();
+        for (cell, planned) in self.cells.iter().enumerate() {
+            let spec_hash = planned.spec.stable_hash();
+            for (backend, sel) in self.backends.iter().enumerate() {
+                if !supports(backend, &planned.spec) {
+                    continue;
+                }
+                entries.extend((0..sel.runs).map(|run_index| Entry {
+                    cell,
+                    backend,
+                    run_index,
+                    key: CellKey {
+                        spec_hash,
+                        seed: planned.seed,
+                        backend: sel.name.clone(),
+                        run_index,
+                    },
+                }));
+            }
+        }
+        entries
+    }
+
+    /// The engine job of `entry`: its cell's spec and the repetition's
+    /// seed, [`run_seed`]`(cell seed, run_index)`.
+    pub fn job(&self, entry: &Entry) -> (&ScenarioSpec, u64) {
+        let cell = &self.cells[entry.cell];
+        (&cell.spec, run_seed(cell.seed, entry.run_index))
+    }
+
     /// Serialize the plan as one compact JSON document.
     pub fn to_json_string(&self) -> String {
         Json::Obj(vec![
@@ -93,7 +147,9 @@ impl CampaignPlan {
         .to_compact_string()
     }
 
-    /// Parse a plan from [`CampaignPlan::to_json_string`]'s form.
+    /// Parse a plan from [`CampaignPlan::to_json_string`]'s form. Every
+    /// cell's spec must pass [`ScenarioSpec::validate`]: engines may
+    /// panic on an invalid spec, so a corrupted plan fails here instead.
     pub fn from_json_str(text: &str) -> Result<Self, String> {
         let doc = Json::parse(text)?;
         let backends = doc
@@ -113,11 +169,13 @@ impl CampaignPlan {
             .as_arr()
             .ok_or("cells is not an array")?
             .iter()
-            .map(|c| {
-                Ok(PlannedCell {
-                    seed: c.field("seed")?.as_hex_u64().ok_or("bad cell seed")?,
-                    spec: spec_from_json(c.field("spec")?)?,
-                })
+            .enumerate()
+            .map(|(i, c)| {
+                let seed = c.field("seed")?.as_hex_u64().ok_or("bad cell seed")?;
+                let spec = spec_from_json(c.field("spec")?)?;
+                spec.validate()
+                    .map_err(|e| format!("cell {i}: invalid spec: {e}"))?;
+                Ok(PlannedCell { spec, seed })
             })
             .collect::<Result<Vec<_>, String>>()?;
         Ok(Self {
@@ -501,6 +559,162 @@ mod tests {
         plan.save(&dir).unwrap();
         assert_eq!(CampaignPlan::load(&dir).unwrap(), plan);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rejects_invalid_specs_with_the_cell_index() {
+        let plan = CampaignPlan {
+            effort: "fast".into(),
+            backends: vec![BackendSel {
+                name: "fluid".into(),
+                runs: 1,
+            }],
+            cells: vec![
+                PlannedCell {
+                    spec: ScenarioSpec::parking_lot(100.0, 80.0, 0.010, 3.0),
+                    seed: 1,
+                },
+                PlannedCell {
+                    spec: ScenarioSpec::dumbbell(2, -50.0, 0.010, 1.0),
+                    seed: 2,
+                },
+            ],
+        };
+        let err = CampaignPlan::from_json_str(&plan.to_json_string()).unwrap_err();
+        assert_eq!(
+            err,
+            "cell 1: invalid spec: dumbbell parameters must be positive"
+        );
+    }
+
+    /// A splitmix64 stream: the proptest shim draws flat values only, so
+    /// each case's plan grows from one drawn seed.
+    struct Draw(u64);
+
+    impl Draw {
+        fn word(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.word() % n as u64) as usize
+        }
+
+        /// Uniform in `[lo, hi)`, with every mantissa bit drawn.
+        fn real(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (self.word() >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
+        }
+    }
+
+    /// A valid spec: a dumbbell, parking lot or chain with drawn
+    /// parameters, CCAs, qdisc and window, or a generated Custom cell
+    /// (whose flows may carry multi-interval schedules); then, half the
+    /// time, a churn window on one flow.
+    fn drawn_spec(d: &mut Draw) -> ScenarioSpec {
+        let family = d.below(4);
+        if family == 3 {
+            let spec = bbr_scenario::universe::generate_scenario(d.word(), d.below(12)).spec;
+            return drawn_churn(d, spec);
+        }
+        let (cap, delay, buffer) = (d.real(1.0, 200.0), d.real(1e-3, 0.05), d.real(0.1, 8.0));
+        let spec = match family {
+            0 => {
+                let lo = d.real(1e-3, 0.2);
+                ScenarioSpec::dumbbell(1 + d.below(6), cap, delay, buffer)
+                    .rtt_range(lo, lo + d.real(0.0, 0.1))
+            }
+            1 => ScenarioSpec::parking_lot(cap, d.real(1.0, 200.0), delay, buffer),
+            _ => ScenarioSpec::chain(3 + d.below(4), cap, delay, buffer),
+        };
+        let ccas = (0..1 + d.below(3))
+            .map(|_| CcaKind::ALL[d.below(CcaKind::ALL.len())])
+            .collect();
+        let qdisc = [QdiscKind::DropTail, QdiscKind::Red][d.below(2)];
+        let spec = spec
+            .ccas(ccas)
+            .qdisc(qdisc)
+            .duration(d.real(0.1, 10.0))
+            .warmup(d.real(0.0, 1.0));
+        drawn_churn(d, spec)
+    }
+
+    fn drawn_churn(d: &mut Draw, spec: ScenarioSpec) -> ScenarioSpec {
+        if d.below(2) == 0 {
+            return spec;
+        }
+        let start = d.real(0.0, 2.0);
+        let stop = [f64::INFINITY, start + d.real(0.01, 5.0)][d.below(2)];
+        let flow = d.below(spec.n_flows());
+        spec.flow_window(flow, start, stop)
+    }
+
+    fn drawn_plan(d: &mut Draw, max_cells: usize) -> CampaignPlan {
+        CampaignPlan {
+            effort: ["fast", "full"][d.below(2)].into(),
+            backends: (0..d.below(4))
+                .map(|i| BackendSel {
+                    name: ["fluid", "packet", "fluid-simd"][i].into(),
+                    runs: d.below(4) as u32,
+                })
+                .collect(),
+            cells: (0..1 + d.below(max_cells))
+                .map(|_| PlannedCell {
+                    spec: drawn_spec(d),
+                    seed: d.word(),
+                })
+                .collect(),
+        }
+    }
+
+    /// Loading never panics, and a plan it returns holds only valid
+    /// specs.
+    fn load_is_safe(text: &str) -> bool {
+        CampaignPlan::from_json_str(text)
+            .map_or(true, |p| p.cells.iter().all(|c| c.spec.validate().is_ok()))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn drawn_plans_round_trip_exactly(seed in 0u64..u64::MAX) {
+            let plan = drawn_plan(&mut Draw(seed), 6);
+            let back = CampaignPlan::from_json_str(&plan.to_json_string()).unwrap();
+            proptest::prop_assert_eq!(&back, &plan);
+            for (a, b) in plan.cells.iter().zip(&back.cells) {
+                proptest::prop_assert_eq!(a.spec.stable_hash(), b.spec.stable_hash());
+            }
+        }
+
+        #[test]
+        fn hostile_plans_give_errors_not_panics(
+            seed in 0u64..u64::MAX,
+            noise in proptest::collection::vec(0u16..256, 0..400),
+            at in 0usize..1 << 20,
+            byte in 0u16..256,
+        ) {
+            // Arbitrary bytes.
+            let noise: Vec<u8> = noise.iter().map(|&b| b as u8).collect();
+            proptest::prop_assert!(load_is_safe(&String::from_utf8_lossy(&noise)));
+            let text = drawn_plan(&mut Draw(seed), 2).to_json_string();
+            // Every strict prefix (a torn write) is an error.
+            for end in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+                proptest::prop_assert!(
+                    CampaignPlan::from_json_str(&text[..end]).is_err(),
+                    "prefix {end} of {text} parsed"
+                );
+            }
+            // One corrupted byte, at 32 places.
+            for k in 0..32 {
+                let mut bytes = text.clone().into_bytes();
+                let i = (at + k * 7919) % bytes.len();
+                bytes[i] = (byte as usize + k) as u8;
+                proptest::prop_assert!(load_is_safe(&String::from_utf8_lossy(&bytes)));
+            }
+        }
     }
 
     #[test]

@@ -24,13 +24,13 @@ use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bbr_scenario::{run_seed, SimBackend};
+use bbr_scenario::{RunOutcome, ScenarioSpec, SimBackend};
 use bbr_telemetry::{emit, Event, Sink};
+use rayon::prelude::*;
 
 use crate::events::JsonlSink;
-use crate::plan::{BackendSel, CampaignPlan};
-use crate::shard::ShardPlan;
-use crate::store::{CellKey, ResultStore, ShardWriter};
+use crate::plan::{BackendSel, CampaignPlan, Entry};
+use crate::store::{ResultStore, ShardWriter};
 
 /// The hidden `argv[1]` that switches a host binary into worker mode.
 pub const WORKER_SUBCOMMAND: &str = "campaign-worker";
@@ -55,9 +55,6 @@ pub const HEARTBEAT_MIN_INTERVAL: Duration = Duration::from_millis(100);
 /// backend construction lives above the scenario layer.
 pub type BackendFactory<'a> =
     dyn Fn(&CampaignPlan, &BackendSel) -> Option<Box<dyn SimBackend>> + 'a;
-
-/// Backends built from a plan, each paired with its selector.
-type PlanBackends = Vec<(BackendSel, Box<dyn SimBackend>)>;
 
 /// What one worker did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,18 +196,18 @@ impl ShardProgress {
 
 /// The per-shard work loop, run inside a worker process: compute every
 /// planned entry of `shard` that the store does not already hold and
-/// append it to the shard's private record file.
+/// append it to the shard's private record file. `shard >= shards` is an
+/// error (both come from a worker's argv).
 ///
-/// Backends exposing a batch view ([`SimBackend::as_batch`]) receive
-/// their missing entries in lockstep `run_batch` chunks — a sharded
-/// campaign's workers integrate their shard batched — while plain
-/// backends compute entry by entry. Records are appended to the shard
-/// file as they are produced (per entry, or per batch chunk of at most
-/// [`BATCH_FLUSH_CHUNK`]), preserving PR 3's crash-recovery granularity:
-/// a worker killed mid-shard loses at most one chunk of compute, and
-/// everything already flushed is absorbed by the next run. The file is
-/// therefore backend-major (each backend's records in planned cell
-/// order) — a fixed, deterministic order, independent of which path
+/// Each backend's missing entries run through [`run_column`] a chunk at
+/// a time: [`BATCH_FLUSH_CHUNK`] entries for a backend with a batch view
+/// ([`SimBackend::as_batch`]), so a sharded campaign's workers integrate
+/// their shard in lockstep, and one entry for any other backend. Each
+/// chunk's records are appended to the shard file as soon as it
+/// completes: a worker killed mid-shard loses at most one chunk of
+/// compute, and everything already flushed is absorbed by the next run.
+/// The file is therefore backend-major (each backend's records in
+/// planned cell order), a fixed order independent of which path
 /// computed a record.
 pub fn run_worker(
     store_dir: &Path,
@@ -218,48 +215,27 @@ pub fn run_worker(
     shards: usize,
     factory: &BackendFactory,
 ) -> Result<WorkerSummary, String> {
+    if shard >= shards {
+        return Err(format!("shard {shard} out of {shards}"));
+    }
     let plan = CampaignPlan::load(store_dir)?;
     let store = ResultStore::open(store_dir)?; // read-only: resume lookups
     let backends = build_backends(&plan, factory)?;
-    let splan = ShardPlan::new(shards);
     let mut writer = ShardWriter::create(store_dir, shard)?;
-    // Pass 1: plan this shard's missing entries, in the canonical
-    // cell-major order.
-    struct Item {
-        cell_index: usize,
-        backend_index: usize,
-        run_index: u32,
-        key: CellKey,
-    }
-    let mut items: Vec<Item> = Vec::new();
-    let mut cached = 0;
-    for index in splan.cells_of(shard, plan.cells.len()) {
-        let cell = &plan.cells[index];
-        let spec_hash = cell.spec.stable_hash();
-        for (backend_index, (sel, backend)) in backends.iter().enumerate() {
-            if !backend.supports(&cell.spec) {
-                continue;
-            }
-            for run_index in 0..sel.runs {
-                let key = CellKey {
-                    spec_hash,
-                    seed: cell.seed,
-                    backend: sel.name.clone(),
-                    run_index,
-                };
-                if store.contains(&key) {
-                    cached += 1;
-                } else {
-                    items.push(Item {
-                        cell_index: index,
-                        backend_index,
-                        run_index,
-                        key,
-                    });
-                }
-            }
-        }
-    }
+    // Pass 1: this shard's entries, in plan order, split into cached and
+    // missing. Cells are striped round-robin over the shards rather than
+    // cut into contiguous runs: a grid expansion orders cells by axis, so
+    // neighbouring cells tend to cost alike (same topology, same flow
+    // count), and striping spreads each cost band over every shard. The
+    // store does not depend on the split (records are content-addressed),
+    // so changing `shards` between runs redistributes work but never
+    // recomputes it.
+    let (cached, missing): (Vec<Entry>, Vec<Entry>) = plan
+        .entries(|b, spec| backends[b].supports(spec))
+        .into_iter()
+        .filter(|e| e.cell % shards == shard)
+        .partition(|e| store.contains(&e.key));
+    let cached = cached.len();
     // Telemetry: this worker appends heartbeats to the store's
     // `events.jsonl` sidecar, and — via the process-global hook — the
     // batch integrator's wave timings land there too. Advisory by
@@ -267,7 +243,7 @@ pub fn run_worker(
     let _telemetry = JsonlSink::create(store_dir)
         .ok()
         .map(|sink| bbr_telemetry::install(Arc::new(sink)));
-    let planned = items.len();
+    let planned = missing.len();
     emit(|| Event::ShardStart {
         shard,
         shards,
@@ -275,48 +251,21 @@ pub fn run_worker(
         cached,
     });
     let mut progress = ShardProgress::new(shard, shards, planned, cached);
-    // Pass 2: compute and persist, batching where the backend can,
-    // flushing to the shard file as results are produced.
-    // (`bbr_experiments::compare::run_column` is the in-memory form of
-    // this rule, which sweeps, cached sweeps and the differential harness
-    // share: a backend with a batch view gets its entries through
-    // `run_batch`, any other runs them one at a time. This loop keeps its
-    // own copy for the per-chunk flushing and progress events — keep the
-    // two in step when changing either.)
-    for (backend_index, (_, backend)) in backends.iter().enumerate() {
-        let mine: Vec<usize> = (0..items.len())
-            .filter(|&i| items[i].backend_index == backend_index)
-            .collect();
-        if mine.is_empty() {
-            continue;
-        }
-        match backend.as_batch() {
-            Some(batch) => {
-                for chunk in mine.chunks(BATCH_FLUSH_CHUNK) {
-                    let jobs: Vec<(&bbr_scenario::ScenarioSpec, u64)> = chunk
-                        .iter()
-                        .map(|&i| {
-                            let item = &items[i];
-                            let cell = &plan.cells[item.cell_index];
-                            (&cell.spec, run_seed(cell.seed, item.run_index))
-                        })
-                        .collect();
-                    for (&i, out) in chunk.iter().zip(batch.run_batch(&jobs)) {
-                        writer.append(&items[i].key, &out)?;
-                    }
-                    let last = *chunk.last().expect("chunks are non-empty");
-                    progress.advance(chunk.len(), items[last].key.spec_hash);
-                }
+    // Pass 2: compute and persist, backend by backend.
+    for (b, backend) in backends.iter().enumerate() {
+        let mine: Vec<&Entry> = missing.iter().filter(|e| e.backend == b).collect();
+        let chunk = if backend.as_batch().is_some() {
+            BATCH_FLUSH_CHUNK
+        } else {
+            1
+        };
+        for chunk in mine.chunks(chunk) {
+            let jobs: Vec<(&ScenarioSpec, u64)> = chunk.iter().map(|e| plan.job(e)).collect();
+            for (e, out) in chunk.iter().zip(run_column(backend.as_ref(), &jobs, |o| o)) {
+                writer.append(&e.key, &out.expect("planned entries are supported"))?;
             }
-            None => {
-                for &i in &mine {
-                    let item = &items[i];
-                    let cell = &plan.cells[item.cell_index];
-                    let out = backend.run(&cell.spec, run_seed(cell.seed, item.run_index));
-                    writer.append(&item.key, &out)?;
-                    progress.advance(1, item.key.spec_hash);
-                }
-            }
+            let last = chunk.last().expect("chunks are non-empty");
+            progress.advance(chunk.len(), last.key.spec_hash);
         }
     }
     writer.finish()?;
@@ -324,7 +273,7 @@ pub fn run_worker(
     Ok(WorkerSummary {
         shard,
         shards,
-        computed: items.len(),
+        computed: planned,
         cached,
     })
 }
@@ -505,27 +454,370 @@ pub fn maybe_worker(args: &[String], factory: &BackendFactory) -> Option<i32> {
 /// with exactly the runner's arithmetic.
 pub fn planned_entries(plan: &CampaignPlan, factory: &BackendFactory) -> Result<usize, String> {
     let backends = build_backends(plan, factory)?;
-    let mut entries = 0;
-    for cell in &plan.cells {
-        for (sel, backend) in &backends {
-            if backend.supports(&cell.spec) {
-                entries += sel.runs as usize;
-            }
-        }
-    }
-    Ok(entries)
+    Ok(plan.entries(|b, spec| backends[b].supports(spec)).len())
 }
 
-fn build_backends<'a>(
+/// The plan's backends, built by `factory`, in plan order.
+fn build_backends(
     plan: &CampaignPlan,
-    factory: &BackendFactory<'a>,
-) -> Result<PlanBackends, String> {
+    factory: &BackendFactory,
+) -> Result<Vec<Box<dyn SimBackend>>, String> {
     plan.backends
         .iter()
         .map(|sel| {
             factory(plan, sel)
-                .map(|b| (sel.clone(), b))
                 .ok_or_else(|| format!("no backend named `{}` in this host", sel.name))
         })
         .collect()
+}
+
+/// Run `backend` over `jobs` and return one reduced outcome per job, in
+/// job order — the one rule every store writer and in-memory sweep runs
+/// a backend by.
+///
+/// * A job whose spec the backend does not support
+///   ([`SimBackend::supports`]) comes back `None`.
+/// * A backend with a batch view ([`SimBackend::as_batch`]) gets every
+///   supported job in one `run_batch` call.
+/// * Any other backend runs one job per task across the rayon pool (a
+///   one-job column runs inline).
+///
+/// `reduce` runs where each outcome lands: on the worker thread for
+/// per-job backends. A caller that keeps only a summary therefore never
+/// holds the full outcomes, and each outcome is freed on the thread
+/// that allocated it.
+///
+/// `run_batch` is bit-identical to per-job `run` by contract, so the
+/// column never depends on which path ran or on the thread count.
+pub fn run_column<T: Send>(
+    backend: &dyn SimBackend,
+    jobs: &[(&ScenarioSpec, u64)],
+    reduce: impl Fn(RunOutcome) -> T + Sync,
+) -> Vec<Option<T>> {
+    match backend.as_batch() {
+        Some(batch) => {
+            let supported: Vec<usize> = (0..jobs.len())
+                .filter(|&i| backend.supports(jobs[i].0))
+                .collect();
+            let batch_jobs: Vec<(&ScenarioSpec, u64)> =
+                supported.iter().map(|&i| jobs[i]).collect();
+            let mut column: Vec<Option<T>> = jobs.iter().map(|_| None).collect();
+            for (&i, out) in supported.iter().zip(batch.run_batch(&batch_jobs)) {
+                column[i] = Some(reduce(out));
+            }
+            column
+        }
+        None => jobs
+            .par_iter()
+            .map(|&(spec, seed)| {
+                backend
+                    .supports(spec)
+                    .then(|| reduce(backend.run(spec, seed)))
+            })
+            .collect(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::{HashMap, HashSet};
+    use std::path::PathBuf;
+    use std::sync::Mutex;
+
+    use bbr_scenario::{BatchSimBackend, CcaKind, FlowMetrics};
+
+    use crate::plan::PlannedCell;
+    use crate::store::{parse_record, CellKey};
+
+    /// Backend names the stub host builds; the first has a batch view.
+    const NAMES: [&str; 3] = ["batch", "single", "other"];
+
+    /// Per call: the jobs it ran, and the records the watched shard file
+    /// held when it started.
+    type CallLog = Arc<Mutex<Vec<(usize, usize)>>>;
+
+    /// A backend that computes nothing: each outcome carries its job's
+    /// seed, and every call is logged.
+    struct Stub {
+        name: &'static str,
+        refuses: HashSet<u64>,
+        calls: CallLog,
+        watched: Option<PathBuf>,
+    }
+
+    impl Stub {
+        fn log(&self, jobs: usize) {
+            let flushed = self.watched.as_ref().map_or(0, |path| {
+                std::fs::read_to_string(path).map_or(0, |text| text.lines().count())
+            });
+            self.calls.lock().unwrap().push((jobs, flushed));
+        }
+    }
+
+    fn outcome(name: &'static str, seed: u64) -> RunOutcome {
+        RunOutcome {
+            backend: name,
+            flows: vec![FlowMetrics {
+                cca: CcaKind::Reno,
+                throughput_mbps: (seed >> 11) as f64,
+            }],
+            jain: 1.0,
+            loss_percent: 0.0,
+            occupancy_percent: 0.0,
+            utilization_percent: 0.0,
+            jitter_ms: 0.0,
+            per_link_occupancy: vec![],
+            per_link_utilization: vec![],
+        }
+    }
+
+    impl SimBackend for Stub {
+        fn name(&self) -> &'static str {
+            self.name
+        }
+        fn supports(&self, spec: &ScenarioSpec) -> bool {
+            !self.refuses.contains(&spec.stable_hash())
+        }
+        fn run(&self, spec: &ScenarioSpec, seed: u64) -> RunOutcome {
+            assert!(self.supports(spec), "run on an unsupported spec");
+            self.log(1);
+            outcome(self.name, seed)
+        }
+        fn as_batch(&self) -> Option<&dyn BatchSimBackend> {
+            (self.name == NAMES[0]).then_some(self as &dyn BatchSimBackend)
+        }
+    }
+
+    impl BatchSimBackend for Stub {
+        fn run_batch(&self, jobs: &[(&ScenarioSpec, u64)]) -> Vec<RunOutcome> {
+            self.log(jobs.len());
+            jobs.iter()
+                .map(|&(_, seed)| outcome(self.name, seed))
+                .collect()
+        }
+    }
+
+    /// The stub host: which spec hashes each named backend refuses, each
+    /// backend's call log, and the shard file the stubs watch.
+    #[derive(Default)]
+    struct Host {
+        refuses: HashMap<&'static str, HashSet<u64>>,
+        calls: HashMap<&'static str, CallLog>,
+        watched: Option<PathBuf>,
+    }
+
+    impl Host {
+        fn factory(
+            &self,
+        ) -> impl Fn(&CampaignPlan, &BackendSel) -> Option<Box<dyn SimBackend>> + '_ {
+            |_, sel| {
+                let name = *NAMES.iter().find(|n| **n == sel.name)?;
+                Some(Box::new(Stub {
+                    name,
+                    refuses: self.refuses.get(name).cloned().unwrap_or_default(),
+                    calls: self.calls.get(name).cloned().unwrap_or_default(),
+                    watched: self.watched.clone(),
+                }))
+            }
+        }
+
+        /// The plan's entries on this host's backends.
+        fn entries(&self, plan: &CampaignPlan) -> Vec<Entry> {
+            let backends = build_backends(plan, &self.factory()).unwrap();
+            plan.entries(|b, spec| backends[b].supports(spec))
+        }
+    }
+
+    /// `n` distinct small dumbbells with distinct seeds.
+    fn cells(n: usize) -> Vec<PlannedCell> {
+        (0..n)
+            .map(|i| PlannedCell {
+                spec: ScenarioSpec::dumbbell(1 + i % 3, 10.0 + i as f64, 0.010, 1.0),
+                seed: 7919 * i as u64,
+            })
+            .collect()
+    }
+
+    fn store_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("bbr-runner-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The keys and outcomes of shard `shard`'s record file, in file
+    /// order.
+    fn shard_records(dir: &Path, shard: usize) -> Vec<(CellKey, RunOutcome)> {
+        std::fs::read_to_string(ResultStore::shard_path(dir, shard))
+            .unwrap()
+            .lines()
+            .map(|l| parse_record(l).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn worker_writes_its_missing_entries_backend_major_in_flush_chunks() {
+        let plan = CampaignPlan {
+            effort: "fast".into(),
+            backends: vec![
+                BackendSel {
+                    name: "batch".into(),
+                    runs: 3,
+                },
+                BackendSel {
+                    name: "single".into(),
+                    runs: 2,
+                },
+            ],
+            cells: cells(60),
+        };
+        let mut host = Host::default();
+        // The batch backend refuses every fifth cell.
+        let refused = plan.cells.iter().step_by(5).map(|c| c.spec.stable_hash());
+        host.refuses.insert("batch", refused.collect());
+        for name in NAMES {
+            host.calls.insert(name, Arc::default());
+        }
+        let dir = store_dir("worker");
+        plan.save(&dir).unwrap();
+        // The store already holds every fourth entry of the plan.
+        let entries = host.entries(&plan);
+        let mut store = ResultStore::open(&dir).unwrap();
+        for (i, e) in entries.iter().enumerate().filter(|(i, _)| i % 4 == 0) {
+            let name = NAMES[e.backend];
+            store
+                .insert(e.key.clone(), outcome(name, i as u64))
+                .unwrap();
+        }
+        drop(store);
+
+        let (shard, shards) = (1, 2);
+        host.watched = Some(ResultStore::shard_path(&dir, shard));
+        let summary = run_worker(&dir, shard, shards, &host.factory()).unwrap();
+        let mine: Vec<(usize, &Entry)> = entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.cell % shards == shard)
+            .collect();
+        let mut missing: Vec<&Entry> = mine
+            .iter()
+            .filter(|(i, _)| i % 4 != 0)
+            .map(|&(_, e)| e)
+            .collect();
+        missing.sort_by_key(|e| e.backend); // stable: plan order per backend
+        assert_eq!(summary.computed, missing.len());
+        assert_eq!(summary.cached, mine.len() - missing.len());
+        let records = shard_records(&dir, shard);
+        assert_eq!(records.len(), missing.len());
+        for ((key, out), e) in records.iter().zip(&missing) {
+            assert_eq!(key, &e.key);
+            assert_eq!(out, &outcome(NAMES[e.backend], plan.job(e).1));
+        }
+        let calls = |name| host.calls[name].lock().unwrap().clone();
+        let (batch, single) = (calls("batch"), calls("single"));
+        let per_backend = |b| missing.iter().filter(|e| e.backend == b).count();
+        assert!(
+            batch.iter().all(|&(n, _)| n <= BATCH_FLUSH_CHUNK),
+            "{batch:?}"
+        );
+        assert_eq!(batch[0].0, BATCH_FLUSH_CHUNK, "{batch:?}");
+        assert_eq!(batch.iter().map(|c| c.0).sum::<usize>(), per_backend(0));
+        assert!(single.iter().all(|&(n, _)| n == 1), "{single:?}");
+        assert_eq!(single.len(), per_backend(1));
+        // Every call starts with all earlier records flushed: each chunk
+        // (each single entry) is written as soon as it completes.
+        let mut written = 0;
+        for (jobs, flushed) in batch.into_iter().chain(single) {
+            assert_eq!(flushed, written);
+            written += jobs;
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn out_of_range_shards_are_errors() {
+        let plan = CampaignPlan {
+            effort: "fast".into(),
+            backends: vec![BackendSel {
+                name: "single".into(),
+                runs: 1,
+            }],
+            cells: cells(3),
+        };
+        let dir = store_dir("range");
+        plan.save(&dir).unwrap();
+        let host = Host::default();
+        for (shard, shards) in [(2, 2), (5, 2), (0, 0)] {
+            let err = run_worker(&dir, shard, shards, &host.factory()).unwrap_err();
+            assert_eq!(err, format!("shard {shard} out of {shards}"));
+        }
+        assert!(!ResultStore::shard_path(&dir, 2).exists());
+        assert_eq!(run_worker(&dir, 1, 2, &host.factory()).unwrap().computed, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn shards_partition_the_plans_entries(
+            n_cells in 0usize..12,
+            runs in proptest::collection::vec(0u32..4, 1..4),
+            mask in 0u64..u64::MAX,
+            shards in 1usize..9,
+        ) {
+            let plan = CampaignPlan {
+                effort: "fast".into(),
+                backends: runs
+                    .iter()
+                    .zip(NAMES)
+                    .map(|(&runs, name)| BackendSel {
+                        name: name.into(),
+                        runs,
+                    })
+                    .collect(),
+                cells: cells(n_cells),
+            };
+            // Bit `3 * cell + backend` of the mask clear: refused.
+            let mut host = Host::default();
+            for (b, name) in NAMES.iter().enumerate() {
+                let refused = (0..n_cells)
+                    .filter(|c| mask >> (3 * c + b) & 1 == 0)
+                    .map(|c| plan.cells[c].spec.stable_hash());
+                host.refuses.insert(name, refused.collect());
+            }
+            let entries = host.entries(&plan);
+            for e in &entries {
+                let (cell, sel) = (&plan.cells[e.cell], &plan.backends[e.backend]);
+                proptest::prop_assert_eq!(e.key.spec_hash, cell.spec.stable_hash());
+                proptest::prop_assert_eq!(e.key.seed, cell.seed);
+                proptest::prop_assert_eq!(&e.key.backend, &sel.name);
+                proptest::prop_assert!(e.run_index < sel.runs);
+                proptest::prop_assert_eq!(e.key.run_index, e.run_index);
+            }
+            let factory = host.factory();
+            proptest::prop_assert_eq!(planned_entries(&plan, &factory).unwrap(), entries.len());
+
+            let dir = store_dir("partition");
+            plan.save(&dir).unwrap();
+            let position: HashMap<&CellKey, usize> =
+                entries.iter().enumerate().map(|(i, e)| (&e.key, i)).collect();
+            let mut merged = Vec::new();
+            for shard in 0..shards {
+                let summary = run_worker(&dir, shard, shards, &factory).unwrap();
+                let records = shard_records(&dir, shard);
+                proptest::prop_assert_eq!(summary.computed, records.len());
+                proptest::prop_assert_eq!(summary.cached, 0);
+                if shard >= n_cells {
+                    proptest::prop_assert!(records.is_empty());
+                }
+                merged.extend(records.into_iter().map(|(key, _)| position[&key]));
+            }
+            // Disjoint, and merged in plan order they are the plan.
+            merged.sort_unstable();
+            proptest::prop_assert_eq!(merged, (0..entries.len()).collect::<Vec<_>>());
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
 }

@@ -7,12 +7,12 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use bbr_campaign::run_column;
 use bbr_fluid_core::prelude::*;
 use bbr_fluidbatch::BatchedFluidBackend;
 use bbr_packetsim::backend::PacketBackend;
 use bbr_scenario::RunOutcome;
 
-use crate::compare::run_column;
 use crate::scenarios::{CampaignParams, Combo, COMBOS};
 use crate::Effort;
 

@@ -1,7 +1,7 @@
 //! The differential harness: every cross-backend comparison in this
 //! crate (the aggregate figures, `figures drift`, `figures universe`,
 //! `figures simd-check`) and the consistency tests read their
-//! tolerances, deltas and column runs from here.
+//! tolerances and deltas from here.
 //!
 //! * [`Gates`] and its two table entries, [`CONSISTENCY`] and
 //!   [`UNIVERSE`].
@@ -9,8 +9,10 @@
 //!   its tolerance-normalized [`Delta::score`].
 //! * [`rank_worst_first`] and [`mean_abs_util_gap`]: the two reductions
 //!   every report prints.
-//! * [`run_column`]: the one rule for running a backend over a list of
-//!   `(spec, seed)` jobs.
+//!
+//! Their backends run through [`bbr_campaign::run_column`], the one rule
+//! for running a backend over a list of `(spec, seed)` jobs, which the
+//! campaign workers share.
 //!
 //! The table holds values, not operators: each check keeps its own
 //! comparison. `figures simd-check` and the consistency tests gate
@@ -20,8 +22,6 @@
 use std::cmp::Ordering;
 
 use bbr_campaign::json::Json;
-use bbr_scenario::{RunOutcome, ScenarioSpec, SimBackend};
-use rayon::prelude::*;
 
 use crate::aggregate::CellMetrics;
 
@@ -147,57 +147,13 @@ pub fn mean_abs_util_gap(deltas: impl IntoIterator<Item = Delta>) -> Option<f64>
     (!gaps.is_empty()).then(|| gaps.iter().sum::<f64>() / gaps.len() as f64)
 }
 
-/// Run `backend` over `jobs` and return one reduced outcome per job, in
-/// job order.
-///
-/// * A job whose spec the backend does not support
-///   ([`SimBackend::supports`]) comes back `None`.
-/// * A backend with a batch view ([`SimBackend::as_batch`]) gets every
-///   supported job in one `run_batch` call.
-/// * Any other backend runs one job per task across the rayon pool.
-///
-/// `reduce` runs where each outcome lands: on the worker thread for
-/// per-job backends. A caller that keeps only [`CellMetrics`] therefore
-/// never holds the full outcomes, and each outcome is freed on the
-/// thread that allocated it.
-///
-/// `run_batch` is bit-identical to per-job `run` by contract, so the
-/// column never depends on which path ran or on the thread count.
-pub fn run_column<T: Send>(
-    backend: &dyn SimBackend,
-    jobs: &[(&ScenarioSpec, u64)],
-    reduce: impl Fn(RunOutcome) -> T + Sync,
-) -> Vec<Option<T>> {
-    match backend.as_batch() {
-        Some(batch) => {
-            let supported: Vec<usize> = (0..jobs.len())
-                .filter(|&i| backend.supports(jobs[i].0))
-                .collect();
-            let batch_jobs: Vec<(&ScenarioSpec, u64)> =
-                supported.iter().map(|&i| jobs[i]).collect();
-            let mut column: Vec<Option<T>> = jobs.iter().map(|_| None).collect();
-            for (&i, out) in supported.iter().zip(batch.run_batch(&batch_jobs)) {
-                column[i] = Some(reduce(out));
-            }
-            column
-        }
-        None => jobs
-            .par_iter()
-            .map(|&(spec, seed)| {
-                backend
-                    .supports(spec)
-                    .then(|| reduce(backend.run(spec, seed)))
-            })
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bbr_campaign::run_column;
     use bbr_fluid_core::backend::FluidBackend;
     use bbr_fluidbatch::BatchedFluidBackend;
-    use bbr_scenario::{BatchSimBackend, CcaKind, QdiscKind};
+    use bbr_scenario::{BatchSimBackend, CcaKind, QdiscKind, RunOutcome, ScenarioSpec, SimBackend};
 
     fn metrics(util: f64, jain: f64, loss: f64) -> CellMetrics {
         CellMetrics {

@@ -9,6 +9,7 @@ use bbr_fluid_core::config::{ModelConfig, ResetMode};
 use bbr_fluid_core::prelude::*;
 use bbr_packetsim::backend::PacketBackend;
 
+use crate::aggregate::model_config;
 use crate::figures::FigureOutput;
 use crate::table;
 use crate::Effort;
@@ -17,28 +18,17 @@ use crate::Effort;
 /// on the start-up `inflight_hi` estimate. Sweeps the buffer size under
 /// three initial conditions for `w_hi`.
 pub fn insight5(effort: Effort) -> FigureOutput {
-    let (n, duration, cfg) = if effort.is_fast() {
-        (
-            4,
-            1.5,
-            ModelConfig {
-                // Reference-implementation inflight_lo semantics: the
-                // short-term bound stays unset until loss occurs, so the
-                // loose 2-BDP fallback of Insight 5 can actually bind.
-                bbr2_wlo_unset: true,
-                ..ModelConfig::coarse()
-            },
-        )
+    let (n, duration) = if effort.is_fast() {
+        (4, 1.5)
     } else {
-        (
-            10,
-            5.0,
-            ModelConfig {
-                dt: 2e-5,
-                bbr2_wlo_unset: true,
-                ..ModelConfig::default()
-            },
-        )
+        (10, 5.0)
+    };
+    let cfg = ModelConfig {
+        // Reference-implementation inflight_lo semantics: the short-term
+        // bound stays unset until loss occurs, so the loose 2-BDP
+        // fallback of Insight 5 can actually bind.
+        bbr2_wlo_unset: true,
+        ..model_config(effort)
     };
     let buffers: Vec<f64> = if effort.is_fast() {
         vec![1.0, 5.0]
@@ -87,7 +77,7 @@ pub fn insight5(effort: Effort) -> FigureOutput {
 pub fn parking_lot(effort: Effort) -> FigureOutput {
     let duration = if effort.is_fast() { 2.0 } else { 8.0 };
     let backends: Vec<Box<dyn SimBackend>> = vec![
-        Box::new(FluidBackend::new(crate::aggregate::model_config(effort))),
+        Box::new(FluidBackend::new(model_config(effort))),
         Box::new(PacketBackend::new(1)),
     ];
     let (c1, c2) = (100.0, 80.0);
@@ -155,27 +145,15 @@ pub fn parking_lot(effort: Effort) -> FigureOutput {
 /// loss occurs, the bound stays unset, and the loose 2-BDP fallback
 /// produces the Insight-5 bufferbloat.
 pub fn startup(effort: Effort) -> FigureOutput {
-    let (n, duration, cfg) = if effort.is_fast() {
-        (
-            4,
-            2.0,
-            ModelConfig {
-                model_startup: true,
-                bbr2_wlo_unset: true,
-                ..ModelConfig::coarse()
-            },
-        )
+    let (n, duration) = if effort.is_fast() {
+        (4, 2.0)
     } else {
-        (
-            10,
-            6.0,
-            ModelConfig {
-                dt: 2e-5,
-                model_startup: true,
-                bbr2_wlo_unset: true,
-                ..ModelConfig::default()
-            },
-        )
+        (10, 6.0)
+    };
+    let cfg = ModelConfig {
+        model_startup: true,
+        bbr2_wlo_unset: true,
+        ..model_config(effort)
     };
     let buffers: Vec<f64> = if effort.is_fast() {
         vec![1.0, 5.0]
@@ -234,14 +212,7 @@ pub fn startup(effort: Effort) -> FigureOutput {
 /// reset-mode realization (discrete vs literal sigmoid relaxation).
 pub fn ablation(effort: Effort) -> FigureOutput {
     let duration = if effort.is_fast() { 1.5 } else { 5.0 };
-    let base = if effort.is_fast() {
-        ModelConfig::coarse()
-    } else {
-        ModelConfig {
-            dt: 2e-5,
-            ..ModelConfig::default()
-        }
-    };
+    let base = model_config(effort);
     let variants: Vec<(String, ModelConfig)> = vec![
         ("baseline".into(), base.clone()),
         (

@@ -15,6 +15,7 @@ use bbr_packetsim::path::run_path;
 use bbr_telemetry::trace::{Recorder, TraceConfig};
 use bbr_telemetry::MemorySink;
 
+use crate::aggregate::model_config;
 use crate::figures::FigureOutput;
 use crate::table;
 use crate::tracefmt::CellTrace;
@@ -23,17 +24,6 @@ use crate::Effort;
 const CAPACITY: f64 = 100.0;
 const BOTTLENECK_DELAY: f64 = 0.010;
 const ACCESS_DELAY: f64 = 0.0056;
-
-fn model_config(effort: Effort) -> ModelConfig {
-    if effort.is_fast() {
-        ModelConfig::coarse()
-    } else {
-        ModelConfig {
-            dt: 2e-5,
-            ..ModelConfig::default()
-        }
-    }
-}
 
 /// Run `run` with an in-memory recorder sampling every `interval`
 /// seconds attached, and assemble what it recorded. The recorder is

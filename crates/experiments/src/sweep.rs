@@ -35,15 +35,14 @@
 
 use std::time::Instant;
 
-use bbr_campaign::{BackendSel, CampaignPlan, CellKey, PlannedCell, ResultStore};
+use bbr_campaign::{run_column, BackendSel, CampaignPlan, Entry, PlannedCell, ResultStore};
 use bbr_fluidbatch::{BatchedFluidBackend, SimdFluidBackend};
 use bbr_packetsim::backend::PacketBackend;
-use bbr_scenario::{
-    run_seed, FlowWindow, QdiscKind, RunOutcome, ScenarioSpec, SimBackend, Topology,
-};
+use bbr_scenario::{FlowWindow, QdiscKind, RunOutcome, ScenarioSpec, SimBackend, Topology};
 
 use crate::aggregate::{model_config, CellMetrics};
-use crate::compare::{self, run_column, Delta};
+use crate::campaign::build_backend;
+use crate::compare::{self, Delta};
 use crate::scenarios::{CampaignParams, Combo, COMBOS};
 use crate::table;
 use crate::Effort;
@@ -611,23 +610,17 @@ impl ScenarioGrid {
             .collect()
     }
 
-    /// The same selector as *unit* backends — one engine run per
-    /// evaluation — plus how many repetitions each stores per cell.
+    /// The plan's selectors as *unit* backends — one engine run per
+    /// evaluation — in plan order, as campaign workers build them.
     /// Result stores persist every repetition under its own `run_index`
     /// key; averaging the stored repetitions with [`RunOutcome::average`]
     /// reproduces the internally-averaging backends of
     /// [`ScenarioGrid::backends`] bit for bit (same seeds via
-    /// [`run_seed`], same averaging arithmetic). The fluid engines ignore
-    /// their seed, so they store one repetition.
-    fn backend_plan(&self) -> Vec<(Box<dyn SimBackend>, u32)> {
-        self.backend
-            .columns()
+    /// [`bbr_scenario::run_seed`], same averaging arithmetic).
+    fn backend_plan(plan: &CampaignPlan) -> Vec<Box<dyn SimBackend>> {
+        plan.backends
             .iter()
-            .map(|&name| {
-                let backend = backend_named(name, self.effort, 1).expect("built-in column");
-                let stored = if name == "packet" { self.runs } else { 1 };
-                (backend, stored as u32)
-            })
+            .map(|sel| build_backend(plan, sel).expect("built-in column"))
             .collect()
     }
 
@@ -643,7 +636,7 @@ impl ScenarioGrid {
     /// (`SimBackend::supports`) get `None` in that backend's column.
     ///
     /// Each backend runs its column through
-    /// [`compare::run_column`]: backends exposing a batch view
+    /// [`bbr_campaign::run_column`]: backends exposing a batch view
     /// ([`SimBackend::as_batch`]) receive *all* of their supported cells
     /// in one `run_batch` call — the whole grid integrates in lockstep —
     /// and the rest fan out per cell. Since `run_batch` returns the bits
@@ -684,14 +677,21 @@ impl ScenarioGrid {
     /// [`bbr_campaign::run_sharded`] or a worker process. Covers the
     /// built-in [`Backend`] selector (campaigns re-build their backends
     /// from the plan file by name, so arbitrary `run_with` backends
-    /// cannot be campaigned).
+    /// cannot be campaigned). The packet column stores `runs`
+    /// repetitions per cell; the fluid engines ignore their seed, so
+    /// they store one.
     pub fn campaign_plan(&self) -> CampaignPlan {
         let backends = self
-            .backend_plan()
+            .backend
+            .columns()
             .iter()
-            .map(|(b, runs)| BackendSel {
-                name: b.name().to_string(),
-                runs: *runs,
+            .map(|&name| BackendSel {
+                name: name.to_string(),
+                runs: if name == "packet" {
+                    self.runs as u32
+                } else {
+                    1
+                },
             })
             .collect();
         let cells = self
@@ -711,48 +711,45 @@ impl ScenarioGrid {
     /// missing key if the store does not (yet) cover the grid.
     pub fn report_from_store(&self, store: &ResultStore) -> Result<SweepReport, String> {
         let t0 = Instant::now();
-        let plan = self.backend_plan();
-        let mut cells = Vec::new();
-        for (pt, spec, seed) in self.tasks() {
-            let spec_hash = spec.stable_hash();
-            let mut outcomes = Vec::with_capacity(plan.len());
-            for (backend, runs) in &plan {
-                if !backend.supports(&spec) {
-                    outcomes.push(None);
-                    continue;
-                }
-                let stored: Vec<RunOutcome> = (0..*runs)
-                    .map(|run_index| {
-                        let key = CellKey {
-                            spec_hash,
-                            seed,
-                            backend: backend.name().to_string(),
-                            run_index,
-                        };
-                        store.get(&key).cloned().ok_or_else(|| {
-                            format!(
-                                "store {} is missing {}[run {run_index}] of cell {pt:?} \
-                                 (spec {spec_hash:x}, seed {seed:x})",
-                                store.dir().display(),
-                                backend.name()
-                            )
-                        })
-                    })
-                    .collect::<Result<_, String>>()?;
-                let avg = RunOutcome::average(&stored).expect("runs >= 1 per backend");
-                outcomes.push(Some(CellMetrics::from(&avg)));
-            }
-            cells.push(SweepCell {
-                point: pt,
-                seed,
-                outcomes,
-            });
+        let points = self.points();
+        let plan = self.campaign_plan();
+        let backends = Self::backend_plan(&plan);
+        // Each cell's stored runs per backend, in run order; an
+        // unsupported backend's list stays empty.
+        let mut stored = vec![vec![Vec::new(); backends.len()]; plan.cells.len()];
+        for entry in plan.entries(|b, spec| backends[b].supports(spec)) {
+            let outcome = store.get(&entry.key).ok_or_else(|| {
+                let key = &entry.key;
+                format!(
+                    "store {} is missing {}[run {}] of cell {:?} (spec {:x}, seed {:x})",
+                    store.dir().display(),
+                    key.backend,
+                    key.run_index,
+                    points[entry.cell],
+                    key.spec_hash,
+                    key.seed
+                )
+            })?;
+            stored[entry.cell][entry.backend].push(outcome.clone());
         }
+        let cells = points
+            .into_iter()
+            .zip(&plan.cells)
+            .zip(stored)
+            .map(|((point, cell), runs)| SweepCell {
+                point,
+                seed: cell.seed,
+                outcomes: runs
+                    .iter()
+                    .map(|r| RunOutcome::average(r).map(|avg| CellMetrics::from(&avg)))
+                    .collect(),
+            })
+            .collect();
         Ok(SweepReport {
             capacity: self.capacity,
             bottleneck_delay: self.bottleneck_delay,
             duration: self.duration,
-            backends: plan.iter().map(|(b, _)| b.name()).collect(),
+            backends: backends.iter().map(|b| b.name()).collect(),
             threads: rayon::current_num_threads(),
             wall_seconds: t0.elapsed().as_secs_f64(),
             cells,
@@ -766,83 +763,35 @@ impl ScenarioGrid {
     /// metrics) to [`ScenarioGrid::run`] — whether it came from a cold
     /// store, a warm one, or any mix.
     pub fn run_cached(&self, store: &mut ResultStore) -> Result<(SweepReport, CacheStats), String> {
-        let plan = self.backend_plan();
-        struct Item {
-            spec: ScenarioSpec,
-            seed: u64,
-            backend_index: usize,
-            run_index: u32,
-        }
-        let mut total_entries = 0;
-        let mut missing: Vec<Item> = Vec::new();
-        for (_, spec, seed) in self.tasks() {
-            let spec_hash = spec.stable_hash();
-            for (backend_index, (backend, runs)) in plan.iter().enumerate() {
-                if !backend.supports(&spec) {
-                    continue;
-                }
-                for run_index in 0..*runs {
-                    total_entries += 1;
-                    let key = CellKey {
-                        spec_hash,
-                        seed,
-                        backend: backend.name().to_string(),
-                        run_index,
-                    };
-                    if !store.contains(&key) {
-                        missing.push(Item {
-                            spec: spec.clone(),
-                            seed,
-                            backend_index,
-                            run_index,
-                        });
-                    }
-                }
-            }
-        }
+        let plan = self.campaign_plan();
+        let backends = Self::backend_plan(&plan);
+        let entries = plan.entries(|b, spec| backends[b].supports(spec));
+        let missing: Vec<&Entry> = entries.iter().filter(|e| !store.contains(&e.key)).collect();
         // Fill the missing entries backend by backend, one
         // `run_column` each. Results land back in `missing` order, so the
         // store's append order (and thus its bytes) is the same whichever
         // path computed an entry.
         let mut outcomes: Vec<Option<RunOutcome>> = vec![None; missing.len()];
-        for (backend_index, (backend, _)) in plan.iter().enumerate() {
+        for (b, backend) in backends.iter().enumerate() {
             let mine: Vec<usize> = (0..missing.len())
-                .filter(|&i| missing[i].backend_index == backend_index)
+                .filter(|&i| missing[i].backend == b)
                 .collect();
             if mine.is_empty() {
                 continue;
             }
-            let jobs: Vec<(&ScenarioSpec, u64)> = mine
-                .iter()
-                .map(|&i| {
-                    let item = &missing[i];
-                    (&item.spec, run_seed(item.seed, item.run_index))
-                })
-                .collect();
+            let jobs: Vec<(&ScenarioSpec, u64)> =
+                mine.iter().map(|&i| plan.job(missing[i])).collect();
             for (&i, out) in mine.iter().zip(run_column(backend.as_ref(), &jobs, |o| o)) {
                 outcomes[i] = out;
             }
         }
-        let computed: Vec<(CellKey, RunOutcome)> = missing
-            .iter()
-            .zip(outcomes)
-            .map(|(item, outcome)| {
-                let (backend, _) = &plan[item.backend_index];
-                let key = CellKey {
-                    spec_hash: item.spec.stable_hash(),
-                    seed: item.seed,
-                    backend: backend.name().to_string(),
-                    run_index: item.run_index,
-                };
-                (key, outcome.expect("every missing entry was computed"))
-            })
-            .collect();
         let stats = CacheStats {
-            computed: computed.len(),
-            cached: total_entries - computed.len(),
+            computed: missing.len(),
+            cached: entries.len() - missing.len(),
         };
-        for (key, outcome) in computed {
-            store.insert(key, outcome)?;
+        for (entry, outcome) in missing.into_iter().zip(outcomes) {
+            let outcome = outcome.expect("every missing entry was computed");
+            store.insert(entry.key.clone(), outcome)?;
         }
         let report = self.report_from_store(store)?;
         Ok((report, stats))

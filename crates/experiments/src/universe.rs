@@ -23,11 +23,12 @@
 use std::time::Instant;
 
 use bbr_campaign::json::Json;
+use bbr_campaign::run_column;
 use bbr_scenario::universe::{generate_universe, GeneratedScenario};
 use bbr_scenario::{ScenarioSpec, SimBackend, Topology};
 
 use crate::aggregate::CellMetrics;
-use crate::compare::{self, run_column, Delta, UNIVERSE};
+use crate::compare::{self, Delta, UNIVERSE};
 use crate::sweep::{backend_named, mix_seed, Backend};
 use crate::table;
 use crate::Effort;

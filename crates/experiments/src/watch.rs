@@ -172,9 +172,9 @@ pub struct WatchState {
     cells: usize,
     backends_desc: String,
     /// Entry key → plan cell index, for every supported
-    /// `(cell, backend, run_index)` triple — the same arithmetic as
-    /// `bbr_campaign::planned_entries`, kept per-key so records can be
-    /// matched back to their heatmap bin.
+    /// `(cell, backend, run_index)` triple — `CampaignPlan::entries`, as
+    /// `bbr_campaign::planned_entries` counts them, kept per-key so
+    /// records can be matched back to their heatmap bin.
     expected: HashMap<CellKey, usize>,
     done: HashSet<CellKey>,
     stale_records: usize,
@@ -218,19 +218,25 @@ impl WatchState {
                 store_dir.display()
             )
         })?;
-        type NamedBackend = (String, u32, Option<Box<dyn bbr_scenario::SimBackend>>);
-        let backends: Vec<NamedBackend> = plan
-            .backends
-            .iter()
-            .map(|sel| (sel.name.clone(), sel.runs, build_backend(&plan, sel)))
-            .collect();
         let backends_desc = plan
             .backends
             .iter()
             .map(|sel| format!("{} x{}", sel.name, sel.runs))
             .collect::<Vec<_>>()
             .join(" + ");
-        let mut expected = HashMap::new();
+        // A backend this host cannot build (a foreign store) is assumed
+        // to support every cell — the watcher degrades to an upper-bound
+        // entry count instead of refusing.
+        let backends: Vec<_> = plan
+            .backends
+            .iter()
+            .map(|sel| build_backend(&plan, sel))
+            .collect();
+        let expected: HashMap<CellKey, usize> = plan
+            .entries(|b, spec| backends[b].as_ref().is_none_or(|e| e.supports(spec)))
+            .into_iter()
+            .map(|e| (e.key, e.cell))
+            .collect();
         let mut x_bins: Vec<String> = Vec::new();
         let mut y_bins: Vec<String> = Vec::new();
         let mut cell_bin = Vec::with_capacity(plan.cells.len());
@@ -242,31 +248,10 @@ impl WatchState {
                     bins.len() - 1
                 }
             };
-        for (cell_index, cell) in plan.cells.iter().enumerate() {
+        for cell in &plan.cells {
             let xi = bin_index(&mut x_bins, axes.0.value_of(&cell.spec));
             let yi = bin_index(&mut y_bins, axes.1.value_of(&cell.spec));
             cell_bin.push((xi, yi));
-            let spec_hash = cell.spec.stable_hash();
-            for (name, runs, backend) in &backends {
-                // A backend this host cannot build (a foreign store) is
-                // assumed to support every cell — the watcher degrades
-                // to an upper-bound entry count instead of refusing.
-                let supports = backend.as_ref().is_none_or(|b| b.supports(&cell.spec));
-                if !supports {
-                    continue;
-                }
-                for run_index in 0..*runs {
-                    expected.insert(
-                        CellKey {
-                            spec_hash,
-                            seed: cell.seed,
-                            backend: name.clone(),
-                            run_index,
-                        },
-                        cell_index,
-                    );
-                }
-            }
         }
         let bins = x_bins.len() * y_bins.len();
         Ok(Self {
