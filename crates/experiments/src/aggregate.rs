@@ -90,8 +90,10 @@ pub struct SweepTable {
     pub cells: Vec<Vec<(CellMetrics, CellMetrics)>>,
 }
 
-/// The integration configuration the figure generators use at the given
-/// effort (coarse step for fast mode, a fine 20 µs step otherwise).
+/// The integration configuration of the given effort (coarse step for
+/// fast mode, a fine 20 µs step otherwise): the one effort → config map,
+/// which sweeps, campaigns, the drift audit and every figure read.
+/// Figures that set other model knobs start from it.
 pub fn model_config(effort: Effort) -> ModelConfig {
     if effort.is_fast() {
         ModelConfig::coarse()
