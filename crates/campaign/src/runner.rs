@@ -809,14 +809,41 @@ mod tests {
                 let records = shard_records(&dir, shard);
                 proptest::prop_assert_eq!(summary.computed, records.len());
                 proptest::prop_assert_eq!(summary.cached, 0);
-                if shard >= n_cells {
-                    proptest::prop_assert!(records.is_empty());
-                }
                 merged.extend(records.into_iter().map(|(key, _)| position[&key]));
             }
             // Disjoint, and merged in plan order they are the plan.
             merged.sort_unstable();
             proptest::prop_assert_eq!(merged, (0..entries.len()).collect::<Vec<_>>());
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+
+        #[test]
+        fn shards_beyond_the_cell_count_are_empty(
+            n_cells in 0usize..6,
+            extra in 1usize..5,
+        ) {
+            // One run of one backend on every cell: each shard below the
+            // cell count owns exactly one entry, and every shard at or
+            // beyond it writes an empty shard file.
+            let plan = CampaignPlan {
+                effort: "fast".into(),
+                backends: vec![BackendSel {
+                    name: "single".into(),
+                    runs: 1,
+                }],
+                cells: cells(n_cells),
+            };
+            let host = Host::default();
+            let dir = store_dir("beyond");
+            plan.save(&dir).unwrap();
+            let shards = n_cells + extra;
+            for shard in 0..shards {
+                let summary = run_worker(&dir, shard, shards, &host.factory()).unwrap();
+                let owned = usize::from(shard < n_cells);
+                proptest::prop_assert_eq!(summary.computed, owned);
+                proptest::prop_assert_eq!(summary.cached, 0);
+                proptest::prop_assert_eq!(shard_records(&dir, shard).len(), owned);
+            }
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
