@@ -724,15 +724,18 @@ impl ScenarioSpec {
         self.ccas[i % self.ccas.len()]
     }
 
-    /// Reject specs no backend can run.
+    /// Reject specs no backend can run. Every length, rate and buffer
+    /// must be finite: `x <= 0.0` alone waves NaN and +∞ through, and the
+    /// engines then panic or never reach the end of an infinite run.
     pub fn validate(&self) -> Result<(), String> {
+        let positive = |v: f64| v.is_finite() && v > 0.0;
         if self.ccas.is_empty() {
             return Err("no CCA kinds given".into());
         }
-        if self.duration <= 0.0 {
+        if !positive(self.duration) {
             return Err("non-positive duration".into());
         }
-        if self.warmup < 0.0 {
+        if !(self.warmup.is_finite() && self.warmup >= 0.0) {
             return Err("negative warmup".into());
         }
         if self.churn.len() > self.n_flows() {
@@ -808,10 +811,10 @@ impl ScenarioSpec {
                 if n == 0 {
                     return Err("dumbbell needs at least one sender".into());
                 }
-                if capacity <= 0.0 || bottleneck_delay <= 0.0 || buffer_bdp <= 0.0 {
+                if !(positive(capacity) && positive(bottleneck_delay) && positive(buffer_bdp)) {
                     return Err("dumbbell parameters must be positive".into());
                 }
-                if !(rtt_lo > 0.0 && rtt_hi >= rtt_lo) {
+                if !(positive(rtt_lo) && positive(rtt_hi) && rtt_hi >= rtt_lo) {
                     return Err("dumbbell RTT range must satisfy 0 < lo <= hi".into());
                 }
             }
@@ -821,7 +824,7 @@ impl ScenarioSpec {
                 link_delay,
                 buffer_bdp,
             } => {
-                if c1 <= 0.0 || c2 <= 0.0 || link_delay <= 0.0 || buffer_bdp <= 0.0 {
+                if ![c1, c2, link_delay, buffer_bdp].into_iter().all(positive) {
                     return Err("parking-lot parameters must be positive".into());
                 }
             }
@@ -837,7 +840,7 @@ impl ScenarioSpec {
                          shorter multi-bottleneck paths"
                     ));
                 }
-                if capacity <= 0.0 || link_delay <= 0.0 || buffer_bdp <= 0.0 {
+                if !(positive(capacity) && positive(link_delay) && positive(buffer_bdp)) {
                     return Err("chain parameters must be positive".into());
                 }
             }
@@ -849,7 +852,6 @@ impl ScenarioSpec {
                     return Err("custom topology needs at least one route".into());
                 }
                 for (i, l) in links.iter().enumerate() {
-                    let positive = |v: f64| v.is_finite() && v > 0.0;
                     if !(positive(l.capacity) && positive(l.delay) && positive(l.buffer_bdp)) {
                         return Err(format!(
                             "custom link {i}: capacity, delay, and buffer_bdp must be \
@@ -1423,6 +1425,29 @@ mod tests {
             .rtt_range(0.040, 0.030)
             .validate()
             .is_err());
+        // NaN compares false with every bound and +∞ is positive, so a
+        // bare `x <= 0.0` test lets both through.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let base = ScenarioSpec::dumbbell(2, 100.0, 0.010, 1.0);
+            for spec in [
+                base.clone().duration(bad),
+                base.clone().warmup(bad),
+                ScenarioSpec::dumbbell(2, bad, 0.010, 1.0),
+                ScenarioSpec::dumbbell(2, 100.0, bad, 1.0).rtt_range(0.030, 0.040),
+                ScenarioSpec::dumbbell(2, 100.0, 0.010, bad),
+                base.clone().rtt_range(bad, 0.040),
+                base.clone().rtt_range(0.030, bad),
+                ScenarioSpec::parking_lot(bad, 80.0, 0.010, 1.0),
+                ScenarioSpec::parking_lot(100.0, bad, 0.010, 1.0),
+                ScenarioSpec::parking_lot(100.0, 80.0, bad, 1.0),
+                ScenarioSpec::parking_lot(100.0, 80.0, 0.010, bad),
+                ScenarioSpec::chain(3, bad, 0.010, 1.0),
+                ScenarioSpec::chain(3, 100.0, bad, 1.0),
+                ScenarioSpec::chain(3, 100.0, 0.010, bad),
+            ] {
+                assert!(spec.validate().is_err(), "{bad} accepted: {spec:?}");
+            }
+        }
     }
 
     #[test]
