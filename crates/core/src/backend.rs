@@ -24,16 +24,13 @@
 //! assert!(outcome.flows[0].throughput_mbps > outcome.flows[1].throughput_mbps);
 //! ```
 
-use bbr_scenario::{
-    dumbbell_access_delays, FlowMetrics, RunOutcome, ScenarioSpec, SimBackend, Topology,
-};
-pub use bbr_scenario::{CHAIN_ACCESS_DELAY, PARKING_LOT_ACCESS_DELAY};
+use bbr_scenario::{FlowMetrics, RunOutcome, ScenarioSpec, SimBackend};
 
 use crate::cca::{build_any, AnyCca, ScenarioHint};
 use crate::config::ModelConfig;
 use crate::metrics::AggregateMetrics;
 use crate::sim::Simulator;
-use crate::topology::{dumbbell, LinkId, LinkSpec, Network, PathSpec};
+use crate::topology::{LinkId, LinkSpec, Network, PathSpec};
 
 /// The fluid model as a [`SimBackend`].
 #[derive(Debug, Clone, Default)]
@@ -69,27 +66,32 @@ impl SimBackend for FluidBackend {
 
 /// The [`Network`] a [`ScenarioSpec`] describes — the one translation
 /// every fluid entry point builds from ([`Simulator::for_spec`] and the
-/// lockstep waves of `bbr-fluidbatch`).
+/// lockstep waves of `bbr-fluidbatch`). It maps the spec's
+/// [`ScenarioSpec::layout`] link for link and route for route, buffers
+/// in Mbit, so the packet engine's `path_network_for_spec` sees the same
+/// links, routes and delays.
 pub fn network_for_spec(spec: &ScenarioSpec) -> Network {
-    match &spec.topology {
-        &Topology::Dumbbell {
-            n,
-            capacity,
-            bottleneck_delay,
-            buffer_bdp,
-            rtt_lo,
-            rtt_hi,
-        } => dumbbell(
-            n,
-            capacity,
-            bottleneck_delay,
-            buffer_bdp,
-            spec.qdisc,
-            &dumbbell_access_delays(n, bottleneck_delay, rtt_lo, rtt_hi),
-        ),
-        Topology::ParkingLot { .. } => parking_lot_network(spec),
-        Topology::Chain { .. } => chain_network(spec),
-        Topology::Custom { .. } => custom_network(spec),
+    let layout = spec.layout();
+    Network {
+        links: layout
+            .links
+            .iter()
+            .map(|l| LinkSpec {
+                capacity: l.capacity,
+                buffer: l.buffer_mbit,
+                prop_delay: l.delay,
+                qdisc: spec.qdisc,
+            })
+            .collect(),
+        paths: layout
+            .routes
+            .into_iter()
+            .map(|r| PathSpec {
+                links: r.links.into_iter().map(LinkId).collect(),
+                extra_fwd_delay: r.extra_fwd_delay,
+                extra_bwd_delay: r.extra_bwd_delay,
+            })
+            .collect(),
     }
 }
 
@@ -116,129 +118,6 @@ pub fn hint_for_flow(net: &Network, i: usize) -> ScenarioHint {
         n_agents: net.users_of(net.paths[i].links[pos]).len(),
         buffer: link.buffer,
         agent_index: i,
-    }
-}
-
-/// The two-bottleneck network of [`Topology::ParkingLot`]: flow 0 crosses
-/// both links, flow 1 only the first, flow 2 only the second; reverse
-/// paths are pure delay completing symmetric RTTs.
-fn parking_lot_network(spec: &ScenarioSpec) -> Network {
-    let &Topology::ParkingLot {
-        c1,
-        c2,
-        link_delay,
-        buffer_bdp,
-    } = &spec.topology
-    else {
-        unreachable!("parking_lot_network called on a non-parking-lot spec");
-    };
-    let buffer = buffer_bdp * c1 * link_delay;
-    let access = PARKING_LOT_ACCESS_DELAY;
-    let link = |capacity: f64| LinkSpec {
-        capacity,
-        buffer,
-        prop_delay: link_delay,
-        qdisc: spec.qdisc,
-    };
-    Network {
-        links: vec![link(c1), link(c2)],
-        paths: vec![
-            // Flow 0: both bottlenecks.
-            PathSpec {
-                links: vec![LinkId(0), LinkId(1)],
-                extra_fwd_delay: access,
-                extra_bwd_delay: access,
-            },
-            // Flow 1: first link only.
-            PathSpec {
-                links: vec![LinkId(0)],
-                extra_fwd_delay: access,
-                extra_bwd_delay: access + link_delay,
-            },
-            // Flow 2: second link only.
-            PathSpec {
-                links: vec![LinkId(1)],
-                extra_fwd_delay: access + link_delay,
-                extra_bwd_delay: access,
-            },
-        ],
-    }
-}
-
-/// The `hops`-bottleneck chain of [`Topology::Chain`]: flow 0 traverses
-/// every link; flow `j` (1-based) is the cross-traffic of link `j - 1`
-/// alone. Forward/backward extra delays are chosen so every flow's
-/// propagation RTT equals `2·access + hops·link_delay` — RTT effects
-/// stay out of the picture and what remains is pure multi-bottleneck
-/// interaction.
-fn chain_network(spec: &ScenarioSpec) -> Network {
-    let &Topology::Chain {
-        hops,
-        capacity,
-        link_delay,
-        buffer_bdp,
-    } = &spec.topology
-    else {
-        unreachable!("chain_network called on a non-chain spec");
-    };
-    let buffer = buffer_bdp * capacity * link_delay;
-    let access = CHAIN_ACCESS_DELAY;
-    let links = (0..hops)
-        .map(|_| LinkSpec {
-            capacity,
-            buffer,
-            prop_delay: link_delay,
-            qdisc: spec.qdisc,
-        })
-        .collect();
-    let mut paths = vec![
-        // Flow 0: end to end over every hop.
-        PathSpec {
-            links: (0..hops).map(LinkId).collect(),
-            extra_fwd_delay: access,
-            extra_bwd_delay: access,
-        },
-    ];
-    for j in 0..hops {
-        // Cross flow of hop j: upstream hops contribute forward delay,
-        // downstream hops return-path delay, so all RTTs match.
-        paths.push(PathSpec {
-            links: vec![LinkId(j)],
-            extra_fwd_delay: access + j as f64 * link_delay,
-            extra_bwd_delay: access + (hops - 1 - j) as f64 * link_delay,
-        });
-    }
-    Network { links, paths }
-}
-
-/// The explicit-layout network of [`Topology::Custom`]: each spec link
-/// becomes one [`LinkSpec`] (buffer sized from *its own* BDP,
-/// `buffer_bdp · capacity · delay` Mbit), each route one [`PathSpec`]
-/// with the route's extra forward/backward delays verbatim. Validation
-/// has already guaranteed in-range, duplicate-free routes and that every
-/// link carries traffic.
-fn custom_network(spec: &ScenarioSpec) -> Network {
-    let Topology::Custom { links, routes } = &spec.topology else {
-        unreachable!("custom_network called on a non-custom spec");
-    };
-    Network {
-        links: links
-            .iter()
-            .map(|l| LinkSpec {
-                capacity: l.capacity,
-                buffer: l.buffer_bdp * l.capacity * l.delay,
-                prop_delay: l.delay,
-                qdisc: spec.qdisc,
-            })
-            .collect(),
-        paths: routes
-            .iter()
-            .map(|r| PathSpec {
-                links: r.links.iter().map(|&id| LinkId(id)).collect(),
-                extra_fwd_delay: r.extra_fwd_delay,
-                extra_bwd_delay: r.extra_bwd_delay,
-            })
-            .collect(),
     }
 }
 
@@ -323,7 +202,7 @@ mod tests {
     #[test]
     fn chain_network_shape() {
         let spec = ScenarioSpec::chain(4, 100.0, 0.010, 2.0);
-        let net = chain_network(&spec);
+        let net = network_for_spec(&spec);
         net.validate().unwrap();
         assert_eq!(net.links.len(), 4);
         assert_eq!(net.paths.len(), 5);
@@ -366,7 +245,7 @@ mod tests {
     #[test]
     fn parking_lot_network_shape() {
         let spec = ScenarioSpec::parking_lot(100.0, 80.0, 0.010, 3.0);
-        let net = parking_lot_network(&spec);
+        let net = network_for_spec(&spec);
         net.validate().unwrap();
         assert_eq!(net.links.len(), 2);
         assert_eq!(net.paths.len(), 3);

@@ -984,7 +984,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::cca::{build_any, CcaKind, ScenarioHint};
-    use crate::topology::{dumbbell, QdiscKind};
+    use crate::topology::QdiscKind;
     use bbr_telemetry::trace::TraceConfig;
     use bbr_telemetry::MemorySink;
     use std::sync::Arc;
@@ -1004,7 +1004,9 @@ mod tests {
     }
 
     fn make_sim(kind: CcaKind, buffer_bdp: f64, qdisc: QdiscKind) -> Simulator {
-        let net = dumbbell(1, 100.0, 0.010, buffer_bdp, qdisc, &[0.0056]);
+        let net = network_for_spec(
+            &ScenarioSpec::dumbbell_with_access(100.0, 0.010, buffer_bdp, &[0.0056]).qdisc(qdisc),
+        );
         let cfg = ModelConfig::coarse();
         let hint = ScenarioHint {
             capacity: 100.0,
@@ -1128,7 +1130,12 @@ mod tests {
 
     #[test]
     fn agent_count_mismatch_rejected() {
-        let net = dumbbell(2, 100.0, 0.01, 1.0, QdiscKind::DropTail, &[0.005, 0.005]);
+        let net = network_for_spec(&ScenarioSpec::dumbbell_with_access(
+            100.0,
+            0.01,
+            1.0,
+            &[0.005, 0.005],
+        ));
         let cfg = ModelConfig::coarse();
         let hint = ScenarioHint {
             capacity: 100.0,

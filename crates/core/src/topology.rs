@@ -2,8 +2,10 @@
 //! queuing discipline; paths as ordered link sequences (paper §2).
 //!
 //! Supports arbitrary topologies (multiple queued links per path), which
-//! the paper lists as future work; the dumbbell of Fig. 3 is provided as
-//! a builder.
+//! the paper lists as future work. Every scenario family, the dumbbell of
+//! Fig. 3 included, reaches this model through
+//! [`network_for_spec`](crate::backend::network_for_spec), which maps the
+//! spec's `ScenarioSpec::layout`.
 
 /// Index of a link within a [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -157,47 +159,11 @@ impl Network {
     }
 }
 
-/// Build the dumbbell of the paper's Fig. 3: `n` senders with individual
-/// access delays share one bottleneck link of `capacity` Mbit/s,
-/// propagation delay `bottleneck_delay` s, and a buffer of
-/// `buffer_bdp` × the BDP **of the bottleneck link** (§4.1.3: "a buffer,
-/// the size of which is measured in bandwidth-delay product (BDP) of the
-/// bottleneck link ℓ"), i.e. `capacity · bottleneck_delay` — 1 Mbit for
-/// the default 100 Mbit/s × 10 ms, which is ≈ 0.3 path-RTT BDPs.
-pub fn dumbbell(
-    n: usize,
-    capacity: f64,
-    bottleneck_delay: f64,
-    buffer_bdp: f64,
-    qdisc: QdiscKind,
-    access_delays: &[f64],
-) -> Network {
-    assert_eq!(access_delays.len(), n, "need one access delay per sender");
-    let buffer = buffer_bdp * capacity * bottleneck_delay;
-    let link = LinkSpec {
-        capacity,
-        buffer,
-        prop_delay: bottleneck_delay,
-        qdisc,
-    };
-    let paths = access_delays
-        .iter()
-        .map(|d| PathSpec {
-            links: vec![LinkId(0)],
-            extra_fwd_delay: *d,
-            // Return path: bottleneck + access delay again (symmetric).
-            extra_bwd_delay: *d + bottleneck_delay,
-        })
-        .collect();
-    Network {
-        links: vec![link],
-        paths,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::network_for_spec;
+    use bbr_scenario::ScenarioSpec;
 
     fn two_link_net() -> Network {
         Network {
@@ -268,14 +234,8 @@ mod tests {
 
     #[test]
     fn dumbbell_shape() {
-        let net = dumbbell(
-            3,
-            100.0,
-            0.01,
-            2.0,
-            QdiscKind::DropTail,
-            &[0.005, 0.006, 0.007],
-        );
+        let spec = ScenarioSpec::dumbbell_with_access(100.0, 0.01, 2.0, &[0.005, 0.006, 0.007]);
+        let net = network_for_spec(&spec);
         net.validate().unwrap();
         assert_eq!(net.links.len(), 1);
         assert_eq!(net.paths.len(), 3);

@@ -1,9 +1,9 @@
 //! [`PacketBackend`] — the packet-level discrete-event simulator behind
 //! the backend-agnostic [`SimBackend`] trait.
 //!
-//! Translates a [`ScenarioSpec`] into a [`PathNetwork`] (dumbbells and
-//! parking lots as degenerate paths, chains as genuine multi-link
-//! paths), applies the spec's per-flow activity windows (churn), runs
+//! Translates a [`ScenarioSpec`] into a [`PathNetwork`] from its
+//! [`ScenarioSpec::layout`], the same links and routes the fluid model
+//! builds from, applies the spec's per-flow activity windows (churn), runs
 //! the engine for `warmup + duration` seconds (metrics collected after
 //! the warm-up, which covers the packet-level start-up phase the fluid
 //! model idealizes away), and averages `runs` seeds per evaluation as
@@ -24,10 +24,7 @@
 //! assert!(outcome.utilization_percent > 70.0);
 //! ```
 
-use bbr_scenario::{
-    dumbbell_access_delays, run_seed, FlowMetrics, RunOutcome, ScenarioSpec, SimBackend, Topology,
-    CHAIN_ACCESS_DELAY, PARKING_LOT_ACCESS_DELAY,
-};
+use bbr_scenario::{run_seed, FlowMetrics, RunOutcome, ScenarioSpec, SimBackend};
 
 use crate::engine::SimConfig;
 use crate::path::{run_path, PacketSimReport, PathFlowSpec, PathLinkSpec, PathNetwork};
@@ -77,166 +74,44 @@ impl PacketBackend {
 
 /// The [`PathNetwork`] a [`ScenarioSpec`] describes, churn included —
 /// the packet-side counterpart of
-/// `bbr_fluid_core::backend::network_for_spec`, so both simulators
-/// derive their wiring from the same declarative topology. Dumbbells
-/// and parking lots are degenerate paths (byte-identical to the
-/// original hand-wired runners); chains are genuine multi-link paths
-/// mirroring the fluid model's chain network hop for hop. The spec's
-/// activity windows are applied last (see `apply_churn`).
+/// `bbr_fluid_core::backend::network_for_spec`. Both map the spec's
+/// [`ScenarioSpec::layout`], so the two simulators run the same links,
+/// routes and delays: each layout link becomes an engine link (rate in
+/// bytes/s, the layout's byte buffer), each route a flow with the
+/// route's extra delays as its access and return delays. Flow `i` starts
+/// at `i · 5 ms`, avoiding artificial phase lock. The headline is the
+/// first minimum-capacity link, the fluid model's observed link. The
+/// spec's activity windows are applied last (see `apply_churn`).
 pub fn path_network_for_spec(spec: &ScenarioSpec) -> PathNetwork {
-    let mut net = match &spec.topology {
-        &Topology::Dumbbell {
-            n,
-            capacity,
-            bottleneck_delay,
-            buffer_bdp,
-            rtt_lo,
-            rtt_hi,
-        } => dumbbell_path_network(
-            spec,
-            n,
-            capacity,
-            bottleneck_delay,
-            buffer_bdp,
-            rtt_lo,
-            rtt_hi,
-        ),
-        &Topology::ParkingLot {
-            c1,
-            c2,
-            link_delay,
-            buffer_bdp,
-        } => parking_lot_path_network(spec, c1, c2, link_delay, buffer_bdp),
-        &Topology::Chain {
-            hops,
-            capacity,
-            link_delay,
-            buffer_bdp,
-        } => chain_path_network(spec, hops, capacity, link_delay, buffer_bdp),
-        Topology::Custom { .. } => custom_path_network(spec),
-    };
-    apply_churn(&mut net, spec);
-    net
-}
-
-/// The dumbbell of the paper's Fig. 3 as a degenerate path network: one
-/// queued link with a buffer of `buffer_bdp` × the BDP of the bottleneck
-/// link (`capacity · bottleneck_delay`, §4.1.3), every flow routing over
-/// it with the shared RTT spread ([`dumbbell_access_delays`]) and a
-/// symmetric return path, and staggered starts (i · 5 ms) avoiding
-/// artificial phase lock.
-fn dumbbell_path_network(
-    spec: &ScenarioSpec,
-    n: usize,
-    capacity: f64,
-    bottleneck_delay: f64,
-    buffer_bdp: f64,
-    rtt_lo: f64,
-    rtt_hi: f64,
-) -> PathNetwork {
-    let access = dumbbell_access_delays(n, bottleneck_delay, rtt_lo, rtt_hi);
-    PathNetwork {
-        links: vec![PathLinkSpec {
-            rate: capacity * 1e6 / 8.0, // bytes/s
-            prop_delay: bottleneck_delay,
-            buffer: buffer_bdp * capacity * 1e6 / 8.0 * bottleneck_delay,
-            qdisc: spec.qdisc,
-        }],
-        flows: (0..n)
-            .map(|i| PathFlowSpec {
-                links: vec![0],
-                access_delay: access[i],
-                bwd_delay: access[i] + bottleneck_delay,
-                cca: spec.cca_of(i),
-                start: i as f64 * 0.005,
-                stop: f64::INFINITY,
-                gaps: Vec::new(),
-            })
-            .collect(),
-        headline: 0,
-    }
-}
-
-/// The two-bottleneck parking lot as a path network: flow 0 routes over
-/// both links, flows 1 and 2 over one each. Access and return delays
-/// split as in the fluid `parking_lot_network`, so every flow's
-/// propagation RTT is `2·access + 2·link_delay`: flow 0's two links are
-/// its whole extra, flow 1 returns over one link's delay, and flow 2
-/// enters behind one. Both buffers hold `buffer_bdp` × the first link's
-/// BDP; the headline is the slower link (the first on a tie). Starts
-/// are staggered (i · 5 ms) like every other family.
-fn parking_lot_path_network(
-    spec: &ScenarioSpec,
-    c1: f64,
-    c2: f64,
-    link_delay: f64,
-    buffer_bdp: f64,
-) -> PathNetwork {
-    let buffer = buffer_bdp * c1 * 1e6 / 8.0 * link_delay;
-    let access = PARKING_LOT_ACCESS_DELAY;
-    let routes: [Vec<u32>; 3] = [vec![0, 1], vec![0], vec![1]];
-    let fwd = [access, access, access + link_delay];
-    let bwd = [access, access + link_delay, access];
-    PathNetwork {
-        links: [c1, c2]
+    let layout = spec.layout();
+    let headline = layout
+        .links
+        .iter()
+        .enumerate()
+        .min_by(|(_, a), (_, b)| {
+            a.capacity
+                .partial_cmp(&b.capacity)
+                .expect("validated capacities are finite")
+        })
+        .map(|(id, _)| id)
+        .unwrap_or(0);
+    let mut net = PathNetwork {
+        links: layout
+            .links
             .iter()
-            .map(|&c| PathLinkSpec {
-                rate: c * 1e6 / 8.0, // bytes/s
-                prop_delay: link_delay,
-                buffer,
+            .map(|l| PathLinkSpec {
+                rate: l.capacity * 1e6 / 8.0, // bytes/s
+                prop_delay: l.delay,
+                buffer: l.buffer_bytes,
                 qdisc: spec.qdisc,
             })
             .collect(),
-        flows: (0..3)
-            .map(|i| PathFlowSpec {
-                links: routes[i].clone(),
-                access_delay: fwd[i],
-                bwd_delay: bwd[i],
-                cca: spec.cca_of(i),
-                start: i as f64 * 0.005,
-                stop: f64::INFINITY,
-                gaps: Vec::new(),
-            })
-            .collect(),
-        headline: if c2 < c1 { 1 } else { 0 },
-    }
-}
-
-/// A [`Topology::Custom`] layout as a path network, mirroring the fluid
-/// model's `custom_network` link for link: each spec link becomes one
-/// engine link (rate in bytes/s, buffer sized from *its own* BDP), each
-/// route one flow whose access/return delays are the route's extras
-/// verbatim. Starts are staggered (i · 5 ms) like every other family,
-/// and the headline link is the minimum-capacity link under the same
-/// first-minimum tie-break as the fluid model's `observed_link`.
-fn custom_path_network(spec: &ScenarioSpec) -> PathNetwork {
-    let Topology::Custom { links, routes } = &spec.topology else {
-        unreachable!("custom_path_network called on a non-custom spec");
-    };
-    let headline = links
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| a.capacity.partial_cmp(&b.capacity).unwrap())
-        .map(|(id, _)| id)
-        .unwrap_or(0);
-    PathNetwork {
-        links: links
-            .iter()
-            .map(|l| {
-                let rate = l.capacity * 1e6 / 8.0; // bytes/s
-                PathLinkSpec {
-                    rate,
-                    prop_delay: l.delay,
-                    buffer: l.buffer_bdp * rate * l.delay,
-                    qdisc: spec.qdisc,
-                }
-            })
-            .collect(),
-        flows: routes
-            .iter()
+        flows: layout
+            .routes
+            .into_iter()
             .enumerate()
             .map(|(i, r)| PathFlowSpec {
-                links: r.links.iter().map(|&id| id as u32).collect(),
+                links: r.links.into_iter().map(|id| id as u32).collect(),
                 access_delay: r.extra_fwd_delay,
                 bwd_delay: r.extra_bwd_delay,
                 cca: spec.cca_of(i),
@@ -246,60 +121,9 @@ fn custom_path_network(spec: &ScenarioSpec) -> PathNetwork {
             })
             .collect(),
         headline,
-    }
-}
-
-/// The chain as a path network, mirroring the fluid model's
-/// `chain_network`: `hops` equal bottlenecks in series, flow 0 end to
-/// end, one cross flow per hop, and pure delays distributed so every
-/// flow's propagation RTT is `2·access + hops·link_delay` (upstream
-/// hops contribute forward access delay, downstream hops return-path
-/// delay). Starts are staggered (i · 5 ms) like every other family.
-fn chain_path_network(
-    spec: &ScenarioSpec,
-    hops: usize,
-    capacity: f64,
-    link_delay: f64,
-    buffer_bdp: f64,
-) -> PathNetwork {
-    let rate = capacity * 1e6 / 8.0; // bytes/s
-    let buffer = buffer_bdp * rate * link_delay;
-    let access = CHAIN_ACCESS_DELAY;
-    let links = (0..hops)
-        .map(|_| PathLinkSpec {
-            rate,
-            prop_delay: link_delay,
-            buffer,
-            qdisc: spec.qdisc,
-        })
-        .collect();
-    let mut flows = vec![PathFlowSpec {
-        links: (0..hops as u32).collect(),
-        access_delay: access,
-        bwd_delay: access,
-        cca: spec.cca_of(0),
-        start: 0.0,
-        stop: f64::INFINITY,
-        gaps: Vec::new(),
-    }];
-    for j in 0..hops {
-        flows.push(PathFlowSpec {
-            links: vec![j as u32],
-            access_delay: access + j as f64 * link_delay,
-            bwd_delay: access + (hops - 1 - j) as f64 * link_delay,
-            cca: spec.cca_of(j + 1),
-            start: (j + 1) as f64 * 0.005,
-            stop: f64::INFINITY,
-            gaps: Vec::new(),
-        });
-    }
-    PathNetwork {
-        links,
-        flows,
-        // All hops have equal capacity; observe the first, matching the
-        // fluid model's observed_link tie-break (first minimum).
-        headline: 0,
-    }
+    };
+    apply_churn(&mut net, spec);
+    net
 }
 
 /// Apply the spec's per-flow activity windows to a freshly lowered path
@@ -361,9 +185,8 @@ impl SimBackend for PacketBackend {
         "packet"
     }
 
-    // `supports` keeps its permissive default: since the path-network
-    // refactor the engine runs every topology family the spec language
-    // can express (dumbbell, parking lot, chain), with churn.
+    // `supports` keeps its permissive default: the engine runs every
+    // topology family the spec language can express, with churn.
 
     fn run(&self, spec: &ScenarioSpec, seed: u64) -> RunOutcome {
         spec.validate().expect("invalid scenario spec");

@@ -454,8 +454,9 @@ pub const CHAIN_ACCESS_DELAY: f64 = 0.005;
 /// RTT is `2·(access + bottleneck_delay)`, so its access delay is
 /// `rtt/2 − bottleneck_delay`, floored at zero. The paper draws RTTs
 /// randomly from this range; an even deterministic spread keeps runs
-/// reproducible while preserving the heterogeneity. Every backend
-/// lowers the dumbbell through this one function.
+/// reproducible while preserving the heterogeneity.
+/// [`ScenarioSpec::layout`] expands the dumbbell through this one
+/// function, and every engine builds from that layout.
 pub fn dumbbell_access_delays(
     n: usize,
     bottleneck_delay: f64,
@@ -473,6 +474,31 @@ pub fn dumbbell_access_delays(
             (rtt / 2.0 - bottleneck_delay).max(0.0)
         })
         .collect()
+}
+
+/// One link of a [`Layout`], with its buffer in both engines' units.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LayoutLink {
+    /// Capacity (Mbit/s).
+    pub capacity: f64,
+    /// One-way propagation delay (s), counted once per traversal.
+    pub delay: f64,
+    /// Buffer (Mbit), the fluid model's unit.
+    pub buffer_mbit: f64,
+    /// Buffer (bytes), the packet engine's unit. Not derived from
+    /// `buffer_mbit`: see [`ScenarioSpec::layout`] for why.
+    pub buffer_bytes: f64,
+}
+
+/// A scenario's topology as explicit links plus one route per flow
+/// (flow `i` runs `routes[i]`) — what [`ScenarioSpec::layout`] expands
+/// every family into, and the one input both engines lower from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Layout {
+    /// The link table.
+    pub links: Vec<LayoutLink>,
+    /// One route per flow, indexing into `links`.
+    pub routes: Vec<CustomRoute>,
 }
 
 /// Backend-agnostic description of one simulation: topology, flows,
@@ -722,6 +748,116 @@ impl ScenarioSpec {
     /// The CCA of flow `i` under the round-robin assignment.
     pub fn cca_of(&self, i: usize) -> CcaKind {
         self.ccas[i % self.ccas.len()]
+    }
+
+    /// The topology as explicit links and routes: the one place that
+    /// writes each family's links, buffers and delay split, so the fluid
+    /// and packet engines, which both build from it, cannot drift apart.
+    ///
+    /// * Dumbbell: one link; route `i` enters over access delay `a[i]`
+    ///   ([`dumbbell_access_delays`]) and returns over
+    ///   `a[i] + bottleneck_delay`.
+    /// * Parking lot: two links, both buffered on the first link's BDP;
+    ///   flow 0 crosses both, flow 1 the first and flow 2 the second,
+    ///   with delays split so every flow's RTT is `2·access + 2·d`.
+    /// * Chain: `hops` equal links; flow 0 crosses all of them and flow
+    ///   `j + 1` hop `j` alone, entering behind `j` hops' delay and
+    ///   returning over the rest, so every RTT is `2·access + hops·d`.
+    /// * Custom: each link sized on its own BDP, routes verbatim.
+    ///
+    /// The packet engine's byte buffer keeps each family's own rounding:
+    /// `buffer_bdp * capacity * 1e6 / 8.0 * delay` for the dumbbell and
+    /// the parking lot, `buffer_bdp * (capacity * 1e6 / 8.0) * delay`
+    /// for chains and Custom links. The two differ in the last bit for
+    /// some inputs (3000.0000000000005 against 3000.0 bytes at 24 Mbit/s,
+    /// 10 ms and 0.1 BDP), and neither equals `buffer_mbit · 125000`
+    /// bit for bit in general, so each link carries both values; moving
+    /// a family to the other rounding would change stored packet
+    /// records. The Mbit buffer is `buffer_bdp · capacity · delay` in
+    /// every family.
+    pub fn layout(&self) -> Layout {
+        // Dumbbell and parking-lot links: buffered on the BDP of a link of
+        // `c_bdp` Mbit/s (the parking lot's first link for both of its
+        // links), in their byte rounding.
+        let bottleneck_sized =
+            |capacity: f64, delay: f64, buffer_bdp: f64, c_bdp: f64| LayoutLink {
+                capacity,
+                delay,
+                buffer_mbit: buffer_bdp * c_bdp * delay,
+                buffer_bytes: buffer_bdp * c_bdp * 1e6 / 8.0 * delay,
+            };
+        // Chain and Custom links: buffered on their own BDP.
+        let self_sized = |capacity: f64, delay: f64, buffer_bdp: f64| LayoutLink {
+            capacity,
+            delay,
+            buffer_mbit: buffer_bdp * capacity * delay,
+            buffer_bytes: buffer_bdp * (capacity * 1e6 / 8.0) * delay,
+        };
+        match &self.topology {
+            &Topology::Dumbbell {
+                n,
+                capacity,
+                bottleneck_delay,
+                buffer_bdp,
+                rtt_lo,
+                rtt_hi,
+            } => Layout {
+                links: vec![bottleneck_sized(
+                    capacity,
+                    bottleneck_delay,
+                    buffer_bdp,
+                    capacity,
+                )],
+                routes: dumbbell_access_delays(n, bottleneck_delay, rtt_lo, rtt_hi)
+                    .into_iter()
+                    .map(|a| CustomRoute::new(vec![0], a, a + bottleneck_delay))
+                    .collect(),
+            },
+            &Topology::ParkingLot {
+                c1,
+                c2,
+                link_delay: d,
+                buffer_bdp,
+            } => {
+                let access = PARKING_LOT_ACCESS_DELAY;
+                Layout {
+                    links: vec![
+                        bottleneck_sized(c1, d, buffer_bdp, c1),
+                        bottleneck_sized(c2, d, buffer_bdp, c1),
+                    ],
+                    routes: vec![
+                        CustomRoute::new(vec![0, 1], access, access),
+                        CustomRoute::new(vec![0], access, access + d),
+                        CustomRoute::new(vec![1], access + d, access),
+                    ],
+                }
+            }
+            &Topology::Chain {
+                hops,
+                capacity,
+                link_delay: d,
+                buffer_bdp,
+            } => {
+                let access = CHAIN_ACCESS_DELAY;
+                let cross = (0..hops).map(|j| {
+                    let (up, down) = (j as f64 * d, (hops - 1 - j) as f64 * d);
+                    CustomRoute::new(vec![j], access + up, access + down)
+                });
+                Layout {
+                    links: vec![self_sized(capacity, d, buffer_bdp); hops],
+                    routes: std::iter::once(CustomRoute::new((0..hops).collect(), access, access))
+                        .chain(cross)
+                        .collect(),
+                }
+            }
+            Topology::Custom { links, routes } => Layout {
+                links: links
+                    .iter()
+                    .map(|l| self_sized(l.capacity, l.delay, l.buffer_bdp))
+                    .collect(),
+                routes: routes.clone(),
+            },
+        }
     }
 
     /// Reject specs no backend can run. Every length, rate and buffer

@@ -229,13 +229,18 @@ fn churn_is_honored_consistently_across_backends() {
 
 #[test]
 fn dumbbell_lowerings_carry_bit_equal_delays() {
-    // Both engines lower a spec through the one shared delay
-    // derivation: each fluid path and packet flow gets the same access
-    // delay and the same return delay, to the bit. Dumbbells (default
-    // and custom RTT spread), parking lots, chains, and Custom specs (an
-    // explicit access dumbbell and a generated universe cell).
+    // Both engines lower a spec through the one shared layout
+    // (`ScenarioSpec::layout`): each fluid link and packet link has the
+    // same delay and a rate of exactly capacity·10⁶/8 bytes/s, each fluid
+    // path and packet flow crosses the same links with the same access
+    // and return delays, and the packet headline is the fluid network's
+    // first minimum-capacity link, all to the bit. Dumbbells (default
+    // and custom RTT spread), parking lots, chains, Custom specs (an
+    // explicit access dumbbell and generated universe cells), and the
+    // lowering pins' specs, where the packet buffer roundings differ.
     use bbr_repro::fluid::backend::network_for_spec;
     use bbr_repro::packetsim::backend::path_network_for_spec;
+    use bbr_repro::scenario::dumbbell_access_delays;
     use bbr_repro::scenario::universe::generate_scenario;
     let mut specs = Vec::new();
     for n in [1, 5] {
@@ -254,13 +259,33 @@ fn dumbbell_lowerings_carry_bit_equal_delays() {
         &[0.0056, 0.013, 0.0],
     ));
     specs.push(generate_scenario(1, 25).spec);
+    specs.push(ScenarioSpec::dumbbell(3, 24.0, 0.010, 0.1));
+    specs.push(ScenarioSpec::dumbbell_with_access(
+        24.0,
+        0.010,
+        0.1,
+        &dumbbell_access_delays(3, 0.010, 0.030, 0.040),
+    ));
+    specs.push(ScenarioSpec::parking_lot(24.0, 19.2, 0.010, 0.1));
+    specs.push(ScenarioSpec::chain(3, 24.0, 0.010, 0.1));
+    specs.push(generate_scenario(1, 6).spec);
     for spec in &specs {
         let net = network_for_spec(spec);
         let path = path_network_for_spec(spec);
-        assert_eq!(net.paths.len(), spec.n_flows(), "{:?}", spec.topology);
-        assert_eq!(path.flows.len(), spec.n_flows(), "{:?}", spec.topology);
+        let topo = format!("{:?}", spec.topology);
+        assert_eq!(net.links.len(), path.links.len(), "{topo}");
+        for (j, (l, pl)) in net.links.iter().zip(&path.links).enumerate() {
+            let what = format!("link {j} of {topo}");
+            let rate = l.capacity * 1e6 / 8.0;
+            assert_eq!(rate.to_bits(), pl.rate.to_bits(), "{what}");
+            assert_eq!(l.prop_delay.to_bits(), pl.prop_delay.to_bits(), "{what}");
+        }
+        assert_eq!(net.paths.len(), spec.n_flows(), "{topo}");
+        assert_eq!(path.flows.len(), spec.n_flows(), "{topo}");
         for (i, (p, f)) in net.paths.iter().zip(&path.flows).enumerate() {
-            let what = format!("flow {i} of {:?}", spec.topology);
+            let what = format!("flow {i} of {topo}");
+            let links: Vec<u32> = p.links.iter().map(|l| l.0 as u32).collect();
+            assert_eq!(links, f.links, "{what}");
             assert_eq!(
                 p.extra_fwd_delay.to_bits(),
                 f.access_delay.to_bits(),
@@ -268,6 +293,13 @@ fn dumbbell_lowerings_carry_bit_equal_delays() {
             );
             assert_eq!(p.extra_bwd_delay.to_bits(), f.bwd_delay.to_bits(), "{what}");
         }
+        let mut observed = 0;
+        for (j, l) in net.links.iter().enumerate() {
+            if l.capacity < net.links[observed].capacity {
+                observed = j;
+            }
+        }
+        assert_eq!(path.headline, observed, "headline of {topo}");
     }
 }
 
