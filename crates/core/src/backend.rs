@@ -75,7 +75,7 @@ pub fn network_for_spec(spec: &ScenarioSpec) -> Network {
     Network {
         links: layout
             .links
-            .iter()
+            .into_iter()
             .map(|l| LinkSpec {
                 capacity: l.capacity,
                 buffer: l.buffer_mbit,

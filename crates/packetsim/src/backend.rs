@@ -91,14 +91,14 @@ pub fn path_network_for_spec(spec: &ScenarioSpec) -> PathNetwork {
         .min_by(|(_, a), (_, b)| {
             a.capacity
                 .partial_cmp(&b.capacity)
-                .expect("validated capacities are finite")
+                .expect("validated capacities are not NaN")
         })
         .map(|(id, _)| id)
         .unwrap_or(0);
     let mut net = PathNetwork {
         links: layout
             .links
-            .iter()
+            .into_iter()
             .map(|l| PathLinkSpec {
                 rate: l.capacity * 1e6 / 8.0, // bytes/s
                 prop_delay: l.delay,

@@ -537,8 +537,7 @@ pub struct ScenarioSpec {
 impl ScenarioSpec {
     /// Dumbbell with the paper's default RTT spread: total propagation
     /// RTTs evenly over 3–4× the one-way bottleneck delay (30–40 ms for
-    /// a 10 ms bottleneck, the §4.3 setting), matching both backends'
-    /// native builders.
+    /// a 10 ms bottleneck, the §4.3 setting).
     pub fn dumbbell(n: usize, capacity: f64, bottleneck_delay: f64, buffer_bdp: f64) -> Self {
         Self {
             topology: Topology::Dumbbell {
