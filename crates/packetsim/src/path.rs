@@ -5,10 +5,12 @@
 //! ordered links its packets traverse, the pure-delay segments around
 //! them, a CCA, and an activity window. [`run_path`] assembles the
 //! engine from that description and collects the [`PacketSimReport`].
-//! `backend::path_network_for_spec` lowers every `ScenarioSpec` to one;
-//! the dumbbell and parking lot are *degenerate paths* of this model
-//! (one queued link per route, or two), byte-identical to the original
-//! hand-wired runners (pinned in `tests/packet_path_pins.rs`).
+//! `backend::path_network_for_spec` lowers every `ScenarioSpec` to one
+//! from its `ScenarioSpec::layout`, the links and routes the fluid model
+//! builds from too. The dumbbell and parking lot are *degenerate paths*
+//! of this model (one queued link per route, or two), byte-identical to
+//! the original hand-wired runners (pinned in `tests/packet_path_pins.rs`
+//! and, field by field, in `tests/lowering_pins.rs`).
 
 use bbr_scenario::jain_index;
 

@@ -2,7 +2,9 @@
 //! where *no* flow is active, flows whose every window closes before the
 //! warm-up ends, Poisson arrival processes that never produce an
 //! arrival, and the single-link `Topology::Custom` "dumbbell" that must
-//! reproduce `Topology::Dumbbell` byte for byte on every engine. These
+//! reproduce `Topology::Dumbbell` byte for byte on every engine wherever
+//! the packet engine's two buffer roundings agree (see
+//! `ScenarioSpec::layout`), as they do at the parameters used here. These
 //! are the cells a seeded universe sweep will eventually draw; each must
 //! simulate to defined, NaN-free metrics rather than a 0/0.
 
@@ -179,8 +181,10 @@ fn never_activating_poisson_schedule_is_empty_and_inert() {
 fn single_link_custom_dumbbell_is_byte_identical_to_dumbbell() {
     // The acid test of the Custom lowering: a one-link Custom spec whose
     // routes reproduce the dumbbell's evenly spread access delays must
-    // yield *the same* network on every engine — so the outcomes match
-    // under `RunOutcome: PartialEq`, which compares every f64 exactly.
+    // yield *the same* network on every engine at these parameters, where
+    // the dumbbell's and Custom's packet buffer roundings agree — so the
+    // outcomes match under `RunOutcome: PartialEq`, which compares every
+    // f64 exactly.
     let (n, capacity, delay, buffer_bdp) = (3usize, 30.0, 0.010, 2.0);
     let dumbbell = ScenarioSpec::dumbbell(n, capacity, delay, buffer_bdp)
         .ccas(vec![CcaKind::BbrV2, CcaKind::Reno])
